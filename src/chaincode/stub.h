@@ -74,7 +74,12 @@ class ChaincodeStub {
 
   /// The accumulated read/write set.
   const ReadWriteSet& rwset() const { return rwset_; }
-  ReadWriteSet TakeRwset() { return std::move(rwset_); }
+  /// Ends simulation: seals the rw-set (stores its digest and byte
+  /// size) and moves it out.
+  ReadWriteSet TakeRwset() {
+    rwset_.Seal();
+    return std::move(rwset_);
+  }
 
   bool rich_queries_supported() const { return rich_queries_supported_; }
 

@@ -137,11 +137,9 @@ void Client::SendProposal(TxId tx_id, Peer* peer, int attempt) {
     tracer->OnEndorseRequest(tx_id, peer->id(), peer->org(), attempt,
                              p_.env->now());
   }
-  request.reply = [this, peer_node](const ProposalResponse& response) {
+  request.reply = [this, peer_node](ProposalResponse response) {
     uint64_t bytes = response.rwset.ByteSize() + 96;
-    // Large rw-sets (DV/SCM range scans) make responses heavy; ship
-    // one copy through the network callback.
-    auto shared = std::make_shared<ProposalResponse>(response);
+    auto shared = std::make_shared<ProposalResponse>(std::move(response));
     p_.net->Send(*p_.env, peer_node, p_.node, bytes,
                  [this, shared]() { OnEndorsement(std::move(*shared)); });
   };

@@ -65,7 +65,10 @@ ChainIntegrityReport CheckChainRecords(const BlockStore& ledger,
   report.peers_checked = static_cast<int>(peers.size());
 
   // 1. The canonical ledger itself: dense numbering, internally
-  //    consistent hash chain, and no transaction committed twice.
+  //    consistent hash chain, no transaction committed twice, and
+  //    every rw-set still matching the digest sealed at endorsement
+  //    (the chain hashes mix the sealed value, so only a recomputation
+  //    from content catches a set mutated after sealing).
   std::vector<PeerChainRecord> ledger_chain = LedgerChainRecords(ledger);
   CheckOneChain("ledger", ledger_chain, &report);
   std::unordered_set<TxId> ledger_tx_ids;
@@ -76,6 +79,13 @@ ChainIntegrityReport CheckChainRecords(const BlockStore& ledger,
             "tx %llu committed twice (second time in block %llu)",
             static_cast<unsigned long long>(tx.id),
             static_cast<unsigned long long>(block.number)));
+      }
+      if (tx.rwset.ComputeDigest() != tx.rwset.Digest()) {
+        report.violations.push_back(StrFormat(
+            "channel %d block %llu tx %llu: rw-set content differs from "
+            "its sealed digest",
+            block.channel, static_cast<unsigned long long>(block.number),
+            static_cast<unsigned long long>(tx.id)));
       }
     }
   }

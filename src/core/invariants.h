@@ -35,6 +35,9 @@ struct ChainIntegrityReport {
 ///  * the canonical ledger is dense (blocks 1..height, no gaps, no
 ///    renumbering) and no transaction id appears in two blocks
 ///    (double commit);
+///  * every canonical transaction's rw-set digest, recomputed from its
+///    content, equals its sealed digest (the value every chain hash
+///    mixed);
 ///  * every peer's chain is a dense prefix-or-extension of the same
 ///    hash chain — byte-identical content at every height two chains
 ///    share (a crashed peer may stop early; a peer may also run ahead

@@ -1,10 +1,36 @@
 #include "src/ledger/rwset.h"
 
+#include <utility>
+
 #include "src/common/strings.h"
 
 namespace fabricsim {
 
-uint64_t ReadWriteSet::Digest() const {
+ReadWriteSet::ReadWriteSet(ReadWriteSet&& other) noexcept
+    : reads(std::move(other.reads)),
+      writes(std::move(other.writes)),
+      range_queries(std::move(other.range_queries)),
+      digest_(other.digest_),
+      byte_size_(other.byte_size_),
+      sealed_(std::exchange(other.sealed_, false)) {}
+
+ReadWriteSet& ReadWriteSet::operator=(ReadWriteSet&& other) noexcept {
+  reads = std::move(other.reads);
+  writes = std::move(other.writes);
+  range_queries = std::move(other.range_queries);
+  digest_ = other.digest_;
+  byte_size_ = other.byte_size_;
+  sealed_ = std::exchange(other.sealed_, false);
+  return *this;
+}
+
+void ReadWriteSet::Seal() {
+  digest_ = ComputeDigest();
+  byte_size_ = ComputeByteSize();
+  sealed_ = true;
+}
+
+uint64_t ReadWriteSet::ComputeDigest() const {
   uint64_t h = Fnv1a("rwset");
   for (const ReadItem& r : reads) {
     h = Fnv1aCombine(h, r.key);
@@ -30,7 +56,7 @@ uint64_t ReadWriteSet::Digest() const {
   return h;
 }
 
-uint64_t ReadWriteSet::ByteSize() const {
+uint64_t ReadWriteSet::ComputeByteSize() const {
   uint64_t bytes = 16;
   for (const ReadItem& r : reads) bytes += r.key.size() + 12;
   for (const WriteItem& w : writes) bytes += w.key.size() + w.value.size() + 4;

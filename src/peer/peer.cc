@@ -115,7 +115,7 @@ void Peer::HandleProposal(ProposalRequest request) {
         response.rwset = std::move(result->rwset);
         response.endorsement = Endorsement{
             id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        req->reply(response);
+        req->reply(std::move(response));
       });
 }
 
@@ -138,7 +138,7 @@ void Peer::SendRejectReply(const ProposalRequest& request,
   // (and so per-org counters line up with the reply stream).
   response.endorsement.peer_id = id_;
   response.endorsement.org_id = org_;
-  request.reply(response);
+  request.reply(std::move(response));
 }
 
 void Peer::HandleProposalAdmitted(ProposalRequest request) {
@@ -263,7 +263,7 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
         response.rwset = std::move(entry->result.rwset);
         response.endorsement = Endorsement{
             id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        entry->req.reply(response);
+        entry->req.reply(std::move(response));
       });
 }
 

@@ -24,20 +24,6 @@ namespace fabricsim {
 
 class CommitPipelines;  // src/channels/commit_pipeline.h
 
-/// A proposal sent from a client to an endorsing peer (flow step 1).
-/// `reply` is invoked by the peer when the endorsement response is
-/// ready; the closure the client installed routes it back over the
-/// network.
-struct ProposalRequest {
-  TxId tx_id = 0;
-  ChannelId channel = 0;
-  Invocation invocation;
-  /// Client deadline carried with the proposal (overload protection);
-  /// 0 = none.
-  SimTime deadline = 0;
-  std::function<void(const struct ProposalResponse&)> reply;
-};
-
 /// Why an endorser refused to execute a proposal (overload protection
 /// only; kNone on the legacy path).
 enum class ProposalReject : uint8_t {
@@ -59,6 +45,21 @@ struct ProposalResponse {
   /// Set when the endorser refused the proposal instead of executing
   /// it; endorsement/rwset are empty in that case.
   ProposalReject reject = ProposalReject::kNone;
+};
+
+/// A proposal sent from a client to an endorsing peer (flow step 1).
+/// `reply` is invoked by the peer when the endorsement response is
+/// ready; the closure the client installed routes it back over the
+/// network. The response is passed by value so its rw-set is moved,
+/// never copied, on the way to the client.
+struct ProposalRequest {
+  TxId tx_id = 0;
+  ChannelId channel = 0;
+  Invocation invocation;
+  /// Client deadline carried with the proposal (overload protection);
+  /// 0 = none.
+  SimTime deadline = 0;
+  std::function<void(ProposalResponse)> reply;
 };
 
 /// A peer node: endorser + validator + committer over its own

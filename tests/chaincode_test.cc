@@ -5,7 +5,11 @@
 #include "src/chaincode/ehr.h"
 #include "src/chaincode/registry.h"
 #include "src/chaincode/stub.h"
+#include "src/core/experiment.h"
+#include "src/peer/committer.h"
+#include "src/peer/endorser.h"
 #include "src/statedb/memory_state_db.h"
+#include "src/workload/paper_workloads.h"
 
 namespace fabricsim {
 namespace {
@@ -96,6 +100,36 @@ TEST_F(StubTest, TakeRwsetMoves) {
   ReadWriteSet rwset = stub.TakeRwset();
   EXPECT_EQ(rwset.reads.size(), 1u);
 }
+
+// Simulation seals every rw-set it produces: the stored digest and
+// byte size must equal a fresh recomputation from the content, for
+// every catalogued chaincode's generated invocations.
+class SealContractTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SealContractTest, SealedValuesMatchRecomputation) {
+  WorkloadConfig config;
+  config.chaincode = GetParam();
+  auto chaincode = MakeChaincodeFor(config);
+  ASSERT_TRUE(chaincode.ok());
+  auto gen = MakeWorkload(config, /*rich=*/true);
+  ASSERT_TRUE(gen.ok());
+
+  MemoryStateDb db;
+  ASSERT_TRUE(ApplyBootstrap(db, chaincode.value()->BootstrapState()).ok());
+  Rng rng(29);
+  for (int i = 0; i < 200; ++i) {
+    EndorsementResult result = SimulateProposal(
+        db, *chaincode.value(), gen.value()->Next(rng), /*rich=*/true);
+    const ReadWriteSet& rwset = result.rwset;
+    ASSERT_TRUE(rwset.sealed()) << GetParam() << " invocation " << i;
+    EXPECT_EQ(rwset.Digest(), rwset.ComputeDigest()) << GetParam();
+    EXPECT_EQ(rwset.ByteSize(), rwset.ComputeByteSize()) << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllChaincodes, SealContractTest,
+                         ::testing::Values("ehr", "dv", "scm", "drm",
+                                           "genchain", "tpcc"));
 
 // --------------------------------------------------------- Registry
 

@@ -1,6 +1,7 @@
 // Chain-integrity checker unit tests over synthetic corruptions: the
 // checker must catch diverging content, broken hash links, numbering
-// gaps, double-committed transactions, and lost acked transactions —
+// gaps, double-committed transactions, rw-sets altered after sealing,
+// and lost acked transactions —
 // and must accept honest prefixes (crashed peers) and peers that ran
 // ahead of a crashed reference peer.
 #include <gtest/gtest.h>
@@ -114,6 +115,27 @@ TEST(InvariantsTest, DoubleCommittedTransactionIsCaught) {
   ChainIntegrityReport report = CheckChainRecords(ledger, {}, nullptr);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.Summary().find("tx 10 committed twice"), std::string::npos)
+      << report.Summary();
+}
+
+TEST(InvariantsTest, RwSetChangedAfterSealingIsCaught) {
+  // Peers chain-hash the digest sealed at endorsement, so their chains
+  // still agree with the ledger; only the audit's recomputation from
+  // content notices the altered write.
+  Block block = MakeBlock(1, {7});
+  block.channel = 3;
+  block.txs[0].rwset.writes.push_back(WriteItem{"k", "v", false});
+  block.txs[0].rwset.Seal();
+  uint64_t content = BlockContentHash(block, block.results);
+  std::vector<PeerChainRecord> records = {
+      PeerChainRecord{1, content, MixChainHash(kChainHashSeed, content)}};
+  block.txs[0].rwset.writes[0].value = "forged";
+  BlockStore ledger;
+  ASSERT_TRUE(ledger.Append(std::move(block)).ok());
+  ChainIntegrityReport report =
+      CheckChainRecords(ledger, Views(records, records), nullptr);
+  ASSERT_EQ(report.violations.size(), 1u) << report.Summary();
+  EXPECT_NE(report.Summary().find("channel 3 block 1 tx 7"), std::string::npos)
       << report.Summary();
 }
 

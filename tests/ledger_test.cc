@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/ledger/block_store.h"
 #include "src/ledger/ledger_parser.h"
 #include "src/ledger/rwset.h"
@@ -74,6 +76,64 @@ TEST(RwSetTest, ReadOnlyAndCounts) {
   s.writes.push_back(WriteItem{"k", "v", false});
   EXPECT_FALSE(s.IsReadOnly());
   EXPECT_GT(s.ByteSize(), 0u);
+}
+
+// ------------------------------------------------------- RwSet seal
+
+ReadWriteSet SampleRwset() {
+  ReadWriteSet s;
+  s.reads.push_back(ReadItem{"k", {1, 2}, true});
+  s.writes.push_back(WriteItem{"k", "v", false});
+  RangeQueryInfo rq;
+  rq.start_key = "a";
+  rq.end_key = "z";
+  rq.reads.push_back(ReadItem{"m", {3, 1}, true});
+  s.range_queries.push_back(rq);
+  return s;
+}
+
+TEST(RwSetSealTest, CopyKeepsTheSeal) {
+  ReadWriteSet s = SampleRwset();
+  s.Seal();
+  ReadWriteSet copy = s;
+  EXPECT_TRUE(copy.sealed());
+  EXPECT_EQ(copy.Digest(), s.Digest());
+  EXPECT_EQ(copy.ByteSize(), s.ByteSize());
+  ReadWriteSet assigned;
+  assigned = s;
+  EXPECT_TRUE(assigned.sealed());
+  EXPECT_EQ(assigned.Digest(), s.Digest());
+}
+
+TEST(RwSetSealTest, MovedFromSetDropsThePreMoveDigest) {
+  ReadWriteSet s = SampleRwset();
+  s.Seal();
+  const uint64_t digest = s.Digest();
+  ReadWriteSet moved = std::move(s);
+  EXPECT_TRUE(moved.sealed());
+  EXPECT_EQ(moved.Digest(), digest);
+  EXPECT_FALSE(s.sealed());
+  EXPECT_NE(s.Digest(), digest);
+
+  ReadWriteSet source = SampleRwset();
+  source.Seal();
+  ReadWriteSet target;
+  target = std::move(source);
+  EXPECT_EQ(target.Digest(), digest);
+  EXPECT_FALSE(source.sealed());
+  EXPECT_NE(source.Digest(), digest);
+}
+
+TEST(RwSetSealTest, NeverSealedSetComputesOnDemand) {
+  ReadWriteSet s;
+  const uint64_t empty_digest = s.Digest();
+  const uint64_t empty_bytes = s.ByteSize();
+  s.writes.push_back(WriteItem{"k", "v", false});
+  EXPECT_FALSE(s.sealed());
+  EXPECT_NE(s.Digest(), empty_digest);
+  EXPECT_GT(s.ByteSize(), empty_bytes);
+  EXPECT_EQ(s.Digest(), s.ComputeDigest());
+  EXPECT_EQ(s.ByteSize(), s.ComputeByteSize());
 }
 
 // ------------------------------------------------------- BlockStore
