@@ -187,17 +187,6 @@ class ExperimentConfig::Builder {
     config_.fabric.ordering = ordering;
     return *this;
   }
-  /// Intra-run execution mode. Simulator-performance only: results
-  /// are bitwise identical in every mode.
-  Builder& Execution(ExecutionConfig execution) {
-    config_.fabric.execution = execution;
-    return *this;
-  }
-  /// Shorthand for Execution(ExecutionConfig::Threaded(threads)).
-  Builder& ThreadedExecution(int threads = 0) {
-    config_.fabric.execution = ExecutionConfig::Threaded(threads);
-    return *this;
-  }
   /// Number of channels the network hosts (sharded ledgers). 1 (the
   /// default) is the classic single-channel network.
   Builder& Channels(int num_channels) {

@@ -35,7 +35,7 @@ Result<RunArtifacts> RunOnceArtifacts(const ExperimentConfig& config,
       MakeWorkload(workload_config, rich);
   if (!workload.ok()) return workload.status();
 
-  Environment env(seed, config.fabric.execution);
+  Environment env(seed);
   FabricNetwork network(config.fabric, &env, chaincode.value(),
                         std::shared_ptr<WorkloadGenerator>(
                             std::move(workload).value()));

@@ -148,20 +148,6 @@ Status FabricNetwork::Init() {
           : 1.0;
   validation_cache_ =
       std::make_unique<ValidationOutcomeCache>(cluster.total_peers());
-  if (env_->executor().mode() == ExecutionMode::kThreaded) {
-    // Threaded execution: per-channel pipelines validate each cut
-    // block on worker threads ahead of the virtual clock; the first
-    // peer to need the outcome joins it through the cache's compute
-    // hook. Pure wall-clock optimization — results stay bitwise
-    // identical to serial mode.
-    CommitPipelines::Params cp;
-    cp.executor = &env_->executor();
-    cp.num_channels = num_channels;
-    cp.policy = *policy_;
-    cp.state_backend = config_.state_backend;
-    cp.lookahead_blocks = env_->executor().config().lookahead_blocks;
-    commit_pipelines_ = std::make_unique<CommitPipelines>(std::move(cp));
-  }
   std::vector<Chaincode*> channel_chaincodes;
   if (num_channels > 1) {
     channel_chaincodes.reserve(static_cast<size_t>(num_channels));
@@ -195,7 +181,6 @@ Status FabricNetwork::Init() {
       }
       params.rng = env_->rng().Fork(2000 + static_cast<uint64_t>(peer_id));
       params.validation_cache = validation_cache_.get();
-      params.commit_pipelines = commit_pipelines_.get();
       if (admission_stats_ != nullptr) {
         params.admission = &config_.admission;
         params.admission_stats = admission_stats_.get();
@@ -221,10 +206,6 @@ Status FabricNetwork::Init() {
     std::vector<WriteItem> bootstrap = chaincode_for(c)->BootstrapState();
     for (auto& peer : peers_) {
       FABRICSIM_RETURN_NOT_OK(peer->Bootstrap(c, bootstrap));
-    }
-    if (commit_pipelines_ != nullptr) {
-      // The shadow replicas must mirror the peers' bootstrap exactly.
-      FABRICSIM_RETURN_NOT_OK(commit_pipelines_->Bootstrap(c, bootstrap));
     }
   }
 
@@ -255,10 +236,6 @@ Status FabricNetwork::Init() {
         }});
   }
   auto on_block_cut = [this](std::shared_ptr<Block> block) {
-    // Block content is final here in both ordering modes (the compat
-    // cutter assembles it once; Raft fires this only after quorum
-    // commit), so it is safe to hand to the speculative pipeline.
-    if (commit_pipelines_ != nullptr) commit_pipelines_->OnBlockCut(block);
     ChannelRuntime& runtime = channels_[static_cast<size_t>(block->channel)];
     runtime.canonical_blocks[block->number] = std::move(block);
   };

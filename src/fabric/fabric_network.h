@@ -10,7 +10,6 @@
 #include "src/chaincode/chaincode.h"
 #include "src/chaincode/registry.h"
 #include "src/channels/channel_types.h"
-#include "src/channels/commit_pipeline.h"
 #include "src/client/client.h"
 #include "src/common/status.h"
 #include "src/ext/fabricpp/reorderer.h"
@@ -204,9 +203,6 @@ class FabricNetwork {
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<ValidationOutcomeCache> validation_cache_;
-  /// Threaded execution mode only (see src/channels/commit_pipeline.h);
-  /// nullptr in serial mode.
-  std::unique_ptr<CommitPipelines> commit_pipelines_;
   std::unique_ptr<FabricPlusPlusProcessor> fabricpp_;
   std::unique_ptr<FabricSharpProcessor> fabricsharp_;
   /// Allocated in Init() only when config_.admission.enabled(); shared

@@ -7,7 +7,6 @@
 #include "src/admission/admission.h"
 #include "src/common/sim_time.h"
 #include "src/faults/fault_plan.h"
-#include "src/sim/executor.h"
 #include "src/sim/network.h"
 #include "src/statedb/latency_profile.h"
 #include "src/statedb/state_backend.h"
@@ -198,12 +197,6 @@ struct FabricConfig {
 
   /// Replicated-ordering mode (off = legacy single-leader compat path).
   OrderingConfig ordering;
-
-  /// Intra-run execution mode (serial reference vs threaded commit
-  /// pipelines). A pure simulator-performance knob: every mode yields
-  /// bitwise-identical simulation results, so it is excluded from
-  /// Describe() and every artifact.
-  ExecutionConfig execution;
 
   /// Pumba-style chaos injection: extra one-way delay applied to every
   /// peer of `delayed_org` (< 0 disables). Paper Fig. 16 uses

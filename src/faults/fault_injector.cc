@@ -144,15 +144,21 @@ Status FaultInjector::Install() {
       return Status::InvalidArgument(ref + ": restart precedes the crash");
     }
     Peer* peer = actors_.peers[static_cast<size_t>(crash.peer)];
-    actors_.env->ScheduleAt(crash.at, [this, peer]() {
-      peer->Crash();
-      Fire(FaultEventRecord::Kind::kPeerCrash, peer->id());
-    });
+    actors_.env->Schedule(
+        crash.at,
+        [this, peer]() {
+          peer->Crash();
+          Fire(FaultEventRecord::Kind::kPeerCrash, peer->id());
+        },
+        ScheduleOpts{.absolute = true});
     if (crash.restart_at != kSimTimeNever) {
-      actors_.env->ScheduleAt(crash.restart_at, [this, peer]() {
-        peer->Restart();
-        Fire(FaultEventRecord::Kind::kPeerRestart, peer->id());
-      });
+      actors_.env->Schedule(
+          crash.restart_at,
+          [this, peer]() {
+            peer->Restart();
+            Fire(FaultEventRecord::Kind::kPeerRestart, peer->id());
+          },
+          ScheduleOpts{.absolute = true});
     }
   }
 
@@ -171,24 +177,30 @@ Status FaultInjector::Install() {
       // resume must hit the same replica even if leadership moved in
       // between, so the resolved index is carried over.
       auto target = std::make_shared<int>(-1);
-      actors_.env->ScheduleAt(pause.at, [this, requested, target]() {
-        int replica = ResolveOrdererReplica(requested);
-        *target = replica;
-        // The replica is one orderer *process* hosting every channel's
-        // log: pausing it pauses that replica in every group.
-        for (RaftGroup* raft : actors_.rafts) {
-          raft->replica(replica)->Pause();
-        }
-        Fire(FaultEventRecord::Kind::kOrdererPause, replica);
-      });
+      actors_.env->Schedule(
+          pause.at,
+          [this, requested, target]() {
+            int replica = ResolveOrdererReplica(requested);
+            *target = replica;
+            // The replica is one orderer *process* hosting every channel's
+            // log: pausing it pauses that replica in every group.
+            for (RaftGroup* raft : actors_.rafts) {
+              raft->replica(replica)->Pause();
+            }
+            Fire(FaultEventRecord::Kind::kOrdererPause, replica);
+          },
+          ScheduleOpts{.absolute = true});
       if (pause.resume_at != kSimTimeNever) {
-        actors_.env->ScheduleAt(pause.resume_at, [this, target]() {
-          if (*target < 0) return;
-          for (RaftGroup* raft : actors_.rafts) {
-            raft->replica(*target)->Resume();
-          }
-          Fire(FaultEventRecord::Kind::kOrdererResume, *target);
-        });
+        actors_.env->Schedule(
+            pause.resume_at,
+            [this, target]() {
+              if (*target < 0) return;
+              for (RaftGroup* raft : actors_.rafts) {
+                raft->replica(*target)->Resume();
+              }
+              Fire(FaultEventRecord::Kind::kOrdererResume, *target);
+            },
+            ScheduleOpts{.absolute = true});
       }
       continue;
     }
@@ -199,15 +211,21 @@ Status FaultInjector::Install() {
     if (actors_.orderer == nullptr) {
       return Status::FailedPrecondition(ref + ": scheduled without an orderer");
     }
-    actors_.env->ScheduleAt(pause.at, [this]() {
-      for (Orderer* orderer : actors_.orderers) orderer->Pause();
-      Fire(FaultEventRecord::Kind::kOrdererPause, -1);
-    });
+    actors_.env->Schedule(
+        pause.at,
+        [this]() {
+          for (Orderer* orderer : actors_.orderers) orderer->Pause();
+          Fire(FaultEventRecord::Kind::kOrdererPause, -1);
+        },
+        ScheduleOpts{.absolute = true});
     if (pause.resume_at != kSimTimeNever) {
-      actors_.env->ScheduleAt(pause.resume_at, [this]() {
-        for (Orderer* orderer : actors_.orderers) orderer->Resume();
-        Fire(FaultEventRecord::Kind::kOrdererResume, -1);
-      });
+      actors_.env->Schedule(
+          pause.resume_at,
+          [this]() {
+            for (Orderer* orderer : actors_.orderers) orderer->Resume();
+            Fire(FaultEventRecord::Kind::kOrdererResume, -1);
+          },
+          ScheduleOpts{.absolute = true});
     }
   }
 
@@ -245,24 +263,30 @@ Status FaultInjector::Install() {
     // The leader is resolved when the crash fires; the restart must hit
     // the same replica, so the resolved index is carried over.
     auto target = std::make_shared<int>(-1);
-    actors_.env->ScheduleAt(crash.at, [this, requested, target]() {
-      int replica = ResolveOrdererReplica(requested);
-      *target = replica;
-      // One crashed orderer process takes that replica down in every
-      // channel's group.
-      for (RaftGroup* raft : actors_.rafts) {
-        raft->replica(replica)->Crash();
-      }
-      Fire(FaultEventRecord::Kind::kOrdererCrash, replica);
-    });
+    actors_.env->Schedule(
+        crash.at,
+        [this, requested, target]() {
+          int replica = ResolveOrdererReplica(requested);
+          *target = replica;
+          // One crashed orderer process takes that replica down in every
+          // channel's group.
+          for (RaftGroup* raft : actors_.rafts) {
+            raft->replica(replica)->Crash();
+          }
+          Fire(FaultEventRecord::Kind::kOrdererCrash, replica);
+        },
+        ScheduleOpts{.absolute = true});
     if (crash.restart_at != kSimTimeNever) {
-      actors_.env->ScheduleAt(crash.restart_at, [this, target]() {
-        if (*target < 0) return;
-        for (RaftGroup* raft : actors_.rafts) {
-          raft->replica(*target)->Restart();
-        }
-        Fire(FaultEventRecord::Kind::kOrdererRestart, *target);
-      });
+      actors_.env->Schedule(
+          crash.restart_at,
+          [this, target]() {
+            if (*target < 0) return;
+            for (RaftGroup* raft : actors_.rafts) {
+              raft->replica(*target)->Restart();
+            }
+            Fire(FaultEventRecord::Kind::kOrdererRestart, *target);
+          },
+          ScheduleOpts{.absolute = true});
     }
   }
 

@@ -303,11 +303,14 @@ void OrdererReplica::ArmElectionTimer() {
   if (delay < 1) delay = 1;
   // Daemon: the timeout matters only while the run still has work in
   // flight — it must not keep a finished simulation alive.
-  env_->ScheduleDaemon(delay, [this, generation]() {
-    if (generation != election_generation_) return;  // reset in the meantime
-    if (!alive_ || role_ == Role::kLeader) return;
-    StartElection();
-  });
+  env_->Schedule(
+      delay,
+      [this, generation]() {
+        if (generation != election_generation_) return;  // timer was reset
+        if (!alive_ || role_ == Role::kLeader) return;
+        StartElection();
+      },
+      ScheduleOpts{.daemon = true});
 }
 
 void OrdererReplica::StartElection() {
@@ -411,12 +414,15 @@ void OrdererReplica::ArmHeartbeat() {
   uint64_t generation = heartbeat_generation_;
   // Daemon: a leader heartbeats forever; the re-arming chain must not
   // block quiescence once the workload has drained.
-  env_->ScheduleDaemon(ordering_.heartbeat_interval, [this, generation]() {
-    if (generation != heartbeat_generation_) return;
-    if (!alive_ || role_ != Role::kLeader) return;
-    BroadcastAppendEntries();
-    ArmHeartbeat();
-  });
+  env_->Schedule(
+      ordering_.heartbeat_interval,
+      [this, generation]() {
+        if (generation != heartbeat_generation_) return;
+        if (!alive_ || role_ != Role::kLeader) return;
+        BroadcastAppendEntries();
+        ArmHeartbeat();
+      },
+      ScheduleOpts{.daemon = true});
 }
 
 void OrdererReplica::BroadcastAppendEntries() {

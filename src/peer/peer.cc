@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/channels/commit_pipeline.h"
 #include "src/obs/tracer.h"
 
 namespace fabricsim {
@@ -25,7 +24,6 @@ Peer::Peer(Params params)
                                : params.virtual_block_group),
       rng_(std::move(params.rng)),
       validation_cache_(params.validation_cache),
-      commit_pipelines_(params.commit_pipelines),
       on_commit_(std::move(params.on_commit)),
       endorse_queue_("endorse"),
       validate_pool_("validate",
@@ -380,15 +378,8 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
         // All replicas compute identical outcomes (deterministic
         // validation over identical state); share the computation.
         // The memo key carries the channel: block numbers are only
-        // dense per channel. In threaded mode the first computation
-        // joins the commit pipeline's speculative result instead of
-        // validating inline — identical by the same purity argument,
-        // since the pipeline's shadow state tracks ch.state exactly.
+        // dense per channel.
         auto compute = [&]() -> ValidationOutcome {
-          if (commit_pipelines_ != nullptr &&
-              commit_pipelines_->Has(block->channel, block->number)) {
-            return commit_pipelines_->Take(block->channel, block->number);
-          }
           return validator_.ValidateBlock(*ch.state, *block);
         };
         if (validation_cache_ != nullptr) {
@@ -433,9 +424,12 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
           ch.last_snapshot_apply = apply_at;
           auto shared = *outcome;
           StateDatabase* snapshot = ch.endorse_snapshot.get();
-          env_->ScheduleAt(apply_at, [snapshot, shared]() {
-            CommitStateUpdates(*snapshot, shared->state_updates);
-          });
+          env_->Schedule(
+              apply_at,
+              [snapshot, shared]() {
+                CommitStateUpdates(*snapshot, shared->state_updates);
+              },
+              ScheduleOpts{.absolute = true});
         }
         if (on_commit_) {
           on_commit_(block->channel, block->number, **outcome);

@@ -22,8 +22,6 @@
 
 namespace fabricsim {
 
-class CommitPipelines;  // src/channels/commit_pipeline.h
-
 /// Why an endorser refused to execute a proposal (overload protection
 /// only; kNone on the legacy path).
 enum class ProposalReject : uint8_t {
@@ -109,11 +107,6 @@ class Peer {
     /// Shared validation-outcome memo (see ValidationOutcomeCache).
     /// Optional; nullptr makes every peer validate independently.
     ValidationOutcomeCache* validation_cache = nullptr;
-    /// Speculative per-channel validation pipelines (threaded
-    /// execution mode). Optional; when set, the first peer to need a
-    /// block's outcome joins the precomputed result instead of
-    /// validating inline. nullptr = serial reference behaviour.
-    CommitPipelines* commit_pipelines = nullptr;
     /// Invoked when a block finishes committing on this peer (used by
     /// the reference peer to record the canonical ledger).
     std::function<void(ChannelId channel, uint64_t block_number,
@@ -286,7 +279,6 @@ class Peer {
   uint32_t virtual_block_group_;
   Rng rng_;
   ValidationOutcomeCache* validation_cache_;
-  CommitPipelines* commit_pipelines_;
   std::function<void(ChannelId, uint64_t, const ValidationOutcome&)>
       on_commit_;
 

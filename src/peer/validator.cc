@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "src/sim/executor.h"
-
 namespace fabricsim {
 
 Validator::Validator(EndorsementPolicy policy) : policy_(std::move(policy)) {}
@@ -39,9 +37,9 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
 
   // --- Deadline (overload protection) --------------------------------
   // A pure function of block content (deadline vs the block's cut
-  // time, never a per-peer clock), so every replica, the shared
-  // outcome cache and the threaded precheck all agree — and the
-  // VSCC/MVCC work below is skipped for a transaction nobody awaits.
+  // time, never a per-peer clock), so every replica and the shared
+  // outcome cache agree — and the VSCC/MVCC work below is skipped for
+  // a transaction nobody awaits.
   if (tx.deadline > 0 && block.cut_time > tx.deadline) {
     result.code = TxValidationCode::kDeadlineExpiredCommit;
     return result;
@@ -124,17 +122,14 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
         [&current_range](const std::string& key, Version version) {
           current_range[key] = version;
         });
-    bool overlay_dirty = false;
     for (const auto& [key, entry] : overlay) {
       if (!KeyInRange(key, rq.start_key, rq.end_key)) continue;
       if (entry.deleted) {
-        overlay_dirty |= current_range.erase(key) > 0;
+        current_range.erase(key);
       } else {
         current_range[key] = entry.version;
-        overlay_dirty = true;
       }
     }
-    (void)overlay_dirty;
     bool mismatch = current_range.size() != rq.reads.size();
     if (!mismatch) {
       for (const ReadItem& read : rq.reads) {
@@ -221,85 +216,6 @@ ValidationOutcome Validator::ValidateBlock(const StateDatabase& db,
     }
 
     TxValidationResult result = ValidateTx(db, overlay, block, tx);
-    if (result.code == TxValidationCode::kValid) {
-      ++outcome.valid_count;
-      Version version{block.number, i};
-      for (const WriteItem& write : tx.rwset.writes) {
-        overlay[write.key] = OverlayEntry{version, write.is_delete, i};
-        outcome.state_updates.emplace_back(write, version);
-      }
-    }
-    outcome.results.push_back(result);
-  }
-  return outcome;
-}
-
-ValidationOutcome Validator::ValidateBlockParallel(const StateDatabase& db,
-                                                   const Block& block,
-                                                   Executor& executor) const {
-  const size_t n = block.txs.size();
-  // Below this, fan-out overhead outweighs the checks themselves. Any
-  // threshold yields the same outcome — this is wall-clock tuning.
-  constexpr size_t kMinParallelTxs = 4;
-  if (executor.threads() <= 1 || n < kMinParallelTxs) {
-    return ValidateBlock(db, block);
-  }
-
-  // --- Phase 1: parallel prechecks against the pre-block snapshot ---
-  // Each transaction is validated as if it were first in the block
-  // (empty overlay). VSCC and point-read MVCC are pure const lookups,
-  // so this is safe to run concurrently; transactions with
-  // phantom-checked range queries are left to the serial phase
-  // because range scans may build a backend-internal lazy index.
-  struct Precheck {
-    TxValidationResult result;
-    bool usable = false;
-  };
-  std::vector<Precheck> pre(n);
-  static const Overlay kEmptyOverlay;
-  executor.ParallelFor(n, [&](size_t i) {
-    if (i < block.results.size() &&
-        block.results[i].code == TxValidationCode::kAbortedByReordering) {
-      return;
-    }
-    const Transaction& tx = block.txs[i];
-    for (const RangeQueryInfo& rq : tx.rwset.range_queries) {
-      if (rq.phantom_check) return;
-    }
-    pre[i].result = ValidateTx(db, kEmptyOverlay, block, tx);
-    pre[i].usable = true;
-  });
-
-  // --- Phase 2: serial overlay walk, identical to ValidateBlock ------
-  // A precheck stands iff no key the transaction reads was written by
-  // an earlier valid transaction of the same block; otherwise the
-  // overlay could change the verdict (or the conflict attribution)
-  // and the transaction is re-validated with the real overlay.
-  ValidationOutcome outcome;
-  outcome.results.reserve(n);
-  Overlay overlay;
-
-  auto reads_touch_overlay = [&overlay](const Transaction& tx) {
-    if (overlay.empty()) return false;
-    for (const ReadItem& read : tx.rwset.reads) {
-      if (overlay.count(read.key) > 0) return true;
-    }
-    return false;
-  };
-
-  for (uint32_t i = 0; i < n; ++i) {
-    const Transaction& tx = block.txs[i];
-    if (i < block.results.size() &&
-        block.results[i].code == TxValidationCode::kAbortedByReordering) {
-      outcome.results.push_back(block.results[i]);
-      continue;
-    }
-    TxValidationResult result;
-    if (pre[i].usable && !reads_touch_overlay(tx)) {
-      result = pre[i].result;
-    } else {
-      result = ValidateTx(db, overlay, block, tx);
-    }
     if (result.code == TxValidationCode::kValid) {
       ++outcome.valid_count;
       Version version{block.number, i};

@@ -13,8 +13,6 @@
 
 namespace fabricsim {
 
-class Executor;  // src/sim/executor.h
-
 /// Deterministic outcome of validating one block against a given
 /// world state. Identical on every peer, since validation is a pure
 /// function of (committed state, block content).
@@ -51,20 +49,6 @@ class Validator {
   /// conflicts.
   ValidationOutcome ValidateBlock(const StateDatabase& db,
                                   const Block& block) const;
-
-  /// ValidateBlock with the per-transaction checks fanned out over
-  /// `executor`'s worker pool. Returns an outcome identical to
-  /// ValidateBlock in every field: phase 1 prechecks each transaction
-  /// in parallel against the pre-block snapshot only (VSCC + point
-  /// MVCC reads — pure const lookups on every backend), and phase 2
-  /// replays the serial overlay walk, reusing a precheck only when no
-  /// overlay entry could have influenced it. Transactions with
-  /// phantom-checked range queries always take the serial path (range
-  /// scans may build backend-internal lazy indexes and are not safe
-  /// to run concurrently).
-  ValidationOutcome ValidateBlockParallel(const StateDatabase& db,
-                                          const Block& block,
-                                          Executor& executor) const;
 
   const EndorsementPolicy& policy() const { return policy_; }
 

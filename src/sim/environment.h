@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/executor.h"
 
 namespace fabricsim {
 
@@ -29,14 +26,11 @@ struct ScheduleOpts {
 };
 
 /// The discrete-event simulation environment: a virtual clock plus the
-/// event queue. The event loop is deterministic for a given seed in
-/// every execution mode; ExecutionMode::kThreaded only adds worker
-/// threads that precompute block validation ahead of the virtual
-/// clock (see src/sim/executor.h).
+/// event queue. The event loop runs on the caller's thread and is
+/// deterministic for a given seed.
 class Environment {
  public:
-  explicit Environment(uint64_t seed = 1,
-                       ExecutionConfig execution = ExecutionConfig());
+  explicit Environment(uint64_t seed = 1);
 
   /// Current simulated time.
   SimTime now() const { return now_; }
@@ -47,30 +41,16 @@ class Environment {
   void Schedule(SimTime when, std::function<void()> action,
                 ScheduleOpts opts = ScheduleOpts());
 
-  /// Deprecated shim — use Schedule(delay, action, {.daemon = true}).
-  void ScheduleDaemon(SimTime delay, std::function<void()> action) {
-    Schedule(delay, std::move(action), ScheduleOpts{true, false});
-  }
-
-  /// Deprecated shim — use Schedule(time, action, {.absolute = true}).
-  void ScheduleAt(SimTime time, std::function<void()> action) {
-    Schedule(time, std::move(action), ScheduleOpts{false, true});
-  }
-
   /// Runs events until the queue drains or the clock passes `until`.
   /// Events scheduled exactly at `until` still run.
-  void RunUntil(SimTime until) { executor_->RunUntil(*this, until); }
+  void RunUntil(SimTime until);
 
   /// Runs until no real (non-daemon) events remain. Equivalent to
   /// draining the queue when no daemon timers were ever scheduled.
-  void RunAll() { executor_->RunAll(*this); }
+  void RunAll();
 
   /// Number of events executed so far (for tests / diagnostics).
   uint64_t events_executed() const { return events_executed_; }
-
-  /// The run's execution engine: the event loop plus (in threaded
-  /// mode) the worker pool commit pipelines borrow.
-  Executor& executor() { return *executor_; }
 
   /// Root RNG for this run; actors should Fork() their own streams.
   Rng& rng() { return rng_; }
@@ -84,14 +64,11 @@ class Environment {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  friend class Executor;  // run loop reads queue_/now_/events_executed_
-
   EventQueue queue_;
   SimTime now_ = 0;
   uint64_t events_executed_ = 0;
   Rng rng_;
   Tracer* tracer_ = nullptr;
-  std::unique_ptr<Executor> executor_;
 };
 
 }  // namespace fabricsim

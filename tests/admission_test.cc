@@ -2,9 +2,9 @@
 // of the circuit breaker, retry budget, CoDel control law and backoff
 // cap; default-off bitwise identity against the pre-PR golden; deadline
 // propagation through all three pipeline phases; endorser queue
-// policies; orderer backpressure; determinism across execution modes
-// and job counts with protection active; and composition with fault
-// plans and surge-window populations.
+// policies; orderer backpressure; determinism across job counts with
+// protection active, on one channel and on four; and composition with
+// fault plans and surge-window populations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,39 +19,16 @@
 #include "src/ledger/ledger_parser.h"
 #include "src/workload/paper_workloads.h"
 #include "src/workload/population/population.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
 
-// Same exhaustive fingerprint as fault_test.cc, so identity statements
-// here mean exactly what they mean there.
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
-
 // Admission counters appended for determinism comparisons of protected
-// runs (two runs must agree on every shed/expired/breaker count, not
-// just on the ledger).
+// runs (two runs must agree on every shed/expired/breaker count and
+// every channel's breakdown, not just on the ledger).
 std::string AdmissionFingerprint(const FailureReport& r) {
-  return Fingerprint(r) +
+  return FingerprintWithChannels(r) +
          StrFormat("adm=%llu/%llu/%llu/%llu/%llu/%llu/%llu/%llu\n",
                    static_cast<unsigned long long>(r.admission_shed),
                    static_cast<unsigned long long>(r.deadline_expired_endorse),
@@ -463,34 +440,9 @@ TEST(AdmissionIntegrationTest, RetryBudgetBoundsRetriesUnderOverload) {
 // ---------------------------------------------------------------------
 // Determinism with protection active.
 
-TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossExecutionModes) {
-  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
-  config.fabric.admission = FullProtection();
-  Result<FailureReport> serial = RunOnce(config, 42);
-  config.fabric.execution = ExecutionConfig::Threaded(4);
-  Result<FailureReport> threaded = RunOnce(config, 42);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_EQ(AdmissionFingerprint(serial.value()),
-            AdmissionFingerprint(threaded.value()));
-}
-
-TEST(AdmissionDeterminismTest, ProtectedMultiChannelIdenticalAcrossModes) {
-  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
-  config.fabric.num_channels = 4;
-  config.fabric.admission = FullProtection();
-  Result<FailureReport> serial = RunOnce(config, 42);
-  config.fabric.execution = ExecutionConfig::Threaded(4);
-  Result<FailureReport> threaded = RunOnce(config, 42);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  EXPECT_EQ(AdmissionFingerprint(serial.value()),
-            AdmissionFingerprint(threaded.value()));
-}
-
-TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossJobCounts) {
-  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
-  config.fabric.admission = FullProtection();
+// Runs two repetitions of `config` at FABRICSIM_JOBS 1 and 4 and
+// expects every repetition to match bit-for-bit.
+void ExpectIdenticalAcrossJobCounts(ExperimentConfig config) {
   config.repetitions = 2;
   SetParallelJobs(1);
   Result<ExperimentResult> serial = RunExperiment(config);
@@ -506,6 +458,19 @@ TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossJobCounts) {
               AdmissionFingerprint(parallel.value().repetitions[i]))
         << "repetition " << i;
   }
+}
+
+TEST(AdmissionDeterminismTest, ProtectedRunIdenticalAcrossJobCounts) {
+  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
+  config.fabric.admission = FullProtection();
+  ExpectIdenticalAcrossJobCounts(config);
+}
+
+TEST(AdmissionDeterminismTest, ProtectedMultiChannelIdenticalAcrossJobCounts) {
+  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
+  config.fabric.num_channels = 4;
+  config.fabric.admission = FullProtection();
+  ExpectIdenticalAcrossJobCounts(config);
 }
 
 // ---------------------------------------------------------------------

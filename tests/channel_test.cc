@@ -25,51 +25,10 @@
 #include "src/obs/json_writer.h"
 #include "src/sim/work_queue.h"
 #include "src/workload/paper_workloads.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
-
-// Same exhaustive numeric fingerprint as fault_test.cc, so reports
-// compare bit-for-bit against goldens recorded pre-PR.
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
-
-// Fingerprint extended with the per-channel breakdown, for the
-// multi-channel jobs-determinism check.
-std::string FingerprintWithChannels(const FailureReport& r) {
-  std::string out = Fingerprint(r);
-  for (const ChannelFailureBreakdown& c : r.per_channel) {
-    out += StrFormat("ch%d=%llu/%llu/%llu/%llu/%llu/%llu %.17g/%.17g/%.17g\n",
-                     c.channel, static_cast<unsigned long long>(c.ledger_txs),
-                     static_cast<unsigned long long>(c.valid_txs),
-                     static_cast<unsigned long long>(c.endorsement_failures),
-                     static_cast<unsigned long long>(c.mvcc_intra),
-                     static_cast<unsigned long long>(c.mvcc_inter),
-                     static_cast<unsigned long long>(c.phantom),
-                     c.total_failure_pct, c.mvcc_pct,
-                     c.committed_throughput_tps);
-  }
-  return out;
-}
 
 // Golden fingerprint recorded against the tree BEFORE the channel
 // subsystem existed (default C1 config, 20 s at 100 tps, seed 42, the
@@ -172,16 +131,22 @@ TEST(ChannelWorkPoolTest, SingleChannelMatchesWorkQueue) {
   for (int i = 0; i < 6; ++i) {
     SimTime at = i * 3 * kMillisecond;
     SimTime service = (7 + 2 * i) * kMillisecond;
-    env_q.ScheduleAt(at, [&, i, service] {
-      queue.Submit(
-          env_q, [service] { return service; },
-          [&, i] { done_q.push_back({env_q.now(), i}); });
-    });
-    env_p.ScheduleAt(at, [&, i, service] {
-      pool.Submit(
-          env_p, kDefaultChannel, [service] { return service; },
-          [&, i] { done_p.push_back({env_p.now(), i}); });
-    });
+    env_q.Schedule(
+        at,
+        [&, i, service] {
+          queue.Submit(
+              env_q, [service] { return service; },
+              [&, i] { done_q.push_back({env_q.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
+    env_p.Schedule(
+        at,
+        [&, i, service] {
+          pool.Submit(
+              env_p, kDefaultChannel, [service] { return service; },
+              [&, i] { done_p.push_back({env_p.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
   }
   env_q.RunAll();
   env_p.RunAll();

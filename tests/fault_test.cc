@@ -11,39 +11,13 @@
 #include <vector>
 
 #include "src/common/parallel.h"
-#include "src/common/strings.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
 #include "src/workload/paper_workloads.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
-
-// Exhaustive numeric fingerprint of a report: integer counters plus
-// %.17g-rendered doubles, so two reports compare bit-for-bit. The
-// format matches the generator that produced the golden strings below
-// against the pre-PR tree.
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
 
 // Golden fingerprints recorded against the tree BEFORE the fault
 // subsystem existed (default C1 config, 20 s at 100 tps, seed 42).

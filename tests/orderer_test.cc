@@ -226,8 +226,10 @@ TEST_F(OrdererTest, AllAbortedCutKeepsBlockNumbersDenseAndMonotone) {
 TEST_F(OrdererTest, PauseSwallowsArmedTimeoutAndResumeReArms) {
   Orderer orderer(BaseParams(10));
   orderer.SubmitTransaction(SimpleTx(1));  // arms the 2 s timeout
-  env_->ScheduleAt(1 * kSecond, [&]() { orderer.Pause(); });
-  env_->ScheduleAt(3 * kSecond, [&]() { orderer.Resume(); });
+  env_->Schedule(1 * kSecond, [&]() { orderer.Pause(); },
+                 ScheduleOpts{.absolute = true});
+  env_->Schedule(3 * kSecond, [&]() { orderer.Resume(); },
+                 ScheduleOpts{.absolute = true});
   // The original deadline (t = 2 s) falls inside the pause: nothing may
   // be delivered before the resume.
   env_->RunUntil(2900 * kMillisecond);
@@ -244,8 +246,10 @@ TEST_F(OrdererTest, PauseSwallowsArmedTimeoutAndResumeReArms) {
 TEST_F(OrdererTest, ResumeBeforeDeadlineDoesNotDoubleArm) {
   Orderer orderer(BaseParams(10));
   orderer.SubmitTransaction(SimpleTx(1));  // arms the 2 s timeout
-  env_->ScheduleAt(500 * kMillisecond, [&]() { orderer.Pause(); });
-  env_->ScheduleAt(1 * kSecond, [&]() { orderer.Resume(); });
+  env_->Schedule(500 * kMillisecond, [&]() { orderer.Pause(); },
+                 ScheduleOpts{.absolute = true});
+  env_->Schedule(1 * kSecond, [&]() { orderer.Resume(); },
+                 ScheduleOpts{.absolute = true});
   env_->RunAll();
   ASSERT_EQ(delivered_.size(), 1u);
   EXPECT_EQ(orderer.blocks_cut(), 1u);
@@ -261,12 +265,17 @@ TEST_F(OrdererTest, ResumeBeforeDeadlineDoesNotDoubleArm) {
 TEST_F(OrdererTest, ResumeFlushCutCancelsStaleTimeoutGeneration) {
   Orderer orderer(BaseParams(2));
   orderer.SubmitTransaction(SimpleTx(1));  // arms the 2 s timeout
-  env_->ScheduleAt(1 * kSecond, [&]() { orderer.Pause(); });
-  env_->ScheduleAt(1200 * kMillisecond, [&]() {
-    orderer.SubmitTransaction(SimpleTx(2));  // deferred to the backlog
-    orderer.SubmitTransaction(SimpleTx(3));
-  });
-  env_->ScheduleAt(1500 * kMillisecond, [&]() { orderer.Resume(); });
+  env_->Schedule(1 * kSecond, [&]() { orderer.Pause(); },
+                 ScheduleOpts{.absolute = true});
+  env_->Schedule(
+      1200 * kMillisecond,
+      [&]() {
+        orderer.SubmitTransaction(SimpleTx(2));  // deferred to the backlog
+        orderer.SubmitTransaction(SimpleTx(3));
+      },
+      ScheduleOpts{.absolute = true});
+  env_->Schedule(1500 * kMillisecond, [&]() { orderer.Resume(); },
+                 ScheduleOpts{.absolute = true});
   env_->RunAll();
   EXPECT_EQ(orderer.txs_deferred_while_paused(), 2u);
   ASSERT_EQ(delivered_.size(), 2u);

@@ -19,43 +19,10 @@
 #include "src/workload/paper_workloads.h"
 #include "src/workload/population/client_population.h"
 #include "src/workload/population/population.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
-
-// Same exhaustive numeric fingerprint as channel_test.cc / fault_test.cc.
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  for (const ChannelFailureBreakdown& c : r.per_channel) {
-    out += StrFormat("ch%d=%llu/%llu/%llu/%llu/%llu/%llu %.17g/%.17g/%.17g\n",
-                     c.channel, static_cast<unsigned long long>(c.ledger_txs),
-                     static_cast<unsigned long long>(c.valid_txs),
-                     static_cast<unsigned long long>(c.endorsement_failures),
-                     static_cast<unsigned long long>(c.mvcc_intra),
-                     static_cast<unsigned long long>(c.mvcc_inter),
-                     static_cast<unsigned long long>(c.phantom),
-                     c.total_failure_pct, c.mvcc_pct,
-                     c.committed_throughput_tps);
-  }
-  return out;
-}
 
 // The same pre-channel golden fingerprints channel_test.cc pins (C1
 // defaults, 20 s at 100 tps, seed 42). A degenerate single-class
@@ -99,7 +66,7 @@ ExperimentConfig GoldenPopulationConfig() {
 TEST(PopulationTest, DegenerateSingleClassReproducesCompatFingerprint) {
   Result<FailureReport> r = RunOnce(GoldenPopulationConfig(), 42);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Fingerprint(r.value()), kGoldenCompat);
+  EXPECT_EQ(FingerprintWithChannels(r.value()), kGoldenCompat);
   EXPECT_TRUE(r.value().per_channel.empty());
 }
 
@@ -108,7 +75,7 @@ TEST(PopulationTest, DegenerateSingleClassReproducesReplicatedFingerprint) {
   config.fabric.ordering.replicated = true;
   Result<FailureReport> r = RunOnce(config, 42);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Fingerprint(r.value()), kGoldenReplicated);
+  EXPECT_EQ(FingerprintWithChannels(r.value()), kGoldenReplicated);
 }
 
 TEST(PopulationTest, DegeneracyHoldsAcrossChannelsAndJobs) {
@@ -127,7 +94,7 @@ TEST(PopulationTest, DegeneracyHoldsAcrossChannelsAndJobs) {
       Result<ExperimentResult> result = RunExperiment(config);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       fingerprints.push_back(
-          Fingerprint(result.value().repetitions[0]));
+          FingerprintWithChannels(result.value().repetitions[0]));
       SCOPED_TRACE(StrFormat("population=%d jobs=%d", population ? 1 : 0,
                              jobs));
       EXPECT_EQ(fingerprints.back(), fingerprints.front());
@@ -237,7 +204,8 @@ TEST(PopulationTest, AggregatedClassSubmitsAtTheAggregateRate) {
   // Aggregation is deterministic: same seed, same fingerprint.
   Result<FailureReport> again = RunOnce(config, 42);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(Fingerprint(r.value()), Fingerprint(again.value()));
+  EXPECT_EQ(FingerprintWithChannels(r.value()),
+            FingerprintWithChannels(again.value()));
 }
 
 TEST(PopulationTest, MixedClassesRunSideBySide) {

@@ -15,13 +15,13 @@
 #include "src/chaincode/composite_key.h"
 #include "src/chaincode/tpcc/tpcc_schema.h"
 #include "src/channels/channel_affinity.h"
-#include "src/common/strings.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
 #include "src/statedb/memory_state_db.h"
 #include "src/statedb/rich_query.h"
 #include "src/workload/paper_workloads.h"
 #include "src/workload/tpcc_workload.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
@@ -190,29 +190,6 @@ TEST(ScenarioTest, TpccConflictsConcentrateOnDistrictRows) {
 }
 
 // ------------------------------------------- paper-chaincode goldens
-
-// Exhaustive numeric fingerprint (same format as channel_test.cc).
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
 
 // Golden fingerprints of the four paper chaincodes (default C1
 // config, 20 s at 100 tps, seed 42 — the channel_test.cc golden run),

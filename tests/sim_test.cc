@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "src/sim/environment.h"
@@ -82,6 +83,36 @@ TEST(EnvironmentTest, NegativeDelayClampsToNow) {
   });
   env.RunAll();
   EXPECT_EQ(seen, 20);
+}
+
+TEST(EnvironmentTest, AbsoluteScheduleInterleavesWithDelaysAndClampsToNow) {
+  Environment env(7);
+  std::vector<int> order;
+  env.Schedule(20, [&] { order.push_back(2); });
+  env.Schedule(10, [&] { order.push_back(1); });
+  // Absolute scheduling, including the clamp-to-now of past times.
+  env.Schedule(15, [&] { order.push_back(3); }, ScheduleOpts{.absolute = true});
+  env.RunUntil(12);
+  env.Schedule(5, [&] { order.push_back(4); }, ScheduleOpts{.absolute = true});
+  env.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 3, 2}));
+}
+
+TEST(EnvironmentTest, DaemonOptDoesNotKeepTheRunAlive) {
+  Environment env(7);
+  int real = 0;
+  int daemon_fires = 0;
+  std::function<void()> rearm = [&] {
+    ++daemon_fires;
+    env.Schedule(10, rearm, ScheduleOpts{.daemon = true});
+  };
+  env.Schedule(10, rearm, ScheduleOpts{.daemon = true});
+  env.Schedule(35, [&] { ++real; });
+  env.RunAll();
+  EXPECT_EQ(real, 1);
+  // Fired at 10/20/30 while real work remained, then quiesced.
+  EXPECT_EQ(daemon_fires, 3);
+  EXPECT_EQ(env.now(), 35);
 }
 
 // ------------------------------------------------------- WorkQueue

@@ -14,6 +14,7 @@
 #include "src/statedb/rich_query.h"
 #include "src/statedb/state_backend.h"
 #include "src/workload/ycsb.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
@@ -451,29 +452,6 @@ TEST(YcsbTest, ChecksumIsDeterministicAndBackendInvariant) {
 
 // ------------------------------------------- full-network regression
 
-// Same exhaustive numeric fingerprint as channel_test.cc / fault_test.cc.
-std::string ReportFingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
-
 TEST(StateBackendNetworkTest, Fig07StyleRunIsBitIdenticalUnderEveryBackend) {
   // The backend is a data-structure swap below the simulation: a full
   // E-O-V run (fig07-style MVCC-conflict config, range queries and
@@ -489,7 +467,7 @@ TEST(StateBackendNetworkTest, Fig07StyleRunIsBitIdenticalUnderEveryBackend) {
     config.fabric.state_backend = backend;
     Result<FailureReport> r = RunOnce(config, 42);
     ASSERT_TRUE(r.ok()) << StateBackendTypeToString(backend);
-    fingerprints.push_back(ReportFingerprint(r.value()));
+    fingerprints.push_back(Fingerprint(r.value()));
   }
   for (size_t i = 1; i < fingerprints.size(); ++i) {
     EXPECT_EQ(fingerprints[i], fingerprints[0])

@@ -2,7 +2,7 @@
 // invalid-item rollback, Payment balance maths, Delivery backlog
 // consumption, read-only transactions), workload mix shape, and the
 // determinism regression (bitwise-identical reports across
-// FABRICSIM_JOBS 1/4 and serial/threaded execution).
+// FABRICSIM_JOBS 1/4).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,11 +12,11 @@
 
 #include "src/chaincode/tpcc/tpcc_chaincode.h"
 #include "src/common/parallel.h"
-#include "src/common/strings.h"
 #include "src/core/runner.h"
 #include "src/statedb/memory_state_db.h"
 #include "src/statedb/rich_query.h"
 #include "src/workload/tpcc_workload.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
@@ -273,30 +273,7 @@ TEST(TpccWorkloadTest, ArgumentsStayInSchemaBounds) {
 
 // --------------------------------------------------- determinism
 
-// Same exhaustive numeric fingerprint as channel_test.cc / fault_test.cc.
-std::string Fingerprint(const FailureReport& r) {
-  std::string out;
-  out += StrFormat(
-      "ledger=%llu valid=%llu endorse=%llu mvcc_intra=%llu "
-      "mvcc_inter=%llu phantom=%llu submitted=%llu app=%llu\n",
-      static_cast<unsigned long long>(r.ledger_txs),
-      static_cast<unsigned long long>(r.valid_txs),
-      static_cast<unsigned long long>(r.endorsement_failures),
-      static_cast<unsigned long long>(r.mvcc_intra),
-      static_cast<unsigned long long>(r.mvcc_inter),
-      static_cast<unsigned long long>(r.phantom),
-      static_cast<unsigned long long>(r.submitted_txs),
-      static_cast<unsigned long long>(r.app_errors));
-  out += StrFormat("pct=%.17g/%.17g/%.17g/%.17g/%.17g\n", r.total_failure_pct,
-                   r.endorsement_pct, r.mvcc_pct, r.phantom_pct,
-                   r.early_abort_pct);
-  out += StrFormat("lat=%.17g/%.17g/%.17g tput=%.17g/%.17g\n", r.avg_latency_s,
-                   r.p50_latency_s, r.p99_latency_s, r.committed_throughput_tps,
-                   r.valid_throughput_tps);
-  return out;
-}
-
-TEST(TpccDeterminismTest, BitwiseIdenticalAcrossJobsAndExecutionModes) {
+TEST(TpccDeterminismTest, BitwiseIdenticalAcrossJobs) {
   ExperimentConfig config = ExperimentConfig::Builder()
                                 .Chaincode("tpcc")
                                 .Duration(10 * kSecond)
@@ -321,15 +298,6 @@ TEST(TpccDeterminismTest, BitwiseIdenticalAcrossJobsAndExecutionModes) {
         << "jobs=" << jobs;
   }
   SetParallelJobs(saved_jobs);
-
-  for (int threads : {2, 4}) {
-    ExperimentConfig threaded = ExperimentConfig::Builder(config)
-                                    .ThreadedExecution(threads)
-                                    .Build();
-    Result<FailureReport> result = RunOnce(threaded, 7);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(Fingerprint(result.value()), golden) << "threads=" << threads;
-  }
 }
 
 }  // namespace
