@@ -105,7 +105,7 @@ std::unique_ptr<BTreeStateDb::Split> BTreeStateDb::Insert(
   return split;
 }
 
-Status BTreeStateDb::ApplyWrite(const WriteItem& write, Version version) {
+Status BTreeStateDb::DoApplyWrite(const WriteItem& write, Version version) {
   if (write.is_delete) {
     // Erase within the leaf; underfull (even empty) leaves are left in
     // place — separators and the leaf chain stay valid, lookups that

@@ -35,7 +35,6 @@ class BTreeStateDb : public StateDatabase {
       const std::string& start_key, const std::string& end_key,
       const std::function<void(const std::string& key, Version version)>& fn)
       const override;
-  Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override { return size_; }
   std::vector<StateEntry> Scan() const override;
   void ForEachEntry(
@@ -43,6 +42,8 @@ class BTreeStateDb : public StateDatabase {
                                const VersionedValue& vv)>& fn) const override;
 
  private:
+  Status DoApplyWrite(const WriteItem& write, Version version) override;
+
   struct Entry {
     std::string key;
     VersionedValue vv;

@@ -67,7 +67,7 @@ std::optional<Version> HashStateDb::GetVersion(const std::string& key) const {
   return entries_[slots_[slot].ref].vv.version;
 }
 
-Status HashStateDb::ApplyWrite(const WriteItem& write, Version version) {
+Status HashStateDb::DoApplyWrite(const WriteItem& write, Version version) {
   uint64_t hash = HashKey(write.key);
   if (write.is_delete) {
     size_t slot = FindSlot(write.key, hash);

@@ -47,7 +47,6 @@ class HashStateDb : public StateDatabase {
       const std::string& start_key, const std::string& end_key,
       const std::function<void(const std::string& key, Version version)>& fn)
       const override;
-  Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override { return live_; }
   std::vector<StateEntry> Scan() const override;
   void ForEachEntry(
@@ -55,6 +54,8 @@ class HashStateDb : public StateDatabase {
                                const VersionedValue& vv)>& fn) const override;
 
  private:
+  Status DoApplyWrite(const WriteItem& write, Version version) override;
+
   struct Entry {
     std::string key;
     VersionedValue vv;

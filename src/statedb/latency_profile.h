@@ -41,8 +41,9 @@ struct DbLatencyProfile {
   SimTime range_per_key = 0;
   SimTime range_bulk_per_key = 0;
   int range_detail_keys = 32;
-  /// Rich (JSON selector) query: fixed + per-scanned-document cost.
-  /// Only CouchDB supports rich queries.
+  /// Rich (JSON selector) query: fixed + per-returned-document cost
+  /// (EndorseCost charges rich_per_doc for each document the query
+  /// returns). Only CouchDB supports rich queries.
   SimTime rich_base = 0;
   SimTime rich_per_doc = 0;
 

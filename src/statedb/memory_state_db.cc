@@ -35,7 +35,7 @@ void MemoryStateDb::ForEachVersionInRange(
   for (; it != end; ++it) fn(it->first, it->second.version);
 }
 
-Status MemoryStateDb::ApplyWrite(const WriteItem& write, Version version) {
+Status MemoryStateDb::DoApplyWrite(const WriteItem& write, Version version) {
   if (write.is_delete) {
     map_.erase(write.key);
     return Status::OK();

@@ -24,7 +24,6 @@ class MemoryStateDb : public StateDatabase {
       const std::string& start_key, const std::string& end_key,
       const std::function<void(const std::string& key, Version version)>& fn)
       const override;
-  Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override { return map_.size(); }
   std::vector<StateEntry> Scan() const override;
   void ForEachEntry(
@@ -32,6 +31,8 @@ class MemoryStateDb : public StateDatabase {
                                const VersionedValue& vv)>& fn) const override;
 
  private:
+  Status DoApplyWrite(const WriteItem& write, Version version) override;
+
   std::map<std::string, VersionedValue> map_;
 };
 

@@ -1,5 +1,7 @@
 #include "src/statedb/rich_query.h"
 
+#include <set>
+
 #include "src/common/strings.h"
 
 namespace fabricsim {
@@ -17,15 +19,31 @@ std::string JsonObject(
   return out;
 }
 
+std::optional<std::string_view> JsonFieldView(std::string_view doc,
+                                              std::string_view field) {
+  // Finds the first `"field":"` without building it: the first
+  // occurrence of `field` with a quote before it and `":"` after it.
+  constexpr std::string_view kSeparator = "\":\"";
+  for (size_t pos = doc.find(field, 1); pos != std::string_view::npos;
+       pos = doc.find(field, pos + 1)) {
+    size_t after = pos + field.size();
+    if (doc[pos - 1] != '"' ||
+        doc.compare(after, kSeparator.size(), kSeparator) != 0) {
+      continue;
+    }
+    size_t start = after + kSeparator.size();
+    size_t end = doc.find('"', start);
+    if (end == std::string_view::npos) return std::nullopt;
+    return doc.substr(start, end - start);
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> ExtractJsonField(const std::string& doc,
                                             const std::string& field) {
-  std::string needle = "\"" + field + "\":\"";
-  size_t pos = doc.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  size_t start = pos + needle.size();
-  size_t end = doc.find('"', start);
-  if (end == std::string::npos) return std::nullopt;
-  return doc.substr(start, end - start);
+  std::optional<std::string_view> got = JsonFieldView(doc, field);
+  if (!got.has_value()) return std::nullopt;
+  return std::string(*got);
 }
 
 Result<RichQuerySelector> RichQuerySelector::Parse(
@@ -47,9 +65,9 @@ Result<RichQuerySelector> RichQuerySelector::Parse(
   return out;
 }
 
-bool RichQuerySelector::Matches(const std::string& doc) const {
+bool RichQuerySelector::Matches(std::string_view doc) const {
   for (const auto& [field, value] : terms_) {
-    std::optional<std::string> got = ExtractJsonField(doc, field);
+    std::optional<std::string_view> got = JsonFieldView(doc, field);
     if (!got.has_value() || *got != value) return false;
   }
   return true;
@@ -66,12 +84,21 @@ std::string RichQuerySelector::ToString() const {
 
 std::vector<StateEntry> ExecuteRichQuery(const StateDatabase& db,
                                          const RichQuerySelector& selector) {
-  // Streamed via the visitor: only the matching documents are copied,
-  // instead of materializing the whole world state per query.
+  const std::set<std::string>* candidates = nullptr;
+  for (const auto& [field, value] : selector.terms()) {
+    const std::set<std::string>& keys = db.KeysWhere(field, value);
+    if (candidates == nullptr || keys.size() < candidates->size()) {
+      candidates = &keys;
+    }
+  }
   std::vector<StateEntry> out;
-  db.ForEachEntry([&](const std::string& key, const VersionedValue& vv) {
-    if (selector.Matches(vv.value)) out.push_back(StateEntry{key, vv});
-  });
+  out.reserve(candidates->size());
+  for (const std::string& key : *candidates) {
+    std::optional<VersionedValue> vv = db.Get(key);
+    if (vv.has_value() && selector.Matches(vv->value)) {
+      out.push_back(StateEntry{key, std::move(*vv)});
+    }
+  }
   return out;
 }
 

@@ -2,9 +2,12 @@
 #define FABRICSIM_STATEDB_STATE_DATABASE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -42,10 +45,10 @@ struct StateEntry {
 ///
 ///  * **Deletes are absolute.** After ApplyWrite of a delete, the key
 ///    is absent from Get, GetVersion, GetRange, ForEachVersionInRange,
-///    Size, Scan and ForEachEntry alike — a backend that keeps a
-///    tombstone internally (the open-addressing hash does) must never
-///    let it leak into any read path. Deleting a missing key is a
-///    no-op returning OK.
+///    Size, Scan, ForEachEntry and KeysWhere alike — a backend that
+///    keeps a tombstone internally (the open-addressing hash does) must
+///    never let it leak into any read path. Deleting a missing key is
+///    a no-op returning OK.
 ///  * **Range queries are half-open [start_key, end_key)** over the
 ///    lexicographic key order. An *empty* end_key means "to the end of
 ///    the key space" (Fabric's GetStateByRange semantics) — it is NOT
@@ -81,8 +84,11 @@ class StateDatabase {
       const std::function<void(const std::string& key, Version version)>& fn)
       const;
 
-  /// Applies one write (upsert or delete) committed at `version`.
-  virtual Status ApplyWrite(const WriteItem& write, Version version) = 0;
+  /// Applies one write (upsert or delete) committed at `version`, and
+  /// keeps every field KeysWhere has indexed in step with it. Every
+  /// write — bootstrap, commit, snapshot refresh — comes through here;
+  /// backends implement the storage half in DoApplyWrite.
+  Status ApplyWrite(const WriteItem& write, Version version);
 
   /// Number of live keys.
   virtual size_t Size() const = 0;
@@ -92,13 +98,31 @@ class StateDatabase {
   virtual std::vector<StateEntry> Scan() const = 0;
 
   /// Streaming visitation of every entry, ascending by key, without
-  /// materializing a copy of the world state (rich queries scan every
-  /// document; a Scan()-based implementation would copy all of it per
-  /// query). Default delegates to Scan(); backends should override
-  /// with a copy-free walk.
+  /// materializing a copy of the world state (KeysWhere indexes a
+  /// field with one such pass). Default delegates to Scan(); backends
+  /// should override with a copy-free walk.
   virtual void ForEachEntry(
       const std::function<void(const std::string& key,
                                const VersionedValue& vv)>& fn) const;
+
+  /// Keys whose document's `field` reads `value` (JsonFieldView),
+  /// ascending — the rich-query field index. The first call naming
+  /// `field` indexes it with one ForEachEntry pass; ApplyWrite keeps
+  /// it current from then on. A replica nobody rich-queries (every
+  /// LevelDB one) never builds an index and pays one empty-map test
+  /// per write. The returned set stays valid until the next write.
+  const std::set<std::string>& KeysWhere(std::string_view field,
+                                         std::string_view value) const;
+
+ private:
+  /// The storage half of ApplyWrite.
+  virtual Status DoApplyWrite(const WriteItem& write, Version version) = 0;
+
+  /// value -> keys whose document has that value, for one field.
+  using Postings = std::map<std::string, std::set<std::string>, std::less<>>;
+  /// field -> postings, for every field KeysWhere has been asked
+  /// about; mutable because queries build it lazily.
+  mutable std::map<std::string, Postings, std::less<>> field_index_;
 };
 
 /// True when `key` falls inside the half-open range [start_key,

@@ -199,6 +199,15 @@ TEST(ParallelDeterminismTest, C2RepetitionsMatchSerialRunOnce) {
   CheckParallelMatchesSerial(SmallC2());
 }
 
+// scm's queryStock runs CouchDB rich queries, which fill each replica's
+// field index from a const read path; under TSan this shows that no
+// replica is shared between runner threads.
+TEST(ParallelDeterminismTest, RichQueryRepetitionsMatchSerialRunOnce) {
+  ExperimentConfig config = SmallC1();
+  config.workload.chaincode = "scm";
+  CheckParallelMatchesSerial(config);
+}
+
 TEST(ParallelDeterminismTest, SweepIsIdenticalAcrossJobCounts) {
   JobsGuard guard;
   ExperimentConfig config = SmallC1();

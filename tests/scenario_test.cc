@@ -244,5 +244,40 @@ TEST(ScenarioTest, PaperChaincodesByteIdenticalWithTpccCompiledIn) {
   }
 }
 
+// The two rich-query chaincodes under FabricSharp on CouchDB, same
+// config and seed as above. FabricSharp endorses against a separate
+// snapshot replica whose writes arrive later through scheduled
+// CommitStateUpdates, so its rich queries read a replica that lags
+// the committed state; these pins cover that path.
+constexpr PaperGolden kFabricSharpRichGoldens[] = {
+    {"scm",
+     "ledger=887 valid=883 endorse=4 mvcc_intra=0 mvcc_inter=0 phantom=0 "
+     "submitted=2012 app=0\n"
+     "pct=0.45095828635851182/0.45095828635851182/0/0/55.914512922465207\n"
+     "lat=20.316193749718156/20.70990081492338/38.656863589837933 "
+     "tput=14.699999999999999/44.149999999999999\n"},
+    {"drm",
+     "ledger=1440 valid=1427 endorse=13 mvcc_intra=0 mvcc_inter=0 phantom=0 "
+     "submitted=2084 app=0\n"
+     "pct=0.90277777777777779/0.90277777777777779/0/0/30.9021113243762\n"
+     "lat=2.7826691277777766/2.6998445810778327/6.0290333105423946 "
+     "tput=56.25/71.349999999999994\n"},
+};
+
+TEST(ScenarioTest, FabricSharpRichQueryChaincodesPinned) {
+  for (const PaperGolden& golden : kFabricSharpRichGoldens) {
+    ExperimentConfig config = ExperimentConfig::Builder()
+                                  .Chaincode(golden.chaincode)
+                                  .Variant(FabricVariant::kFabricSharp)
+                                  .Duration(20 * kSecond)
+                                  .RateTps(100)
+                                  .Build();
+    ASSERT_EQ(config.fabric.db_type, DatabaseType::kCouchDb);
+    Result<FailureReport> r = RunOnce(config, 42);
+    ASSERT_TRUE(r.ok()) << golden.chaincode << ": " << r.status().ToString();
+    EXPECT_EQ(Fingerprint(r.value()), golden.fingerprint) << golden.chaincode;
+  }
+}
+
 }  // namespace
 }  // namespace fabricsim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -104,20 +105,52 @@ TEST(RichQueryTest, MatchesConjunction) {
   EXPECT_FALSE(sel.Matches(JsonObject({{"docType", "unit"}})));
 }
 
-TEST(RichQueryTest, ExecuteScansDocuments) {
+TEST(RichQueryTest, JsonFieldViewReadsOnlyTheKeyPosition) {
+  // "owner" occurs first as a value and inside "xowner"; only the
+  // `"owner":"` key position counts.
+  std::string doc =
+      JsonObject({{"docType", "owner"}, {"xowner", "a"}, {"owner", "o1"}});
+  EXPECT_EQ(JsonFieldView(doc, "owner").value_or(""), "o1");
+  EXPECT_EQ(JsonFieldView(doc, "docType").value_or(""), "owner");
+  EXPECT_EQ(JsonFieldView(doc, "xowner").value_or(""), "a");
+  EXPECT_FALSE(JsonFieldView("{\"k\":\"unterminated", "k").has_value());
+  EXPECT_FALSE(JsonFieldView("", "k").has_value());
+}
+
+TEST(RichQueryTest, ExecuteReturnsMatchesInKeyOrderWithVersions) {
   MemoryStateDb db;
-  for (int i = 0; i < 6; ++i) {
-    std::string lsp = i < 4 ? "LSP0" : "LSP1";
+  auto unit = [](const std::string& lsp) {
+    return JsonObject({{"docType", "unit"}, {"lsp", lsp}});
+  };
+  // Written in descending key order, each at its own version.
+  for (uint32_t i = 6; i-- > 0;) {
     db.ApplyWrite(
-        WriteItem{"u" + std::to_string(i),
-                  JsonObject({{"docType", "unit"}, {"lsp", lsp}}), false},
-        {1, 0});
+        WriteItem{"u" + std::to_string(i), unit(i < 4 ? "LSP0" : "LSP1"),
+                  false},
+        {1, i});
   }
   db.ApplyWrite(WriteItem{"meta", JsonObject({{"docType", "meta"}}), false},
-                {1, 0});
+                {1, 9});
   auto sel = RichQuerySelector::Parse("docType==unit&lsp==LSP0").value();
   auto hits = ExecuteRichQuery(db, sel);
-  EXPECT_EQ(hits.size(), 4u);
+  ASSERT_EQ(hits.size(), 4u);
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(hits[i].key, "u" + std::to_string(i));
+    EXPECT_EQ(hits[i].vv.value, unit("LSP0"));
+    EXPECT_EQ(hits[i].vv.version, (Version{1, i}));
+  }
+  // Writes after the first query move documents between answers.
+  db.ApplyWrite(WriteItem{"u1", unit("LSP1"), false}, {2, 0});
+  db.ApplyWrite(WriteItem{"u2", "", true}, {2, 1});
+  hits = ExecuteRichQuery(db, sel);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].key, "u0");
+  EXPECT_EQ(hits[1].key, "u3");
+  hits = ExecuteRichQuery(db, RichQuerySelector::Parse("lsp==LSP1").value());
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].key, "u1");
+  EXPECT_EQ(hits[0].vv.version, (Version{2, 0}));
+  EXPECT_EQ(hits[2].key, "u5");
 }
 
 // ---------------------------------------------------- StateBackend
@@ -353,6 +386,116 @@ TEST_P(DifferentialTest, DeleteHeavyMix) {
 
 TEST_P(DifferentialTest, RangeHeavyMix) {
   RunDifferential(GetParam(), /*delete_frac=*/0.15, /*range_frac=*/0.40);
+}
+
+// ------------------------------------ rich-query index differential
+
+// Drives seeded JSON-document writes (upserts that move indexed
+// fields, deletes, re-inserts) through every backend and an
+// ordered-map reference, interleaved with rich-query probes. Each
+// probe must return what brute-force Matches over the reference
+// returns — keys, values, versions, order — and each term's posting
+// list must hold exactly the matching keys, so a stale index entry
+// fails here even where the query's re-check would hide it.
+void RunRichQueryDifferential(uint64_t seed) {
+  constexpr uint64_t kKeySpace = 48;
+  constexpr int kOps = 3000;
+  // "owner" is a docType value as well as a field name.
+  const std::vector<std::string> kDocTypes = {"unit", "art", "owner"};
+  const std::vector<std::string> kOwners = {"o0", "o1", "o2"};
+  const std::vector<std::string> kRegions = {"r0", "r1"};
+  std::vector<std::unique_ptr<StateDatabase>> dbs;
+  for (StateBackendType backend : AllStateBackends()) {
+    dbs.push_back(MakeStateDb(backend));
+  }
+  std::map<std::string, VersionedValue> reference;
+  Rng rng(seed, /*stream=*/56);
+
+  auto pick = [&](const std::vector<std::string>& values) {
+    return values[rng.UniformU64(values.size())];
+  };
+  auto random_doc = [&]() {
+    std::vector<std::pair<std::string, std::string>> fields = {
+        {"docType", pick(kDocTypes)}, {"owner", pick(kOwners)}};
+    if (rng.Bernoulli(0.5)) fields.emplace_back("region", pick(kRegions));
+    if (rng.Bernoulli(0.3)) std::swap(fields[0], fields[1]);
+    return JsonObject(fields);
+  };
+  auto random_term = [&]() -> std::string {
+    switch (rng.UniformU64(4)) {
+      case 0:
+        return "docType==" + pick(kDocTypes);
+      case 1:
+        return "owner==" + pick(kOwners);
+      case 2:
+        return "region==" + pick(kRegions);
+      default:
+        return "color==red";  // no document has this field
+    }
+  };
+  auto probe = [&](const std::string& text, int op) {
+    SCOPED_TRACE(StrFormat("selector=%s op=%d", text.c_str(), op));
+    RichQuerySelector sel = RichQuerySelector::Parse(text).value();
+    std::vector<StateEntry> expected;
+    for (const auto& [key, vv] : reference) {
+      if (sel.Matches(vv.value)) expected.push_back(StateEntry{key, vv});
+    }
+    for (size_t b = 0; b < dbs.size(); ++b) {
+      SCOPED_TRACE(StateBackendTypeToString(AllStateBackends()[b]));
+      const std::vector<StateEntry> got = ExecuteRichQuery(*dbs[b], sel);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].key, expected[i].key);
+        ASSERT_EQ(got[i].vv.value, expected[i].vv.value);
+        ASSERT_EQ(got[i].vv.version, expected[i].vv.version);
+      }
+      for (const auto& [field, value] : sel.terms()) {
+        std::set<std::string> keys;
+        for (const auto& [key, vv] : reference) {
+          if (JsonFieldView(vv.value, field) == value) keys.insert(key);
+        }
+        ASSERT_EQ(dbs[b]->KeysWhere(field, value), keys)
+            << field << "==" << value;
+      }
+    }
+  };
+
+  // Before any write: the docType index starts out empty and is then
+  // maintained write by write; the other fields are first indexed
+  // from a populated store.
+  ASSERT_NO_FATAL_FAILURE(probe("docType==unit", -1));
+  for (int op = 0; op < kOps; ++op) {
+    double p = rng.UniformDouble();
+    std::string key = YcsbDriver::Key(rng.UniformU64(kKeySpace));
+    if (p < 0.2) {
+      std::string text = random_term();
+      if (rng.Bernoulli(0.5)) text += "&" + random_term();
+      ASSERT_NO_FATAL_FAILURE(probe(text, op));
+    } else if (p < 0.4) {
+      for (auto& db : dbs) {
+        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, "", true},
+                                   {3, static_cast<uint32_t>(op)})
+                        .ok());
+      }
+      reference.erase(key);
+    } else {
+      std::string value = random_doc();
+      Version version{2, static_cast<uint32_t>(op)};
+      for (auto& db : dbs) {
+        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, value, false}, version).ok());
+      }
+      reference[key] = VersionedValue{value, version};
+    }
+  }
+}
+
+class RichQueryDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(StateDbSeeds, RichQueryDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+TEST_P(RichQueryDifferentialTest, IndexedQueriesMatchBruteForce) {
+  RunRichQueryDifferential(GetParam());
 }
 
 // ------------------------------------------------------- YCSB driver
