@@ -19,8 +19,8 @@ struct Invocation {
 
 /// Base class for smart contracts ("chaincode" in Fabric jargon).
 /// Implementations must be deterministic functions of (stub, inv):
-/// every endorsing peer runs the same invocation against its own
-/// world-state replica.
+/// every endorsing peer runs the same invocation against its view of
+/// the channel's world state.
 class Chaincode {
  public:
   virtual ~Chaincode() = default;
@@ -28,8 +28,8 @@ class Chaincode {
   /// Chaincode name as installed on the channel.
   virtual std::string name() const = 0;
 
-  /// World-state bootstrap entries, applied to every peer's replica
-  /// at version (0,0) before the run starts (the paper's "initially
+  /// World-state bootstrap entries, applied to each channel's world
+  /// state at version (0,0) before the run starts (the paper's "initially
   /// populate the world state").
   virtual std::vector<WriteItem> BootstrapState() const = 0;
 

@@ -84,9 +84,9 @@ class ExperimentConfig::Builder {
     config_.fabric.db_type = db_type;
     return *this;
   }
-  /// State-backend data structure for every peer replica. Any choice
-  /// yields bit-identical simulation results; non-default backends
-  /// change only wall-clock speed and memory.
+  /// State-backend data structure for each channel's world state. Any
+  /// choice yields bit-identical simulation results; non-default
+  /// backends change only wall-clock speed and memory.
   Builder& StateBackend(StateBackendType backend) {
     config_.fabric.state_backend = backend;
     return *this;

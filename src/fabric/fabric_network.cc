@@ -148,6 +148,16 @@ Status FabricNetwork::Init() {
           : 1.0;
   validation_cache_ =
       std::make_unique<ValidationOutcomeCache>(cluster.total_peers());
+  // --- World state: one per channel, bootstrapped once ----------------
+  channels_.resize(static_cast<size_t>(num_channels));
+  std::vector<ChannelState*> channel_states;
+  for (int c = 0; c < num_channels; ++c) {
+    ChannelRuntime& runtime = channels_[static_cast<size_t>(c)];
+    runtime.state = std::make_unique<ChannelState>(config_.state_backend);
+    FABRICSIM_RETURN_NOT_OK(
+        runtime.state->Bootstrap(chaincode_for(c)->BootstrapState()));
+    channel_states.push_back(runtime.state.get());
+  }
   std::vector<Chaincode*> channel_chaincodes;
   if (num_channels > 1) {
     channel_chaincodes.reserve(static_cast<size_t>(num_channels));
@@ -166,12 +176,11 @@ Status FabricNetwork::Init() {
       params.node = node;
       params.env = env_;
       params.net = net_.get();
-      params.num_channels = num_channels;
+      params.channel_states = channel_states;
       params.chaincode = chaincode_.get();
       params.channel_chaincodes = channel_chaincodes;
       params.policy = *policy_;
       params.db_profile = db_profile;
-      params.state_backend = config_.state_backend;
       params.timing = config_.timing;
       params.variant = config_.variant;
       params.validation_cost_factor = validation_factor;
@@ -198,14 +207,6 @@ Status FabricNetwork::Init() {
       }
       peers_by_org_[static_cast<size_t>(org)].push_back(peer.get());
       peers_.push_back(std::move(peer));
-    }
-  }
-
-  // --- Bootstrap world state -----------------------------------------
-  for (int c = 0; c < num_channels; ++c) {
-    std::vector<WriteItem> bootstrap = chaincode_for(c)->BootstrapState();
-    for (auto& peer : peers_) {
-      FABRICSIM_RETURN_NOT_OK(peer->Bootstrap(c, bootstrap));
     }
   }
 
@@ -251,7 +252,6 @@ Status FabricNetwork::Init() {
   // before channels existed, so a single-channel network draws the
   // exact legacy sequence. Additional channels fork from a disjoint id
   // range afterwards.
-  channels_.resize(static_cast<size_t>(num_channels));
   for (int c = 0; c < num_channels; ++c) {
     ChannelRuntime& runtime = channels_[static_cast<size_t>(c)];
     if (config_.ordering.replicated) {

@@ -38,10 +38,10 @@ namespace fabricsim {
 /// The network hosts config.num_channels channels. Every channel is a
 /// full E-O-V pipeline of its own — its own ordering service (one
 /// block cutter / Raft log per channel, multiplexed over the shared
-/// orderer node ids), its own world-state replica and hash chain on
-/// every peer, and its own canonical ledger — while the peers'
-/// endorsement and validation resources are shared, which is where
-/// cross-channel interference comes from. A single-channel network is
+/// orderer node ids), one world state read by all its peers, its own
+/// hash chain on every peer, and its own canonical ledger — while the
+/// peers' endorsement and validation resources are shared, which is
+/// where cross-channel interference comes from. A single-channel network is
 /// byte-identical to the pre-channel simulator.
 ///
 /// Usage:
@@ -169,11 +169,13 @@ class FabricNetwork {
   }
 
  private:
-  /// Everything the harness keeps per channel: that channel's ordering
-  /// service (exactly one of orderer/raft is set), the cut blocks
-  /// still awaiting the reference peer's commit, and the recorded
-  /// canonical ledger.
+  /// Everything the harness keeps per channel: the world state every
+  /// peer of the channel reads, that channel's ordering service
+  /// (exactly one of orderer/raft is set), the cut blocks still
+  /// awaiting the reference peer's commit, and the recorded canonical
+  /// ledger.
   struct ChannelRuntime {
+    std::unique_ptr<ChannelState> state;
     std::unique_ptr<Orderer> orderer;  ///< compat mode
     std::unique_ptr<RaftGroup> raft;   ///< replicated mode
     std::map<uint64_t, std::shared_ptr<Block>> canonical_blocks;
@@ -209,6 +211,7 @@ class FabricNetwork {
   /// by peers, orderers and clients, so declared before all of them to
   /// outlive them.
   std::unique_ptr<AdmissionStats> admission_stats_;
+  /// Declared before peers_: the peers read the channels' states.
   std::vector<ChannelRuntime> channels_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<std::vector<Peer*>> peers_by_org_;

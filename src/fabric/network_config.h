@@ -150,8 +150,8 @@ struct TimingConfig {
   /// Fractional half-width of the per-task service-time jitter on each
   /// peer (validation and endorsement). Real peers never take exactly
   /// the same time to validate a block (database variance, GC, CPU
-  /// contention), so replicas transiently diverge — the root cause of
-  /// endorsement policy failures. 0 disables the jitter.
+  /// contention), so peers' committed heights transiently diverge — the
+  /// root cause of endorsement policy failures. 0 disables the jitter.
   double peer_service_jitter = 0.12;
   /// Size of each peer's shared validation/commit worker pool: how
   /// many *different channels'* blocks one peer process can validate
@@ -167,18 +167,20 @@ struct FabricConfig {
   ClusterConfig cluster = ClusterConfig::C1();
   DatabaseType db_type = DatabaseType::kCouchDb;
 
-  /// Data structure behind every per-channel world-state replica (and
-  /// FabricSharp endorsement snapshot) of every peer. Orthogonal to
-  /// db_type: the backend is how fast the simulator executes state
-  /// ops, db_type is how much simulated time they cost. All backends
-  /// produce bit-identical simulation results; the ordered-map default
-  /// pins the paper figures, the hash/btree backends make million-key
-  /// world state cheap (see src/statedb/state_backend.h).
+  /// Data structure behind each channel's world-state head, the one
+  /// store every peer of the channel reads at its own height (see
+  /// src/statedb/channel_state.h). Orthogonal to db_type: the backend
+  /// is how fast the simulator executes state ops, db_type is how much
+  /// simulated time they cost. All backends produce bit-identical
+  /// simulation results; the ordered-map default pins the paper
+  /// figures, the hash/btree backends make million-key world state
+  /// cheap (see src/statedb/state_backend.h).
   StateBackendType state_backend = StateBackendType::kOrderedMap;
 
   /// Number of channels (independent ledger shards) the network hosts.
-  /// Every peer serves every channel with its own per-channel state
-  /// replica and chain; the ordering service runs one block cutter
+  /// Every peer serves every channel, reading the channel's one shared
+  /// world state at its own committed height and keeping its own chain
+  /// per channel; the ordering service runs one block cutter
   /// (or one Raft group in replicated mode) per channel on the same
   /// orderer nodes. 1 reproduces the pre-channel pipeline exactly.
   int num_channels = 1;

@@ -1,6 +1,8 @@
 #include "src/peer/peer.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/obs/tracer.h"
@@ -34,39 +36,24 @@ Peer::Peer(Params params)
     admission_ = params.admission;
     admission_stats_ = params.admission_stats;
   }
-  int num_channels = std::max(params.num_channels, 1);
-  channels_.resize(static_cast<size_t>(num_channels));
-  for (int c = 0; c < num_channels; ++c) {
-    ChannelLedger& ch = channels_[static_cast<size_t>(c)];
-    ch.state = MakeStateDb(params.state_backend);
-    ch.endorse_view = ch.state.get();
+  channels_.resize(params.channel_states.size());
+  for (size_t c = 0; c < channels_.size(); ++c) {
+    ChannelLedger& ch = channels_[c];
+    ch.world = params.channel_states[c];
+    ch.state = ch.world->AddReader();
+    ch.endorse_view = ch.state;
+    ch.next_to_enqueue = ch.state->height() + 1;
     if (variant_ == FabricVariant::kFabricSharp && snapshot_interval_ > 0) {
       // FabricSharp parallelizes execution and validation with block
-      // snapshots: endorsers run against a separate, periodically
-      // refreshed view, which lags behind the committed state.
-      ch.endorse_snapshot = MakeStateDb(params.state_backend);
-      ch.endorse_view = ch.endorse_snapshot.get();
+      // snapshots: endorsers run against a periodically refreshed
+      // snapshot height, which lags behind the committed height.
+      ch.endorse_view = ch.world->AddReader();
     }
-    ch.chaincode =
-        static_cast<size_t>(c) < params.channel_chaincodes.size() &&
-                params.channel_chaincodes[static_cast<size_t>(c)] != nullptr
-            ? params.channel_chaincodes[static_cast<size_t>(c)]
-            : params.chaincode;
+    ch.chaincode = c < params.channel_chaincodes.size() &&
+                           params.channel_chaincodes[c] != nullptr
+                       ? params.channel_chaincodes[c]
+                       : params.chaincode;
   }
-}
-
-Status Peer::Bootstrap(const std::vector<WriteItem>& writes) {
-  return Bootstrap(kDefaultChannel, writes);
-}
-
-Status Peer::Bootstrap(ChannelId channel,
-                       const std::vector<WriteItem>& writes) {
-  ChannelLedger& ch = Channel(channel);
-  FABRICSIM_RETURN_NOT_OK(ApplyBootstrap(*ch.state, writes));
-  if (ch.endorse_snapshot != nullptr) {
-    FABRICSIM_RETURN_NOT_OK(ApplyBootstrap(*ch.endorse_snapshot, writes));
-  }
-  return Status::OK();
 }
 
 void Peer::HandleProposal(ProposalRequest request) {
@@ -375,8 +362,9 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       *env_, block->channel,
       [this, outcome, block]() -> SimTime {
         ChannelLedger& ch = Channel(block->channel);
-        // All replicas compute identical outcomes (deterministic
-        // validation over identical state); share the computation.
+        // Every peer computes the same outcome (deterministic
+        // validation over the state as of the previous block); share
+        // the computation.
         // The memo key carries the channel: block numbers are only
         // dense per channel.
         auto compute = [&]() -> ValidationOutcome {
@@ -398,8 +386,16 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       },
       [this, outcome, block]() {
         ChannelLedger& ch = Channel(block->channel);
-        CommitStateUpdates(*ch.state, (*outcome)->state_updates);
-        ch.committed_height = block->number;
+        Status committed = ch.world->Commit(ch.state, block->number,
+                                            (*outcome)->state_updates);
+        if (!committed.ok()) {
+          // Blocks reach this point in order, one at a time per
+          // channel: a refused commit is a simulator bug, and going on
+          // would leave this peer's view behind its hash chain.
+          std::fprintf(stderr, "peer %d channel %d: commit failed: %s\n",
+                       id_, block->channel, committed.ToString().c_str());
+          std::abort();
+        }
         // Extend the committed hash chain (pure observation: no RNG
         // draws, no scheduled events — disabled-subsystem runs stay
         // bitwise identical).
@@ -413,22 +409,21 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
           tracer->OnPeerCommit(id_, block->channel, block->number,
                                env_->now());
         }
-        if (ch.endorse_snapshot != nullptr) {
-          // Refresh the endorsement snapshot at the next snapshot
-          // boundary; application order across blocks is preserved by
-          // keeping the apply time monotonic.
+        if (ch.endorse_view != ch.state) {
+          // Raise the endorsement snapshot to this block at the next
+          // snapshot boundary; heights rise in block order because the
+          // refresh time is kept monotonic.
           SimTime lag = static_cast<SimTime>(rng_.UniformRange(
               0.0, static_cast<double>(snapshot_interval_)));
           SimTime apply_at =
               std::max(env_->now() + lag, ch.last_snapshot_apply);
           ch.last_snapshot_apply = apply_at;
-          auto shared = *outcome;
-          StateDatabase* snapshot = ch.endorse_snapshot.get();
+          ChannelState* world = ch.world;
+          StateView* snapshot = ch.endorse_view;
+          uint64_t height = block->number;
           env_->Schedule(
               apply_at,
-              [snapshot, shared]() {
-                CommitStateUpdates(*snapshot, shared->state_updates);
-              },
+              [world, snapshot, height]() { world->Advance(snapshot, height); },
               ScheduleOpts{.absolute = true});
         }
         if (on_commit_) {

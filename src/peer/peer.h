@@ -18,7 +18,7 @@
 #include "src/peer/validator.h"
 #include "src/sim/network.h"
 #include "src/sim/work_queue.h"
-#include "src/statedb/state_database.h"
+#include "src/statedb/channel_state.h"
 
 namespace fabricsim {
 
@@ -60,9 +60,12 @@ struct ProposalRequest {
   std::function<void(ProposalResponse)> reply;
 };
 
-/// A peer node: endorser + validator + committer over its own
-/// world-state replicas, one replica per channel the peer serves.
-/// Two execution resources model a real peer process:
+/// A peer node: endorser + validator + committer. The peer owns no
+/// world state: each channel's state is one ChannelState shared by all
+/// of its peers, and the peer reads it through views at its own
+/// committed height — which is all that replica skew, the root of
+/// endorsement failures, needs. Two execution resources model a real
+/// peer process:
 ///  * the chaincode/endorsement path (chaincode container + endorser
 ///    gRPC handlers), shared by every channel — a serial queue; and
 ///  * the validation/commit resource (VSCC, MVCC, state DB commit): a
@@ -79,9 +82,10 @@ class Peer {
     NodeId node = 0;
     Environment* env = nullptr;
     Network* net = nullptr;
-    /// Channels this peer serves (ids 0..num_channels-1), each with
-    /// its own state replica, chain, and commit pipeline.
-    int num_channels = 1;
+    /// World state of each channel this peer serves (ids
+    /// 0..size-1); each must outlive the peer. The peer keeps its own
+    /// chain and commit pipeline per channel.
+    std::vector<ChannelState*> channel_states;
     /// Chaincode every channel falls back to.
     Chaincode* chaincode = nullptr;
     /// Optional per-channel chaincode overrides, indexed by channel;
@@ -89,9 +93,6 @@ class Peer {
     std::vector<Chaincode*> channel_chaincodes;
     EndorsementPolicy policy;
     DbLatencyProfile db_profile;
-    /// Backend for this peer's per-channel state replicas and
-    /// endorsement snapshots (bit-identical behaviour across choices).
-    StateBackendType state_backend = StateBackendType::kOrderedMap;
     TimingConfig timing;
     FabricVariant variant = FabricVariant::kFabric14;
     /// Multiplier on validation service time (<1 for Streamchain's
@@ -119,13 +120,6 @@ class Peer {
   };
 
   explicit Peer(Params params);
-
-  /// Populates the default channel's world state before the run
-  /// (version (0,0)).
-  Status Bootstrap(const std::vector<WriteItem>& writes);
-
-  /// Populates one channel's world state before the run.
-  Status Bootstrap(ChannelId channel, const std::vector<WriteItem>& writes);
 
   /// Handles an endorsement proposal (already delivered through the
   /// network). Queues chaincode execution on the endorsement queue.
@@ -175,24 +169,27 @@ class Peer {
 
   int num_channels() const { return static_cast<int>(channels_.size()); }
 
-  /// Committed world state of the default channel (validation view).
-  const StateDatabase& state() const { return *channels_[0].state; }
-  const StateDatabase& state(ChannelId channel) const {
+  /// The default channel's world state as of this peer's committed
+  /// height: a read-only view of the shared ChannelState, and what the
+  /// validator reads.
+  const StateView& state() const { return *channels_[0].state; }
+  const StateView& state(ChannelId channel) const {
     return *channels_[static_cast<size_t>(channel)].state;
   }
 
-  /// World state the endorser executes against. Same object as
-  /// state() except under FabricSharp's snapshot model.
-  const StateDatabase& endorse_view() const {
+  /// The view the endorser executes against. Same object as state()
+  /// except under FabricSharp, whose view reads at the endorsement
+  /// snapshot's height, which lags the committed height.
+  const StateView& endorse_view() const {
     return *channels_[0].endorse_view;
   }
-  const StateDatabase& endorse_view(ChannelId channel) const {
+  const StateView& endorse_view(ChannelId channel) const {
     return *channels_[static_cast<size_t>(channel)].endorse_view;
   }
 
-  uint64_t committed_height() const { return channels_[0].committed_height; }
+  uint64_t committed_height() const { return channels_[0].state->height(); }
   uint64_t committed_height(ChannelId channel) const {
-    return channels_[static_cast<size_t>(channel)].committed_height;
+    return channels_[static_cast<size_t>(channel)].state->height();
   }
 
   const WorkQueue& endorse_queue() const { return endorse_queue_; }
@@ -218,15 +215,16 @@ class Peer {
   uint64_t blocks_replayed() const { return blocks_replayed_; }
 
  private:
-  /// Everything a peer keeps per channel: its replica of that
-  /// channel's world state, the endorsement view, and the commit
-  /// pipeline's in-order bookkeeping.
+  /// Everything a peer keeps per channel: its views of the channel's
+  /// shared world state, and the commit pipeline's in-order
+  /// bookkeeping.
   struct ChannelLedger {
-    std::unique_ptr<StateDatabase> state;
-    std::unique_ptr<StateDatabase> endorse_snapshot;  // FabricSharp only
-    StateDatabase* endorse_view = nullptr;
+    ChannelState* world = nullptr;
+    /// At the committed height.
+    StateView* state = nullptr;
+    /// `state`, or under FabricSharp the snapshot's own view.
+    StateView* endorse_view = nullptr;
     Chaincode* chaincode = nullptr;
-    uint64_t committed_height = 0;
     uint64_t next_to_enqueue = 1;
     std::vector<PeerChainRecord> chain_records;
     std::map<uint64_t, std::shared_ptr<const Block>> reorder_buffer;

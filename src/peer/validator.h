@@ -69,10 +69,10 @@ class Validator {
   EndorsementPolicy policy_;
 };
 
-/// Memoizes per-block validation outcomes across replicas. Validation
+/// Memoizes per-block validation outcomes across peers. Validation
 /// is a pure function of (pre-block state, block content), and every
 /// peer processes the same blocks in the same order from the same
-/// bootstrap, so all replicas compute identical outcomes. The
+/// bootstrap, so all peers compute identical outcomes. The
 /// simulation therefore computes each block once and shares the
 /// result — purely a simulator-performance optimization: the timing
 /// model still charges every peer its own (jittered) service time.

@@ -21,7 +21,7 @@ namespace fabricsim {
 /// A task has two phases:
 ///  * `at_start` runs when the server picks the task up. It performs
 ///    the data-plane work against *current* simulation state (e.g.
-///    executes a chaincode against the replica as of that moment) and
+///    executes a chaincode against the world state as of that moment) and
 ///    returns the service time the work costs.
 ///  * `at_end` runs when the service time has elapsed (commit point).
 class WorkQueue {

@@ -1,0 +1,155 @@
+#ifndef FABRICSIM_STATEDB_CHANNEL_STATE_H_
+#define FABRICSIM_STATEDB_CHANNEL_STATE_H_
+
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "src/statedb/state_backend.h"
+#include "src/statedb/state_database.h"
+
+namespace fabricsim {
+
+class ChannelState;
+
+/// A read-only view of one channel's world state as of a committed
+/// block height: what a peer reads when it endorses or validates. A
+/// view at the head's height forwards every call to the head, so such
+/// a read costs what a private replica's would. A view below the
+/// head overlays the before-images of the blocks above its height on
+/// the head's answer — every read does, rich queries included. A view
+/// never builds a field index of its own (nothing ever writes to it):
+/// KeysWhere corrects the head's postings instead.
+class StateView : public StateDatabase {
+ public:
+  /// Only registered readers pin undo records, so views are not copied.
+  StateView(const StateView&) = delete;
+  StateView& operator=(const StateView&) = delete;
+
+  /// The block height this view reads at.
+  uint64_t height() const { return height_; }
+  /// The channel state this view reads.
+  const ChannelState& source() const { return *state_; }
+
+  std::optional<VersionedValue> Get(const std::string& key) const override;
+  std::optional<Version> GetVersion(const std::string& key) const override;
+  std::vector<StateEntry> GetRange(const std::string& start_key,
+                                   const std::string& end_key) const override;
+  void ForEachVersionInRange(
+      const std::string& start_key, const std::string& end_key,
+      const std::function<void(const std::string& key, Version version)>& fn)
+      const override;
+  size_t Size() const override;
+  std::vector<StateEntry> Scan() const override;
+  void ForEachEntry(
+      const std::function<void(const std::string& key,
+                               const VersionedValue& vv)>& fn) const override;
+  /// The head's postings, corrected by the keys the blocks above this
+  /// view's height wrote. A corrected set stays valid until the head
+  /// commits or this view moves.
+  const std::set<std::string>& KeysWhere(std::string_view field,
+                                         std::string_view value) const override;
+
+ private:
+  friend class ChannelState;
+  StateView(const ChannelState* state, uint64_t height)
+      : state_(state), height_(height) {}
+
+  /// Views are read-only: always fails.
+  Status DoApplyWrite(const WriteItem& write, Version version) override;
+
+  bool AtHead() const;
+  const StateDatabase& head() const;
+
+  const ChannelState* state_;
+  uint64_t height_;
+  /// Corrected postings by (field, value), computed for the
+  /// (head height, view height) pair in corrected_at_.
+  mutable std::map<std::pair<std::string, std::string>, std::set<std::string>>
+      corrected_;
+  mutable std::pair<uint64_t, uint64_t> corrected_at_{0, 0};
+};
+
+/// One channel's world state, shared by every peer of the channel.
+///
+/// It holds one head replica (of the configured backend) at the newest
+/// committed block, plus, for every block some reader has not yet
+/// committed, that block's undo record: each key the block wrote,
+/// mapped to its value before the block (nullopt when the key did not
+/// exist). Readers are StateViews, each at its own height — a peer's
+/// committed height, a FabricSharp endorsement snapshot, a crashed
+/// peer that stopped. A view at height h reads the head through the
+/// records of blocks h+1..head. Records are dropped, oldest first, once
+/// every reader has passed their block.
+class ChannelState {
+ public:
+  explicit ChannelState(StateBackendType backend);
+
+  ChannelState(const ChannelState&) = delete;
+  ChannelState& operator=(const ChannelState&) = delete;
+
+  /// Loads the pre-run world state into the head at version (0,0).
+  /// Only before the first commit.
+  Status Bootstrap(const std::vector<WriteItem>& writes);
+
+  /// Registers a new reader at the head's height. The view lives as
+  /// long as this state.
+  StateView* AddReader();
+
+  /// Commits block `block` for `reader`, which must sit at `block` - 1.
+  /// The first reader to commit a block applies `updates` to the head
+  /// and records the block's before-images; later readers only move.
+  /// Fails with every height unchanged when `reader` is not at
+  /// `block` - 1 or a head write fails; after a failed write the head
+  /// holds part of the block, so the caller must not go on reading.
+  Status Commit(StateView* reader, uint64_t block,
+                const std::vector<std::pair<WriteItem, Version>>& updates);
+
+  /// Raises `reader` to `height` (at most the head's height) without
+  /// writing anything; heights never fall. Drops the records every
+  /// reader has now passed.
+  void Advance(StateView* reader, uint64_t height);
+
+  /// Height of the newest committed block (0 after bootstrap).
+  uint64_t height() const { return height_; }
+  /// Blocks whose before-images are still kept.
+  size_t undo_records() const { return undo_.size(); }
+
+ private:
+  friend class StateView;
+
+  /// One block's before-images: key -> value before the block, taken
+  /// at the block's first write of that key.
+  using UndoRecord =
+      std::map<std::string, std::optional<VersionedValue>, std::less<>>;
+  /// key -> its before-image as of some height, for the keys written
+  /// above that height (views into the records).
+  using Overlay =
+      std::map<std::string_view, const UndoRecord::value_type*, std::less<>>;
+
+  /// The value `key` had at `height` if a block above it wrote the key
+  /// (the record of the lowest such block); nullptr otherwise.
+  const std::optional<VersionedValue>* BeforeImage(
+      uint64_t height, const std::string& key) const;
+  /// Before-images as of `height` for every key in [start_key, end_key)
+  /// that a block above `height` wrote.
+  Overlay OverlayAt(uint64_t height, const std::string& start_key,
+                    const std::string& end_key) const;
+
+  std::unique_ptr<StateDatabase> head_;
+  uint64_t height_ = 0;
+  /// Records of blocks height_ - undo_.size() + 1 .. height_, in order.
+  std::deque<UndoRecord> undo_;
+  std::vector<std::unique_ptr<StateView>> readers_;
+};
+
+}  // namespace fabricsim
+
+#endif  // FABRICSIM_STATEDB_CHANNEL_STATE_H_

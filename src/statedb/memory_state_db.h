@@ -10,10 +10,9 @@ namespace fabricsim {
 
 /// Ordered std::map implementation of StateDatabase — the reference
 /// backend (StateBackendType::kOrderedMap) and the default: all paper
-/// figures are pinned to it bit for bit. Each peer owns one instance
-/// per channel; replicas diverge transiently while blocks are in
-/// flight, which is exactly the world-state inconsistency that causes
-/// endorsement policy failures.
+/// figures are pinned to it bit for bit. A network keeps one instance
+/// per channel, the head of that channel's ChannelState; the tests'
+/// serial replays use it as the reference.
 class MemoryStateDb : public StateDatabase {
  public:
   std::optional<VersionedValue> Get(const std::string& key) const override;

@@ -36,7 +36,7 @@ std::optional<std::string> ExtractJsonField(const std::string& doc,
 /// A CouchDB-selector-like equality query: `field==value` terms joined
 /// with '&', e.g. "docType==unit&lsp==LSP3". This is the subset of
 /// Mango selectors the paper's chaincodes need (queryStock,
-/// calcRevenue). Rich queries are answered from the replica's field
+/// calcRevenue). Rich queries are answered from the store's field
 /// index and are *not* re-executed at validation — no phantom read
 /// detection (paper §5.1.2), exactly like Fabric's GetQueryResult.
 class RichQuerySelector {
@@ -57,7 +57,7 @@ class RichQuerySelector {
 
 /// Runs the selector against `db`, returning matching entries in key
 /// order. Candidates are the smallest of the terms' posting lists in
-/// the replica's field index (StateDatabase::KeysWhere); each is
+/// the store's field index (StateDatabase::KeysWhere); each is
 /// fetched with Get and re-checked against every term. No document
 /// outside that list is read.
 std::vector<StateEntry> ExecuteRichQuery(const StateDatabase& db,

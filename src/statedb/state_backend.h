@@ -10,14 +10,14 @@
 
 namespace fabricsim {
 
-/// Which data structure implements the StateDatabase interface for a
-/// peer's per-channel world-state replicas. Orthogonal to DatabaseType
-/// (the *cost model* — LevelDB vs CouchDB latency profiles): the
-/// backend decides how fast the simulator itself executes state ops,
-/// the profile decides how much simulated time they are charged. Any
-/// backend composes with any profile, and all backends produce
-/// bit-identical simulation results (see the semantics contract in
-/// state_database.h).
+/// Which data structure implements the StateDatabase interface for
+/// each channel's world-state head (see ChannelState). Orthogonal to
+/// DatabaseType (the *cost model* — LevelDB vs CouchDB latency
+/// profiles): the backend decides how fast the simulator itself
+/// executes state ops, the profile decides how much simulated time
+/// they are charged. Any backend composes with any profile, and all
+/// backends produce bit-identical simulation results (see the
+/// semantics contract in state_database.h).
 enum class StateBackendType {
   /// std::map reference implementation — the default, kept for
   /// bitwise-identical reproduction of all paper figures.

@@ -29,7 +29,7 @@ struct StateEntry {
   VersionedValue vv;
 };
 
-/// Abstract versioned key-value store backing a peer's world state.
+/// Abstract versioned key-value store backing a channel's world state.
 ///
 /// This interface is pure data-plane: it performs the operation
 /// immediately and keeps no notion of time. The *cost* of each
@@ -86,8 +86,8 @@ class StateDatabase {
 
   /// Applies one write (upsert or delete) committed at `version`, and
   /// keeps every field KeysWhere has indexed in step with it. Every
-  /// write — bootstrap, commit, snapshot refresh — comes through here;
-  /// backends implement the storage half in DoApplyWrite.
+  /// write — bootstrap and commit — comes through here; backends
+  /// implement the storage half in DoApplyWrite.
   Status ApplyWrite(const WriteItem& write, Version version);
 
   /// Number of live keys.
@@ -108,11 +108,13 @@ class StateDatabase {
   /// Keys whose document's `field` reads `value` (JsonFieldView),
   /// ascending — the rich-query field index. The first call naming
   /// `field` indexes it with one ForEachEntry pass; ApplyWrite keeps
-  /// it current from then on. A replica nobody rich-queries (every
+  /// it current from then on. A store nobody rich-queries (every
   /// LevelDB one) never builds an index and pays one empty-map test
   /// per write. The returned set stays valid until the next write.
-  const std::set<std::string>& KeysWhere(std::string_view field,
-                                         std::string_view value) const;
+  /// StateView overrides it: a view sees no writes, so it must never
+  /// build an index of its own.
+  virtual const std::set<std::string>& KeysWhere(std::string_view field,
+                                                 std::string_view value) const;
 
  private:
   /// The storage half of ApplyWrite.

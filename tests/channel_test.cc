@@ -469,6 +469,24 @@ TEST(ChannelFaultTest, PeerCrashAndCatchUpSpanEveryChannel) {
   }
 }
 
+TEST(ChannelStateNetworkTest, PeersOfAChannelShareOneStateAndKeepNoUndo) {
+  DirectRun run = RunSharded(ShardedConfig(2, /*skew=*/0), 42);
+  const FabricNetwork& network = *run.network;
+  for (int c = 0; c < 2; ++c) {
+    const ChannelState& shared = network.peers()[0]->state(c).source();
+    EXPECT_NE(&shared, &network.peers()[0]->state(1 - c).source());
+    EXPECT_GT(shared.height(), 0u) << "channel " << c;
+    EXPECT_EQ(shared.height(), network.ledger(c).height()) << "channel " << c;
+    // Every peer reached the head, so no before-image is left.
+    EXPECT_EQ(shared.undo_records(), 0u) << "channel " << c;
+    for (const auto& peer : network.peers()) {
+      EXPECT_EQ(&peer->state(c).source(), &shared) << "peer " << peer->id();
+      EXPECT_EQ(&peer->endorse_view(c).source(), &shared);
+      EXPECT_EQ(peer->state(c).height(), shared.height());
+    }
+  }
+}
+
 TEST(ChannelFaultTest, OrdererPauseStallsEveryChannelsService) {
   // The ordering service is one shared process: pausing it freezes
   // block cutting on every channel, and both channels resume after.

@@ -36,6 +36,8 @@ class ClientTest : public ::testing::Test {
   void BuildNetwork(int num_orgs, EndorsementPolicy policy,
                     Invocation inv, bool submit_read_only = true) {
     policy_ = std::make_unique<EndorsementPolicy>(policy);
+    state_ = std::make_unique<ChannelState>(StateBackendType::kOrderedMap);
+    EXPECT_TRUE(state_->Bootstrap(chaincode_->BootstrapState()).ok());
     for (int org = 0; org < num_orgs; ++org) {
       Peer::Params params;
       params.id = org;
@@ -43,14 +45,13 @@ class ClientTest : public ::testing::Test {
       params.node = 1 + org;
       params.env = env_.get();
       params.net = net_.get();
+      params.channel_states = {state_.get()};
       params.chaincode = chaincode_.get();
       params.policy = *policy_;
       params.db_profile = DbLatencyProfile::LevelDb();
       params.timing.peer_service_jitter = 0;
       params.rng = Rng(100 + static_cast<uint64_t>(org));
       peers_.push_back(std::make_unique<Peer>(std::move(params)));
-      EXPECT_TRUE(
-          peers_.back()->Bootstrap(chaincode_->BootstrapState()).ok());
       peers_by_org_.push_back({peers_.back().get()});
     }
 
@@ -95,6 +96,8 @@ class ClientTest : public ::testing::Test {
   std::unique_ptr<Network> net_;
   std::unique_ptr<GenChaincode> chaincode_;
   std::unique_ptr<EndorsementPolicy> policy_;
+  /// The one world state all peers read; declared first to outlive them.
+  std::unique_ptr<ChannelState> state_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<std::vector<Peer*>> peers_by_org_;
   std::unique_ptr<Orderer> orderer_;

@@ -5,7 +5,6 @@
 // plan validation, and the retry-amplification experiment.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "src/common/parallel.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
+#include "src/statedb/memory_state_db.h"
 #include "src/workload/paper_workloads.h"
 #include "tests/test_fingerprint.h"
 
@@ -148,13 +148,40 @@ LiveRun RunLive(const ExperimentConfig& config, uint64_t seed) {
   return run;
 }
 
-std::vector<StateEntry> SortedState(const StateDatabase& db) {
-  std::vector<StateEntry> entries = db.Scan();
-  std::sort(entries.begin(), entries.end(),
-            [](const StateEntry& a, const StateEntry& b) {
-              return a.key < b.key;
-            });
-  return entries;
+// The world state after a serial replay of `ledger`'s blocks
+// 1..height over the workload's bootstrap state: what a peer at that
+// committed height must read.
+std::vector<StateEntry> ReplayedState(const ExperimentConfig& config,
+                                      const BlockStore& ledger,
+                                      uint64_t height) {
+  MemoryStateDb replay;
+  EXPECT_TRUE(ApplyBootstrap(replay, MakeChaincodeFor(config.workload)
+                                         .value()
+                                         ->BootstrapState())
+                  .ok());
+  for (const Block& block : ledger.blocks()) {
+    if (block.number > height) break;
+    for (size_t i = 0; i < block.txs.size(); ++i) {
+      if (block.results[i].code != TxValidationCode::kValid) continue;
+      std::vector<std::pair<WriteItem, Version>> updates;
+      for (const WriteItem& write : block.txs[i].rwset.writes) {
+        updates.emplace_back(write,
+                             Version{block.number, static_cast<uint32_t>(i)});
+      }
+      EXPECT_TRUE(CommitStateUpdates(replay, updates).ok());
+    }
+  }
+  return replay.Scan();
+}
+
+void ExpectPeerState(const Peer& peer, const std::vector<StateEntry>& want) {
+  std::vector<StateEntry> got = peer.state().Scan();
+  ASSERT_EQ(got.size(), want.size()) << "peer " << peer.id();
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "peer " << peer.id();
+    EXPECT_EQ(got[i].vv.value, want[i].vv.value) << got[i].key;
+    EXPECT_EQ(got[i].vv.version, want[i].vv.version) << got[i].key;
+  }
 }
 
 TEST(FaultCrashTest, RestartedPeerCatchesUpToHealthyReplicas) {
@@ -183,20 +210,16 @@ TEST(FaultCrashTest, RestartedPeerCatchesUpToHealthyReplicas) {
   EXPECT_GT(crashed.proposals_dropped() + crashed.blocks_dropped(), 0u);
   EXPECT_GT(net.stats().endorse_retries, 0u);
 
-  // Every replica — including the crashed-then-restarted one — ends at
-  // the canonical height with an identical world state.
+  // Every peer — including the crashed-then-restarted one — ends at
+  // the canonical height, reading what a serial replay of the
+  // canonical ledger holds.
   ASSERT_GT(net.ledger().height(), 0u);
-  std::vector<StateEntry> reference = SortedState(net.peers()[0]->state());
+  const std::vector<StateEntry> replayed =
+      ReplayedState(config, net.ledger(), net.ledger().height());
   for (const auto& peer : net.peers()) {
     EXPECT_EQ(peer->committed_height(), net.ledger().height())
         << "peer " << peer->id();
-    std::vector<StateEntry> state = SortedState(peer->state());
-    ASSERT_EQ(state.size(), reference.size()) << "peer " << peer->id();
-    for (size_t i = 0; i < state.size(); ++i) {
-      EXPECT_EQ(state[i].key, reference[i].key);
-      EXPECT_EQ(state[i].vv.value, reference[i].vv.value);
-      EXPECT_EQ(state[i].vv.version, reference[i].vv.version);
-    }
+    ExpectPeerState(*peer, replayed);
   }
 }
 
@@ -210,7 +233,15 @@ TEST(FaultCrashTest, PeerDeadForRestOfRunStaysBehind) {
   const Peer& dead = *run.network->peers()[3];
   EXPECT_FALSE(dead.alive());
   EXPECT_GT(dead.blocks_dropped(), 0u);
-  EXPECT_LT(dead.committed_height(), run.network->ledger().height());
+  const uint64_t height = dead.committed_height();
+  EXPECT_LT(height, run.network->ledger().height());
+
+  // The dead peer still reads the world state as of its own height:
+  // a serial replay of the canonical ledger up to that height.
+  ExpectPeerState(dead, ReplayedState(config, run.network->ledger(), height));
+  // It pins the before-images of every block above its height.
+  const ChannelState& shared = dead.state().source();
+  EXPECT_EQ(shared.undo_records(), shared.height() - height);
 }
 
 TEST(FaultOrdererTest, PauseBuffersAndResumeDrainsInOrder) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "src/chaincode/genchain.h"
 #include "src/peer/peer.h"
@@ -19,8 +20,17 @@ class PeerTest : public ::testing::Test {
     net_ = std::make_unique<Network>(NetworkConfig{}, Rng(7));
     chaincode_ = std::make_unique<GenChaincode>(
         GenChaincodeSpec::PaperDefault(/*keys=*/50));
+    state_ = BootstrappedState();
   }
 
+  // A channel world state holding the chaincode's bootstrap writes.
+  std::unique_ptr<ChannelState> BootstrappedState() {
+    auto state = std::make_unique<ChannelState>(StateBackendType::kOrderedMap);
+    EXPECT_TRUE(state->Bootstrap(chaincode_->BootstrapState()).ok());
+    return state;
+  }
+
+  // Reads `state_` unless a test gives the peer a world state of its own.
   Peer::Params BaseParams() {
     Peer::Params params;
     params.id = 0;
@@ -28,6 +38,7 @@ class PeerTest : public ::testing::Test {
     params.node = 1;
     params.env = env_.get();
     params.net = net_.get();
+    params.channel_states = {state_.get()};
     params.chaincode = chaincode_.get();
     params.policy = MakePolicy(PolicyPreset::kP0AllOrgs, 2);
     params.db_profile = DbLatencyProfile::LevelDb();
@@ -56,11 +67,11 @@ class PeerTest : public ::testing::Test {
   std::unique_ptr<Environment> env_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<GenChaincode> chaincode_;
+  std::unique_ptr<ChannelState> state_;
 };
 
 TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
 
   ProposalResponse got;
   ProposalRequest request;
@@ -81,7 +92,6 @@ TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
 
 TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
   SimTime completion = -1;
   ProposalRequest request;
   request.invocation = Invocation{"readKeys", {GenChaincode::Key(0)}};
@@ -97,7 +107,6 @@ TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {
 
 TEST_F(PeerTest, OutOfOrderBlocksAreBuffered) {
   Peer peer(BaseParams());
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
   std::string key = GenChaincode::Key(1);
 
   // Deliver block 2 before block 1 (network reordering).
@@ -121,7 +130,6 @@ TEST_F(PeerTest, CommitCallbackFiresInOrder) {
     committed.push_back(number);
   };
   Peer peer(std::move(params));
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
   peer.HandleBlock(MakeWriterBlock(3, GenChaincode::Key(0)));
   peer.HandleBlock(MakeWriterBlock(1, GenChaincode::Key(0)));
   peer.HandleBlock(MakeWriterBlock(2, GenChaincode::Key(0)));
@@ -139,10 +147,11 @@ TEST_F(PeerTest, ValidationCacheSharedAcrossPeers) {
   p2.id = 1;
   p2.node = 2;
   p2.validation_cache = &cache;
+  // Each peer commits to a world state of its own, so each commit shows.
+  std::unique_ptr<ChannelState> state2 = BootstrappedState();
+  p2.channel_states = {state2.get()};
   Peer peer1(std::move(p1));
   Peer peer2(std::move(p2));
-  ASSERT_TRUE(peer1.Bootstrap(chaincode_->BootstrapState()).ok());
-  ASSERT_TRUE(peer2.Bootstrap(chaincode_->BootstrapState()).ok());
 
   // Count computations via the cache API directly.
   auto outcome_a = cache.GetOrCompute(7, [&] {
@@ -165,8 +174,12 @@ TEST_F(PeerTest, ValidationCacheSharedAcrossPeers) {
   EXPECT_EQ(peer1.committed_height(), 1u);
   EXPECT_EQ(peer2.committed_height(), 1u);
   EXPECT_EQ(cache.live_entries(), 0u);
-  EXPECT_EQ(peer1.state().Get(GenChaincode::Key(4))->value,
-            peer2.state().Get(GenChaincode::Key(4))->value);
+  for (const Peer* peer : {&peer1, &peer2}) {
+    std::optional<VersionedValue> got = peer->state().Get(GenChaincode::Key(4));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->value, "v1");
+    EXPECT_EQ(got->version, (Version{1, 0}));
+  }
 }
 
 TEST_F(PeerTest, FabricSharpSnapshotViewLagsCommittedState) {
@@ -174,7 +187,6 @@ TEST_F(PeerTest, FabricSharpSnapshotViewLagsCommittedState) {
   params.variant = FabricVariant::kFabricSharp;
   params.snapshot_interval = 500 * kMillisecond;
   Peer peer(std::move(params));
-  ASSERT_TRUE(peer.Bootstrap(chaincode_->BootstrapState()).ok());
   std::string key = GenChaincode::Key(9);
 
   peer.HandleBlock(MakeWriterBlock(1, key));
@@ -196,10 +208,11 @@ TEST_F(PeerTest, VirtualBlockGroupAmortizesFixedCommitCosts) {
   // the fixed commit costs (state-DB batch + ledger fsync).
   Peer::Params grouped = BaseParams();
   grouped.virtual_block_group = 2;
+  // Each peer commits to a world state of its own, so each commit shows.
+  std::unique_ptr<ChannelState> grouped_state = BootstrappedState();
+  grouped.channel_states = {grouped_state.get()};
   Peer peer_grouped(std::move(grouped));
   Peer peer_plain(BaseParams());
-  ASSERT_TRUE(peer_grouped.Bootstrap(chaincode_->BootstrapState()).ok());
-  ASSERT_TRUE(peer_plain.Bootstrap(chaincode_->BootstrapState()).ok());
   for (uint64_t n = 1; n <= 4; ++n) {
     peer_grouped.HandleBlock(MakeWriterBlock(n, GenChaincode::Key(2)));
     peer_plain.HandleBlock(MakeWriterBlock(n, GenChaincode::Key(2)));
@@ -209,8 +222,12 @@ TEST_F(PeerTest, VirtualBlockGroupAmortizesFixedCommitCosts) {
   EXPECT_EQ(peer_plain.committed_height(), 4u);
   // Both end in the same state, but the grouped peer spent less
   // validation service time (2 of 4 fixed charges skipped).
-  EXPECT_EQ(peer_grouped.state().Get(GenChaincode::Key(2))->value,
-            peer_plain.state().Get(GenChaincode::Key(2))->value);
+  for (const Peer* peer : {&peer_grouped, &peer_plain}) {
+    std::optional<VersionedValue> got = peer->state().Get(GenChaincode::Key(2));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->value, "v4");
+    EXPECT_EQ(got->version, (Version{4, 0}));
+  }
   EXPECT_LT(peer_grouped.validate_queue().total_service(),
             peer_plain.validate_queue().total_service());
 }
