@@ -496,13 +496,8 @@ void Client::OnOrdererAck(TxId tx_id, bool accepted, int replica) {
   ChannelId channel = it->second.channel;
   awaiting_order_ack_.erase(it);
   LeaderHintFor(channel) = replica;
-  if (accepted) {
-    if (p_.acked_txs_by_channel != nullptr) {
-      (*p_.acked_txs_by_channel)[static_cast<size_t>(channel)].push_back(
-          tx_id);
-    } else if (p_.acked_txs != nullptr) {
-      p_.acked_txs->push_back(tx_id);
-    }
+  if (accepted && p_.acked_txs_by_channel != nullptr) {
+    (*p_.acked_txs_by_channel)[static_cast<size_t>(channel)].push_back(tx_id);
   }
 }
 

@@ -106,11 +106,9 @@ class Client {
     SimTime orderer_ack_timeout = 0;
     /// Re-broadcast budget per envelope before giving up.
     int max_orderer_rebroadcasts = 0;
-    /// Harness sink: ids of transactions whose ordering ack reached
-    /// this client (the invariant checker proves none were lost).
-    std::vector<TxId>* acked_txs = nullptr;
-    /// Per-channel variant of `acked_txs` (index = channel) for
-    /// multi-channel runs; when set it wins over `acked_txs`.
+    /// Harness sink, one list per channel (index = channel): ids of
+    /// transactions whose ordering ack reached this client (the
+    /// invariant checker proves none were lost).
     std::vector<std::vector<TxId>>* acked_txs_by_channel = nullptr;
     /// Which channels this client submits to and how it spreads load
     /// across them. The default pins everything to channel 0 without

@@ -155,7 +155,7 @@ class ExperimentConfig::Builder {
     return *this;
   }
   /// Fold commits into streaming aggregates instead of retaining the
-  /// canonical ledger (incompatible with fault plans).
+  /// canonical ledger.
   Builder& StreamingLedger(bool on = true) {
     config_.fabric.streaming_ledger = on;
     return *this;

@@ -4,59 +4,37 @@
 #include <string>
 #include <vector>
 
-#include "src/ledger/block.h"
-#include "src/ledger/block_store.h"
+#include "src/statedb/channel_state.h"
 
 namespace fabricsim {
 
 class FabricNetwork;
-
-/// One peer's committed hash chain, as seen by the checker.
-struct PeerChainView {
-  PeerId peer = 0;
-  const std::vector<PeerChainRecord>* records = nullptr;
-};
 
 /// Result of the chain-integrity audit. `violations` is empty on a
 /// clean run; each entry is a human-readable description of one broken
 /// invariant.
 struct ChainIntegrityReport {
   std::vector<std::string> violations;
-  uint64_t canonical_height = 0;
-  int peers_checked = 0;
 
   bool ok() const { return violations.empty(); }
   /// Violations joined into one line ("" when clean).
   std::string Summary() const;
 };
 
-/// Audits the run-ending state of the ledger and every peer's
-/// committed hash chain:
-///  * the canonical ledger is dense (blocks 1..height, no gaps, no
-///    renumbering) and no transaction id appears in two blocks
-///    (double commit);
-///  * every canonical transaction's rw-set digest, recomputed from its
-///    content, equals its sealed digest (the value every chain hash
-///    mixed);
-///  * every peer's chain is a dense prefix-or-extension of the same
-///    hash chain — byte-identical content at every height two chains
-///    share (a crashed peer may stop early; a peer may also run ahead
-///    of the recorded ledger when the reference peer itself crashed);
-///  * every client-acked transaction id (replicated-ordering mode) is
-///    on the ledger exactly once — an acked transaction was never
-///    lost. Ids beyond a behind-the-peers ledger head are only checked
-///    when the ledger is the longest chain available.
-///
-/// Pure observation: reads committed state only, never touches the
-/// simulation. Cheap enough to run unconditionally after every run.
-ChainIntegrityReport CheckChainRecords(
-    const BlockStore& ledger, const std::vector<PeerChainView>& peers,
-    const std::vector<TxId>* acked_txs);
+/// Audits one channel. The channel's commit record checked each block
+/// as it first committed — no transaction id committed twice, every
+/// rw-set's digest recomputed from its content equal to its sealed
+/// digest — and every later commit of it against the recorded block;
+/// this adds what it found to one check: every client-acked
+/// transaction id (replicated-ordering mode) was committed on the
+/// channel, so no acked transaction was lost.
+ChainIntegrityReport CheckChannel(const ChannelState& channel,
+                                  const std::vector<TxId>& acked_txs);
 
-/// Convenience wrapper: audits every channel of `network` — each
-/// channel's canonical ledger, every peer's chain for that channel,
-/// and the channel's acked-transaction record. Violations on channels
-/// other than the default are prefixed with the channel id.
+/// Audits every channel of `network` with CheckChannel. Violations on
+/// channels other than the default are prefixed with the channel id.
+/// Pure observation and cheap: the per-block work already happened
+/// during the run, so every run is audited, streaming runs included.
 ChainIntegrityReport CheckChainIntegrity(const FabricNetwork& network);
 
 }  // namespace fabricsim

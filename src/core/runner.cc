@@ -66,19 +66,15 @@ Result<RunArtifacts> RunOnceArtifacts(const ExperimentConfig& config,
         config.population, config.duration, std::move(class_workloads)));
   }
   env.RunAll();
-  // Chain-integrity audit, unconditional on every run (healthy or
-  // chaotic): byte-identical dense hash chains on all peers, no acked
-  // transaction lost or committed twice. A violation is a simulator
-  // bug, never a legitimate result — fail the run loudly. Streaming-
-  // ledger runs are the one exception: the audit parses the retained
-  // canonical ledger, which streaming mode deliberately discards
-  // (which is also why streaming_ledger rejects fault plans).
-  if (!config.fabric.streaming_ledger) {
-    ChainIntegrityReport integrity = CheckChainIntegrity(network);
-    if (!integrity.ok()) {
-      return Status::Internal("chain integrity violated: " +
-                              integrity.Summary());
-    }
+  // Chain-integrity audit, on every run (healthy or chaotic, retained
+  // or streaming ledger): every delivered block matched its channel's
+  // record, no transaction was committed twice or changed after
+  // sealing, and no acked transaction was lost. A violation is a
+  // simulator bug, never a legitimate result — fail the run loudly.
+  ChainIntegrityReport integrity = CheckChainIntegrity(network);
+  if (!integrity.ok()) {
+    return Status::Internal("chain integrity violated: " +
+                            integrity.Summary());
   }
   RunArtifacts artifacts;
   if (network.ledger_stats() != nullptr) {

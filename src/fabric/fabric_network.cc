@@ -57,12 +57,6 @@ Status FabricNetwork::Init() {
     return Status::InvalidArgument("cluster must have orgs, peers, clients");
   }
   const int num_channels = this->num_channels();
-  if (config_.streaming_ledger && !config_.faults.empty()) {
-    // The chain-integrity audit that makes fault runs trustworthy
-    // parses the retained ledger; streaming throws the blocks away.
-    return Status::InvalidArgument(
-        "streaming_ledger is incompatible with a fault plan");
-  }
   if (config_.streaming_ledger) {
     ledger_stats_ = std::make_unique<StreamingLedgerStats>(num_channels);
   }
@@ -146,8 +140,6 @@ Status FabricNetwork::Init() {
       config_.variant == FabricVariant::kStreamchain
           ? StreamchainModel::kValidationCostFactor
           : 1.0;
-  validation_cache_ =
-      std::make_unique<ValidationOutcomeCache>(cluster.total_peers());
   // --- World state: one per channel, bootstrapped once ----------------
   channels_.resize(static_cast<size_t>(num_channels));
   std::vector<ChannelState*> channel_states;
@@ -189,7 +181,6 @@ Status FabricNetwork::Init() {
         params.virtual_block_group = config_.streamchain_virtual_block_size;
       }
       params.rng = env_->rng().Fork(2000 + static_cast<uint64_t>(peer_id));
-      params.validation_cache = validation_cache_.get();
       if (admission_stats_ != nullptr) {
         params.admission = &config_.admission;
         params.admission_stats = admission_stats_.get();
@@ -354,10 +345,9 @@ std::shared_ptr<const Block> FabricNetwork::FetchCanonicalBlock(
   const ChannelRuntime& runtime = channels_[static_cast<size_t>(channel)];
   auto it = runtime.canonical_blocks.find(number);
   if (it != runtime.canonical_blocks.end()) return it->second;
-  // Already reference-committed: serve a copy from the recorded ledger.
-  const Block* block = runtime.ledger.GetBlock(number);
-  if (block == nullptr) return nullptr;
-  return std::make_shared<const Block>(*block);
+  // Already reference-committed: the fetching peer is below the block,
+  // so the channel's record still holds it.
+  return runtime.state->block(number);
 }
 
 void FabricNetwork::StartLoad(double total_rate_tps, SimTime duration) {
@@ -461,11 +451,10 @@ Status FabricNetwork::StartLoad(
           params.channel_orderer_endpoints.push_back(
               endpoints_for(runtime.raft.get()));
         }
-        params.acked_txs_by_channel = &acked_txs_by_channel_;
       } else {
         params.orderer_endpoints = endpoints_for(channels_[0].raft.get());
-        params.acked_txs = &acked_txs_by_channel_[0];
       }
+      params.acked_txs_by_channel = &acked_txs_by_channel_;
       params.orderer_ack_timeout = config_.ordering.client_ack_timeout;
       params.max_orderer_rebroadcasts = config_.ordering.max_client_rebroadcasts;
     }

@@ -38,10 +38,10 @@ namespace fabricsim {
 /// The network hosts config.num_channels channels. Every channel is a
 /// full E-O-V pipeline of its own — its own ordering service (one
 /// block cutter / Raft log per channel, multiplexed over the shared
-/// orderer node ids), one world state read by all its peers, its own
-/// hash chain on every peer, and its own canonical ledger — while the
-/// peers' endorsement and validation resources are shared, which is
-/// where cross-channel interference comes from. A single-channel network is
+/// orderer node ids), one world state and commit record read by all
+/// its peers, and its own canonical ledger — while the peers'
+/// endorsement and validation resources are shared, which is where
+/// cross-channel interference comes from. A single-channel network is
 /// byte-identical to the pre-channel simulator.
 ///
 /// Usage:
@@ -147,6 +147,10 @@ class FabricNetwork {
     return acked_txs_by_channel_[static_cast<size_t>(channel)];
   }
   const std::vector<std::unique_ptr<Peer>>& peers() const { return peers_; }
+  /// World state and commit record of one channel, shared by its peers.
+  const ChannelState& channel_state(ChannelId channel) const {
+    return *channels_[static_cast<size_t>(channel)].state;
+  }
 
   /// Chaincode serving `channel` (the channel's installation, or the
   /// constructor's default).
@@ -169,11 +173,11 @@ class FabricNetwork {
   }
 
  private:
-  /// Everything the harness keeps per channel: the world state every
-  /// peer of the channel reads, that channel's ordering service
-  /// (exactly one of orderer/raft is set), the cut blocks still
-  /// awaiting the reference peer's commit, and the recorded canonical
-  /// ledger.
+  /// Everything the harness keeps per channel: the world state and
+  /// commit record every peer of the channel reads, that channel's
+  /// ordering service (exactly one of orderer/raft is set), the cut
+  /// blocks still awaiting the reference peer's commit, and the
+  /// recorded canonical ledger.
   struct ChannelRuntime {
     std::unique_ptr<ChannelState> state;
     std::unique_ptr<Orderer> orderer;  ///< compat mode
@@ -186,8 +190,8 @@ class FabricNetwork {
                     const ValidationOutcome& outcome);
   /// Crash-recovery catch-up source: the canonical block with this
   /// number on this channel, whether it is still awaiting the
-  /// reference commit or already on the recorded ledger. nullptr when
-  /// not yet cut.
+  /// reference commit or already in the channel's commit record.
+  /// nullptr when not yet cut.
   std::shared_ptr<const Block> FetchCanonicalBlock(ChannelId channel,
                                                    uint64_t number) const;
 
@@ -204,7 +208,6 @@ class FabricNetwork {
   std::unique_ptr<EndorsementPolicy> policy_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<ValidationOutcomeCache> validation_cache_;
   std::unique_ptr<FabricPlusPlusProcessor> fabricpp_;
   std::unique_ptr<FabricSharpProcessor> fabricsharp_;
   /// Allocated in Init() only when config_.admission.enabled(); shared

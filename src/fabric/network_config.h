@@ -249,8 +249,8 @@ struct FabricConfig {
   /// canonical BlockStore. Makes ledger memory O(channels) instead of
   /// O(transactions) — the enabler for hour-long million-user runs.
   /// Failure counts/throughput are exact; latency quantiles are
-  /// sketch-approximate. Incompatible with fault plans: the post-run
-  /// chain-integrity audit needs the retained ledger.
+  /// sketch-approximate. The chain-integrity audit runs at commit time
+  /// from each channel's record, so it covers streaming runs too.
   bool streaming_ledger = false;
 
   /// Streamchain: ledger/world state on a RAM disk (paper §5.3.3).

@@ -29,10 +29,11 @@ struct DelayWindow {
 /// floor, exactly as silent as real Fabric); at `restart_at` it comes
 /// back and catches up by replaying the blocks it missed from the
 /// canonical chain. kSimTimeNever = never restarts. While down, the
-/// peer's height pins the before-images of every block committed since
-/// its crash in the channel's shared world state (see ChannelState), so
-/// a peer that never restarts keeps them until the run ends: memory
-/// then grows with every write made after the crash.
+/// peer's height pins the record of every block committed since its
+/// crash in the channel's shared ChannelState — the block, its
+/// validation outcome and its before-images — so a peer that never
+/// restarts keeps them until the run ends: memory then grows with
+/// every block cut after the crash.
 struct PeerCrashFault {
   PeerId peer = -1;
   SimTime at = 0;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -43,6 +44,20 @@ struct TxValidationResult {
   Version observed_version;
 };
 
+/// Deterministic outcome of validating one block against a given
+/// world state. Identical on every peer, since validation is a pure
+/// function of (committed state, block content).
+struct ValidationOutcome {
+  /// One result per transaction, in block order.
+  std::vector<TxValidationResult> results;
+  /// Write set of the valid transactions, in order, each tagged with
+  /// its commit version. Applying these to the state database
+  /// finalizes the block.
+  std::vector<std::pair<WriteItem, Version>> state_updates;
+  /// Number of valid (committed) transactions.
+  size_t valid_count = 0;
+};
+
 /// A block as delivered by the ordering service and annotated by the
 /// validators. Both committed and aborted transactions stay in the
 /// block, exactly as in Fabric: the ledger is the full history.
@@ -67,7 +82,7 @@ struct Block {
 };
 
 /// FNV offset basis — the hash of the empty chain (block 0's "previous
-/// hash" in every peer's chain record sequence).
+/// hash" in every channel's hash chain).
 constexpr uint64_t kChainHashSeed = 14695981039346656037ull;
 
 /// Content digest of a committed block: number, cut reason, each
@@ -83,9 +98,9 @@ uint64_t BlockContentHash(const Block& block,
 /// (prev == kChainHashSeed for the first block).
 uint64_t MixChainHash(uint64_t prev, uint64_t content);
 
-/// One link of a peer's committed hash chain, recorded at commit time
-/// and audited by the chain-integrity invariant checker
-/// (src/core/invariants.h).
+/// One link of a channel's committed hash chain: computed once, at the
+/// block's first commit (ChannelState::Commit), and copied to every
+/// peer that commits the block.
 struct PeerChainRecord {
   uint64_t number = 0;
   uint64_t content_hash = 0;

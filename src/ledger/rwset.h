@@ -44,10 +44,11 @@ struct RangeQueryInfo {
 /// Lifecycle: the chaincode stub appends to the three lists, then
 /// seals the set when simulation ends (ChaincodeStub::TakeRwset). A
 /// sealed set stores its digest and byte size, so every later reader —
-/// endorser signature, client, block cutter, VSCC, each peer's block
-/// hash — gets them in O(1). Nothing mutates a sealed set; the chain
-/// audit recomputes the digest from content to prove it. Copies keep
-/// the seal; a moved-from set is left empty and unsealed.
+/// endorser signature, client, block cutter, VSCC, the channel's block
+/// hash — gets them in O(1). Nothing mutates a sealed set; the audit
+/// at a block's first commit recomputes the digest from content to
+/// prove it. Copies keep the seal; a moved-from set is left empty and
+/// unsealed.
 struct ReadWriteSet {
   std::vector<ReadItem> reads;
   std::vector<WriteItem> writes;

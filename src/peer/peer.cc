@@ -25,7 +25,6 @@ Peer::Peer(Params params)
                                ? 1
                                : params.virtual_block_group),
       rng_(std::move(params.rng)),
-      validation_cache_(params.validation_cache),
       on_commit_(std::move(params.on_commit)),
       endorse_queue_("endorse"),
       validate_pool_("validate",
@@ -293,8 +292,8 @@ void Peer::CatchUp() {
   if (!block_fetcher_) return;
   // Replay every canonical block cut while we were down — on every
   // channel, oldest first per channel — through the normal validation
-  // pipeline (the replicated validation work is real; the shared
-  // outcome cache still spares recomputation). Blocks cut after the
+  // pipeline (the replicated validation work is real; the channel's
+  // commit record still spares recomputation). Blocks cut after the
   // restart arrive through regular delivery and find each chain
   // already dense.
   for (size_t c = 0; c < channels_.size(); ++c) {
@@ -362,19 +361,21 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       *env_, block->channel,
       [this, outcome, block]() -> SimTime {
         ChannelLedger& ch = Channel(block->channel);
-        // Every peer computes the same outcome (deterministic
-        // validation over the state as of the previous block); share
-        // the computation.
-        // The memo key carries the channel: block numbers are only
-        // dense per channel.
-        auto compute = [&]() -> ValidationOutcome {
-          return validator_.ValidateBlock(*ch.state, *block);
-        };
-        if (validation_cache_ != nullptr) {
-          *outcome = validation_cache_->GetOrCompute(
-              ChannelBlockKey(block->channel, block->number), compute);
-        } else {
-          *outcome = std::make_shared<const ValidationOutcome>(compute());
+        // Every peer would compute the same outcome (deterministic
+        // validation over the state as of the previous block), so the
+        // channel's record computes it once and shares it.
+        *outcome = ch.world->Validate(
+            ch.state, block, [&](const StateDatabase& head) {
+              return validator_.ValidateBlock(head, *block);
+            });
+        if (*outcome == nullptr) {
+          // Blocks reach this point in order, one at a time per
+          // channel: anything else is a simulator bug.
+          std::fprintf(stderr, "peer %d channel %d: block %llu validated "
+                       "at height %llu\n", id_, block->channel,
+                       static_cast<unsigned long long>(block->number),
+                       static_cast<unsigned long long>(ch.state->height()));
+          std::abort();
         }
         bool charge_fixed =
             virtual_block_group_ <= 1 ||
@@ -386,25 +387,16 @@ void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
       },
       [this, outcome, block]() {
         ChannelLedger& ch = Channel(block->channel);
-        Status committed = ch.world->Commit(ch.state, block->number,
-                                            (*outcome)->state_updates);
-        if (!committed.ok()) {
-          // Blocks reach this point in order, one at a time per
-          // channel: a refused commit is a simulator bug, and going on
-          // would leave this peer's view behind its hash chain.
+        Result<PeerChainRecord> link = ch.world->Commit(ch.state, block);
+        if (!link.ok()) {
+          // A refused commit is a simulator bug too, and going on would
+          // leave this peer's view behind its hash chain.
           std::fprintf(stderr, "peer %d channel %d: commit failed: %s\n",
-                       id_, block->channel, committed.ToString().c_str());
+                       id_, block->channel,
+                       link.status().ToString().c_str());
           std::abort();
         }
-        // Extend the committed hash chain (pure observation: no RNG
-        // draws, no scheduled events — disabled-subsystem runs stay
-        // bitwise identical).
-        uint64_t prev_chain = ch.chain_records.empty()
-                                  ? kChainHashSeed
-                                  : ch.chain_records.back().chain_hash;
-        uint64_t content = BlockContentHash(*block, (*outcome)->results);
-        ch.chain_records.push_back(PeerChainRecord{
-            block->number, content, MixChainHash(prev_chain, content)});
+        ch.chain_records.push_back(link.value());
         if (Tracer* tracer = env_->tracer()) {
           tracer->OnPeerCommit(id_, block->channel, block->number,
                                env_->now());

@@ -82,9 +82,9 @@ class Peer {
     NodeId node = 0;
     Environment* env = nullptr;
     Network* net = nullptr;
-    /// World state of each channel this peer serves (ids
-    /// 0..size-1); each must outlive the peer. The peer keeps its own
-    /// chain and commit pipeline per channel.
+    /// World state and commit record of each channel this peer serves
+    /// (ids 0..size-1); each must outlive the peer. The peer keeps its
+    /// own commit pipeline per channel.
     std::vector<ChannelState*> channel_states;
     /// Chaincode every channel falls back to.
     Chaincode* chaincode = nullptr;
@@ -105,9 +105,6 @@ class Peer {
     /// many blocks (group commit). 1 = every block.
     uint32_t virtual_block_group = 1;
     Rng rng{1, 1};
-    /// Shared validation-outcome memo (see ValidationOutcomeCache).
-    /// Optional; nullptr makes every peer validate independently.
-    ValidationOutcomeCache* validation_cache = nullptr;
     /// Invoked when a block finishes committing on this peer (used by
     /// the reference peer to record the canonical ledger).
     std::function<void(ChannelId channel, uint64_t block_number,
@@ -197,12 +194,8 @@ class Peer {
   /// The shared validation/commit resource all channels contend on.
   const ChannelWorkPool& validate_queue() const { return validate_pool_; }
 
-  /// The default channel's committed hash chain, one record per
-  /// committed block, audited after every run by the chain-integrity
-  /// invariant checker.
-  const std::vector<PeerChainRecord>& chain_records() const {
-    return channels_[0].chain_records;
-  }
+  /// One channel's committed hash chain, one link per block this peer
+  /// committed, copied from the channel's commit record.
   const std::vector<PeerChainRecord>& chain_records(ChannelId channel) const {
     return channels_[static_cast<size_t>(channel)].chain_records;
   }
@@ -276,7 +269,6 @@ class Peer {
   SimTime snapshot_interval_;
   uint32_t virtual_block_group_;
   Rng rng_;
-  ValidationOutcomeCache* validation_cache_;
   std::function<void(ChannelId, uint64_t, const ValidationOutcome&)>
       on_commit_;
 

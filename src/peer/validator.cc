@@ -37,9 +37,8 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
 
   // --- Deadline (overload protection) --------------------------------
   // A pure function of block content (deadline vs the block's cut
-  // time, never a per-peer clock), so every replica and the shared
-  // outcome cache agree — and the VSCC/MVCC work below is skipped for
-  // a transaction nobody awaits.
+  // time, never a per-peer clock), so every replica agrees — and the
+  // VSCC/MVCC work below is skipped for a transaction nobody awaits.
   if (tx.deadline > 0 && block.cut_time > tx.deadline) {
     result.code = TxValidationCode::kDeadlineExpiredCommit;
     return result;
@@ -181,20 +180,6 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
 
   result.code = TxValidationCode::kValid;
   return result;
-}
-
-std::shared_ptr<const ValidationOutcome> ValidationOutcomeCache::GetOrCompute(
-    uint64_t block_number, const std::function<ValidationOutcome()>& compute) {
-  auto it = entries_.find(block_number);
-  if (it == entries_.end()) {
-    Entry entry;
-    entry.outcome = std::make_shared<const ValidationOutcome>(compute());
-    entry.remaining = consumers_;
-    it = entries_.emplace(block_number, std::move(entry)).first;
-  }
-  std::shared_ptr<const ValidationOutcome> outcome = it->second.outcome;
-  if (--it->second.remaining <= 0) entries_.erase(it);
-  return outcome;
 }
 
 ValidationOutcome Validator::ValidateBlock(const StateDatabase& db,

@@ -1,31 +1,14 @@
 #ifndef FABRICSIM_PEER_VALIDATOR_H_
 #define FABRICSIM_PEER_VALIDATOR_H_
 
-#include <functional>
-#include <memory>
+#include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "src/ledger/block.h"
 #include "src/policy/endorsement_policy.h"
 #include "src/statedb/state_database.h"
 
 namespace fabricsim {
-
-/// Deterministic outcome of validating one block against a given
-/// world state. Identical on every peer, since validation is a pure
-/// function of (committed state, block content).
-struct ValidationOutcome {
-  /// One result per transaction, in block order.
-  std::vector<TxValidationResult> results;
-  /// Write set of the valid transactions, in order, each tagged with
-  /// its commit version. Applying these to the state database
-  /// finalizes the block.
-  std::vector<std::pair<WriteItem, Version>> state_updates;
-  /// Number of valid (committed) transactions.
-  size_t valid_count = 0;
-};
 
 /// VSCC core check: true when the set of organizations whose
 /// endorsements verify over the transaction's attached rw-set
@@ -67,36 +50,6 @@ class Validator {
   bool CheckVscc(const Transaction& tx) const;
 
   EndorsementPolicy policy_;
-};
-
-/// Memoizes per-block validation outcomes across peers. Validation
-/// is a pure function of (pre-block state, block content), and every
-/// peer processes the same blocks in the same order from the same
-/// bootstrap, so all peers compute identical outcomes. The
-/// simulation therefore computes each block once and shares the
-/// result — purely a simulator-performance optimization: the timing
-/// model still charges every peer its own (jittered) service time.
-/// Entries are dropped once every consumer has fetched them.
-class ValidationOutcomeCache {
- public:
-  /// `consumers` = number of peers that will request each block.
-  explicit ValidationOutcomeCache(int consumers) : consumers_(consumers) {}
-
-  /// Returns the memoized outcome for `block_number`, invoking
-  /// `compute` only on the first request.
-  std::shared_ptr<const ValidationOutcome> GetOrCompute(
-      uint64_t block_number,
-      const std::function<ValidationOutcome()>& compute);
-
-  size_t live_entries() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::shared_ptr<const ValidationOutcome> outcome;
-    int remaining;
-  };
-  int consumers_;
-  std::unordered_map<uint64_t, Entry> entries_;
 };
 
 }  // namespace fabricsim

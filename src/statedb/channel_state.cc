@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/strings.h"
 #include "src/statedb/rich_query.h"
 
 namespace fabricsim {
@@ -131,28 +132,96 @@ StateView* ChannelState::AddReader() {
   return readers_.back().get();
 }
 
-Status ChannelState::Commit(
-    StateView* reader, uint64_t block,
-    const std::vector<std::pair<WriteItem, Version>>& updates) {
-  if (block != reader->height_ + 1) {
+std::shared_ptr<const ValidationOutcome> ChannelState::Validate(
+    const StateView* reader, const std::shared_ptr<const Block>& block,
+    const std::function<ValidationOutcome(const StateDatabase& head)>&
+        validate) {
+  if (block->number != reader->height_ + 1) return nullptr;
+  if (block->number <= height_) return RecordOf(block->number).outcome;
+  if (next_.block == nullptr) {
+    next_.block = block;
+    next_.outcome =
+        std::make_shared<const ValidationOutcome>(validate(*head_));
+  }
+  return next_.outcome;
+}
+
+Result<PeerChainRecord> ChannelState::Commit(
+    StateView* reader, const std::shared_ptr<const Block>& block) {
+  const uint64_t number = block->number;
+  if (number != reader->height_ + 1) {
     return Status::FailedPrecondition(
-        "block " + std::to_string(block) + " committed at height " +
+        "block " + std::to_string(number) + " committed at height " +
         std::to_string(reader->height_));
   }
-  if (block > height_) {
-    // The record joins undo_ only with the whole block applied, so
-    // undo_ always holds exactly the blocks up to height_.
-    UndoRecord record;
-    for (const auto& [write, version] : updates) {
-      auto [it, first_write] = record.try_emplace(write.key);
-      if (first_write) it->second = head_->Get(write.key);
-      FABRICSIM_RETURN_NOT_OK(head_->ApplyWrite(write, version));
-    }
-    undo_.push_back(std::move(record));
-    height_ = block;
+  if (number > height_) FABRICSIM_RETURN_NOT_OK(CommitNext());
+  const Record& record = RecordOf(number);
+  if (block != record.block &&
+      BlockContentHash(*block, record.outcome->results) !=
+          record.content_hash) {
+    violations_.push_back(StrFormat(
+        "a delivery of block %llu diverges from the recorded block",
+        static_cast<unsigned long long>(number)));
   }
-  Advance(reader, block);
+  PeerChainRecord link{number, record.content_hash, record.chain_hash};
+  Advance(reader, number);
+  return link;
+}
+
+Status ChannelState::CommitNext() {
+  if (next_.block == nullptr) {
+    return Status::FailedPrecondition(
+        "block " + std::to_string(height_ + 1) + " committed unvalidated");
+  }
+  // The record joins records_ only with the whole block applied, so
+  // records_ always holds exactly the blocks up to height_.
+  for (const auto& [write, version] : next_.outcome->state_updates) {
+    auto [it, first_write] = next_.undo.try_emplace(write.key);
+    if (first_write) it->second = head_->Get(write.key);
+    FABRICSIM_RETURN_NOT_OK(head_->ApplyWrite(write, version));
+  }
+  const Block& block = *next_.block;
+  next_.content_hash = BlockContentHash(block, next_.outcome->results);
+  next_.chain_hash = MixChainHash(chain_hash_, next_.content_hash);
+  for (const Transaction& tx : block.txs) {
+    if (tx.id >= committed_ids_.size()) {
+      committed_ids_.resize(std::max<size_t>(tx.id + 1,
+                                             2 * committed_ids_.size()));
+    }
+    if (committed_ids_[tx.id]) {
+      violations_.push_back(StrFormat(
+          "tx %llu committed twice (second time in block %llu)",
+          static_cast<unsigned long long>(tx.id),
+          static_cast<unsigned long long>(block.number)));
+    }
+    committed_ids_[tx.id] = true;
+    // Chain hashes mix the sealed digest, so only a recomputation from
+    // content catches a set mutated after sealing.
+    if (tx.rwset.ComputeDigest() != tx.rwset.Digest()) {
+      violations_.push_back(StrFormat(
+          "channel %d block %llu tx %llu: rw-set content differs from "
+          "its sealed digest",
+          block.channel, static_cast<unsigned long long>(block.number),
+          static_cast<unsigned long long>(tx.id)));
+    }
+  }
+  chain_hash_ = next_.chain_hash;
+  height_ = block.number;
+  records_.push_back(std::move(next_));
+  next_ = Record{};
   return Status::OK();
+}
+
+const ChannelState::Record& ChannelState::RecordOf(uint64_t number) const {
+  return records_[records_.size() - 1 - (height_ - number)];
+}
+
+std::shared_ptr<const Block> ChannelState::block(uint64_t number) const {
+  if (number == 0 || number > height_ ||
+      height_ - number >= records_.size()) {
+    return nullptr;
+  }
+  return RecordOf(number).block;
 }
 
 void ChannelState::Advance(StateView* reader, uint64_t height) {
@@ -160,22 +229,24 @@ void ChannelState::Advance(StateView* reader, uint64_t height) {
   if (height <= from) return;
   reader->height_ = height;
   // Only a reader below every kept block can have been pinning one.
-  const uint64_t oldest = height_ - undo_.size() + 1;
-  if (undo_.empty() || from >= oldest) return;
+  const uint64_t oldest = height_ - records_.size() + 1;
+  if (records_.empty() || from >= oldest) return;
   uint64_t lowest = height_;
   for (const std::unique_ptr<StateView>& r : readers_) {
     lowest = std::min(lowest, r->height_);
   }
-  for (uint64_t b = oldest; b <= lowest && !undo_.empty(); ++b) {
-    undo_.pop_front();
+  for (uint64_t b = oldest; b <= lowest && !records_.empty(); ++b) {
+    records_.pop_front();
   }
 }
 
 const std::optional<VersionedValue>* ChannelState::BeforeImage(
     uint64_t height, const std::string& key) const {
-  for (size_t i = undo_.size() - (height_ - height); i < undo_.size(); ++i) {
-    auto it = undo_[i].find(key);
-    if (it != undo_[i].end()) return &it->second;
+  for (size_t i = records_.size() - (height_ - height); i < records_.size();
+       ++i) {
+    const UndoRecord& undo = records_[i].undo;
+    auto it = undo.find(key);
+    if (it != undo.end()) return &it->second;
   }
   return nullptr;
 }
@@ -184,10 +255,11 @@ ChannelState::Overlay ChannelState::OverlayAt(
     uint64_t height, const std::string& start_key,
     const std::string& end_key) const {
   Overlay overlay;
-  for (size_t i = undo_.size() - (height_ - height); i < undo_.size(); ++i) {
-    const UndoRecord& record = undo_[i];
-    auto end = end_key.empty() ? record.end() : record.lower_bound(end_key);
-    for (auto it = record.lower_bound(start_key); it != end; ++it) {
+  for (size_t i = records_.size() - (height_ - height); i < records_.size();
+       ++i) {
+    const UndoRecord& undo = records_[i].undo;
+    auto end = end_key.empty() ? undo.end() : undo.lower_bound(end_key);
+    for (auto it = undo.lower_bound(start_key); it != end; ++it) {
       overlay.try_emplace(it->first, &*it);  // the lowest block's wins
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/ledger/block.h"
 #include "src/statedb/state_backend.h"
 #include "src/statedb/state_database.h"
 
@@ -77,17 +79,31 @@ class StateView : public StateDatabase {
   mutable std::pair<uint64_t, uint64_t> corrected_at_{0, 0};
 };
 
-/// One channel's world state, shared by every peer of the channel.
+/// One channel's world state and commit record, shared by every peer
+/// of the channel.
 ///
 /// It holds one head replica (of the configured backend) at the newest
-/// committed block, plus, for every block some reader has not yet
-/// committed, that block's undo record: each key the block wrote,
-/// mapped to its value before the block (nullopt when the key did not
-/// exist). Readers are StateViews, each at its own height — a peer's
-/// committed height, a FabricSharp endorsement snapshot, a crashed
-/// peer that stopped. A view at height h reads the head through the
-/// records of blocks h+1..head. Records are dropped, oldest first, once
-/// every reader has passed their block.
+/// committed block, plus one record for every block some reader has
+/// not yet committed: the delivered block (shared, not copied), its
+/// validation outcome, its content and chain hashes, and its undo
+/// record — each key the block wrote, mapped to its value before the
+/// block (nullopt when the key did not exist). Readers are StateViews,
+/// each at its own height — a peer's committed height, a FabricSharp
+/// endorsement snapshot, a crashed peer that stopped. A view at height
+/// h reads the head through the undo records of blocks h+1..head.
+/// Records are dropped, oldest first, once every reader has passed
+/// their block.
+///
+/// Each block is validated once, hashed once and audited once. The
+/// first reader to validate block b computes the outcome; the head is
+/// at b - 1 then, because a reader validates b only after committing
+/// b - 1 and nobody commits b before someone has validated it. The
+/// first commit applies the outcome to the head, hashes the block and
+/// audits it: no transaction id is committed twice on the channel, and
+/// every rw-set's digest, recomputed from its content, equals the
+/// digest sealed at endorsement. Every commit checks that the block it
+/// was handed is the recorded one. What the audit finds is kept in
+/// violations().
 class ChannelState {
  public:
   explicit ChannelState(StateBackendType backend);
@@ -103,14 +119,26 @@ class ChannelState {
   /// long as this state.
   StateView* AddReader();
 
-  /// Commits block `block` for `reader`, which must sit at `block` - 1.
-  /// The first reader to commit a block applies `updates` to the head
-  /// and records the block's before-images; later readers only move.
-  /// Fails with every height unchanged when `reader` is not at
-  /// `block` - 1 or a head write fails; after a failed write the head
-  /// holds part of the block, so the caller must not go on reading.
-  Status Commit(StateView* reader, uint64_t block,
-                const std::vector<std::pair<WriteItem, Version>>& updates);
+  /// The outcome of validating `block` for `reader`, which must sit at
+  /// `block` - 1. The first call for a block computes it with
+  /// `validate` over the head; later calls return the same object.
+  /// nullptr when `reader` is not at `block` - 1.
+  std::shared_ptr<const ValidationOutcome> Validate(
+      const StateView* reader, const std::shared_ptr<const Block>& block,
+      const std::function<ValidationOutcome(const StateDatabase& head)>&
+          validate);
+
+  /// Commits `block` for `reader`, which must sit at `block` - 1, and
+  /// returns the block's link in the channel's hash chain. The first
+  /// reader to commit a block applies its outcome to the head, records
+  /// the block's before-images, hashes and audits it; every reader's
+  /// block is checked against the record. Fails with every height
+  /// unchanged when `reader` is not at `block` - 1, nobody has
+  /// validated the block, or a head write fails; after a failed write
+  /// the head holds part of the block, so the caller must not go on
+  /// reading.
+  Result<PeerChainRecord> Commit(StateView* reader,
+                                 const std::shared_ptr<const Block>& block);
 
   /// Raises `reader` to `height` (at most the head's height) without
   /// writing anything; heights never fall. Drops the records every
@@ -119,8 +147,18 @@ class ChannelState {
 
   /// Height of the newest committed block (0 after bootstrap).
   uint64_t height() const { return height_; }
-  /// Blocks whose before-images are still kept.
-  size_t undo_records() const { return undo_.size(); }
+  /// Blocks whose records (before-images included) are still kept.
+  size_t undo_records() const { return records_.size(); }
+  /// The delivered block `number` while its record is kept, else
+  /// nullptr.
+  std::shared_ptr<const Block> block(uint64_t number) const;
+
+  /// What the audit found so far, one line per violation.
+  const std::vector<std::string>& violations() const { return violations_; }
+  /// Whether a committed block of this channel carried transaction `id`.
+  bool committed(TxId id) const {
+    return id < committed_ids_.size() && committed_ids_[id];
+  }
 
  private:
   friend class StateView;
@@ -134,6 +172,20 @@ class ChannelState {
   using Overlay =
       std::map<std::string_view, const UndoRecord::value_type*, std::less<>>;
 
+  struct Record {
+    std::shared_ptr<const Block> block;
+    std::shared_ptr<const ValidationOutcome> outcome;
+    uint64_t content_hash = 0;
+    uint64_t chain_hash = 0;
+    UndoRecord undo;
+  };
+
+  /// Applies next_ to the head, hashes and audits its block, and moves
+  /// it to the back of records_.
+  Status CommitNext();
+  /// The kept record of block `number` (at most height_).
+  const Record& RecordOf(uint64_t number) const;
+
   /// The value `key` had at `height` if a block above it wrote the key
   /// (the record of the lowest such block); nullptr otherwise.
   const std::optional<VersionedValue>* BeforeImage(
@@ -145,9 +197,18 @@ class ChannelState {
 
   std::unique_ptr<StateDatabase> head_;
   uint64_t height_ = 0;
-  /// Records of blocks height_ - undo_.size() + 1 .. height_, in order.
-  std::deque<UndoRecord> undo_;
+  /// Chain hash of the head's block (kChainHashSeed at height 0).
+  uint64_t chain_hash_ = kChainHashSeed;
+  /// Records of blocks height_ - records_.size() + 1 .. height_, in
+  /// order.
+  std::deque<Record> records_;
+  /// Block height_ + 1 and its outcome once a reader has validated it,
+  /// until its first commit; empty otherwise.
+  Record next_;
   std::vector<std::unique_ptr<StateView>> readers_;
+  /// One bit per transaction id (ids are dense from 1).
+  std::vector<bool> committed_ids_;
+  std::vector<std::string> violations_;
 };
 
 }  // namespace fabricsim

@@ -68,6 +68,19 @@ std::vector<Updates> RandomBlocks(Rng& rng) {
   return blocks;
 }
 
+// Validates and commits `block` for `reader` the way a peer does, with
+// an outcome that writes exactly `updates`.
+Result<PeerChainRecord> CommitBlock(ChannelState& state, StateView* reader,
+                                    const std::shared_ptr<const Block>& block,
+                                    const Updates& updates) {
+  state.Validate(reader, block, [&](const StateDatabase&) {
+    ValidationOutcome outcome;
+    outcome.state_updates = updates;
+    return outcome;
+  });
+  return state.Commit(reader, block);
+}
+
 void ExpectSameEntries(const std::vector<StateEntry>& got,
                        const std::vector<StateEntry>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -153,6 +166,13 @@ void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
     history.push_back(std::move(db));
   }
 
+  std::vector<std::shared_ptr<const Block>> chain;
+  for (uint64_t b = 1; b <= kBlocks + 2; ++b) {
+    auto block = std::make_shared<Block>();
+    block->number = b;
+    chain.push_back(std::move(block));
+  }
+
   ChannelState state(backend);
   ASSERT_TRUE(state.Bootstrap(bootstrap).ok());
   std::vector<StateView*> peers;
@@ -191,7 +211,8 @@ void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
     if (movable.empty()) break;
     StateView* reader = movable[rng.UniformU64(movable.size())];
     const uint64_t block = reader->height() + 1;
-    ASSERT_TRUE(state.Commit(reader, block, blocks[block - 1]).ok());
+    ASSERT_TRUE(
+        CommitBlock(state, reader, chain[block - 1], blocks[block - 1]).ok());
     if (rng.Bernoulli(0.3)) {
       const uint64_t room = state.height() - snapshot->height();
       state.Advance(snapshot, snapshot->height() + rng.UniformU64(room + 1));
@@ -203,7 +224,7 @@ void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
   // Out-of-order commits are refused and move nothing, and a view
   // cannot be written.
   const size_t undo_before = state.undo_records();
-  EXPECT_FALSE(state.Commit(peers[0], kBlocks + 2, {}).ok());
+  EXPECT_FALSE(CommitBlock(state, peers[0], chain[kBlocks + 1], {}).ok());
   EXPECT_EQ(state.height(), kBlocks);
   EXPECT_EQ(peers[0]->height(), kBlocks);
   EXPECT_EQ(state.undo_records(), undo_before);

@@ -20,6 +20,7 @@
 #include "src/channels/channel_work_pool.h"
 #include "src/common/parallel.h"
 #include "src/common/strings.h"
+#include "src/core/invariants.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
 #include "src/obs/json_writer.h"
@@ -467,6 +468,64 @@ TEST(ChannelFaultTest, PeerCrashAndCatchUpSpanEveryChannel) {
               network.ledger(c).height())
         << "channel " << c;
   }
+}
+
+TEST(ChannelFaultTest, StreamingLedgerRunWithCrashRestartPassesTheAudit) {
+  // The restarted peer catches up from the channels' commit records,
+  // which a streaming run keeps too, so the run is audited (RunOnce
+  // fails on any violation) and reports exactly what the same run with
+  // the retained ledger reports.
+  ExperimentConfig config = ShardedConfig(2, /*skew=*/0);
+  config.fabric.faults.Crash(/*peer=*/1, 3 * kSecond, /*restart_at=*/6 *
+                                                          kSecond);
+  Result<FailureReport> retained = RunOnce(config, 42);
+  config.fabric.streaming_ledger = true;
+  Result<FailureReport> streaming = RunOnce(config, 42);
+  ASSERT_TRUE(retained.ok()) << retained.status().ToString();
+  ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
+  const FailureReport& r = retained.value();
+  const FailureReport& s = streaming.value();
+  EXPECT_GT(s.ledger_txs, 0u);
+  EXPECT_EQ(s.ledger_txs, r.ledger_txs);
+  EXPECT_EQ(s.valid_txs, r.valid_txs);
+  EXPECT_EQ(s.endorsement_failures, r.endorsement_failures);
+  EXPECT_EQ(s.mvcc_intra, r.mvcc_intra);
+  EXPECT_EQ(s.mvcc_inter, r.mvcc_inter);
+  EXPECT_EQ(s.phantom, r.phantom);
+  EXPECT_EQ(s.submitted_txs, r.submitted_txs);
+  EXPECT_EQ(s.app_errors, r.app_errors);
+  EXPECT_DOUBLE_EQ(s.total_failure_pct, r.total_failure_pct);
+  EXPECT_DOUBLE_EQ(s.committed_throughput_tps, r.committed_throughput_tps);
+  ASSERT_EQ(s.per_channel.size(), 2u);
+  ASSERT_EQ(r.per_channel.size(), 2u);
+  for (size_t c = 0; c < 2; ++c) {
+    const ChannelFailureBreakdown& rc = r.per_channel[c];
+    const ChannelFailureBreakdown& sc = s.per_channel[c];
+    EXPECT_EQ(sc.channel, rc.channel);
+    EXPECT_EQ(sc.ledger_txs, rc.ledger_txs) << "channel " << c;
+    EXPECT_EQ(sc.valid_txs, rc.valid_txs) << "channel " << c;
+    EXPECT_EQ(sc.endorsement_failures, rc.endorsement_failures);
+    EXPECT_EQ(sc.mvcc_intra, rc.mvcc_intra) << "channel " << c;
+    EXPECT_EQ(sc.mvcc_inter, rc.mvcc_inter) << "channel " << c;
+    EXPECT_EQ(sc.phantom, rc.phantom) << "channel " << c;
+    EXPECT_DOUBLE_EQ(sc.total_failure_pct, rc.total_failure_pct);
+    EXPECT_DOUBLE_EQ(sc.mvcc_pct, rc.mvcc_pct);
+    EXPECT_DOUBLE_EQ(sc.committed_throughput_tps, rc.committed_throughput_tps);
+  }
+
+  // The crash really forced a catch-up, on both channels, from records.
+  DirectRun run = RunSharded(config, 42);
+  const FabricNetwork& network = *run.network;
+  ASSERT_NE(network.ledger_stats(), nullptr);
+  const Peer& restarted = *network.peers()[1];
+  EXPECT_GT(restarted.blocks_replayed(), 0u);
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(network.ledger(c).height(), 0u);  // nothing retained
+    EXPECT_GT(network.channel_state(c).height(), 0u) << "channel " << c;
+    EXPECT_EQ(restarted.committed_height(c), network.channel_state(c).height())
+        << "channel " << c;
+  }
+  EXPECT_TRUE(CheckChainIntegrity(network).ok());
 }
 
 TEST(ChannelStateNetworkTest, PeersOfAChannelShareOneStateAndKeepNoUndo) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/parallel.h"
+#include "src/core/invariants.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
 #include "src/statedb/memory_state_db.h"
@@ -242,6 +244,38 @@ TEST(FaultCrashTest, PeerDeadForRestOfRunStaysBehind) {
   // It pins the before-images of every block above its height.
   const ChannelState& shared = dead.state().source();
   EXPECT_EQ(shared.undo_records(), shared.height() - height);
+}
+
+TEST(FaultCrashTest, AckedCheckCoversEveryIdWhenTheReferencePeerDies) {
+  // Replicated ordering acks every ordered transaction. Peer 0, whose
+  // commits feed the recorded ledger, dies for the rest of the run, so
+  // that ledger stops early — yet every acked id is checked against
+  // the channel's commit record, which the surviving peers extend.
+  ExperimentConfig config = ExperimentConfig::Defaults();
+  config.duration = 6 * kSecond;
+  config.arrival_rate_tps = 50;
+  config.fabric.ordering.replicated = true;
+  config.fabric.retry.endorse_timeout = 500 * kMillisecond;
+  config.fabric.faults.Crash(/*peer=*/0, 2 * kSecond);  // never restarts
+  LiveRun run = RunLive(config, 29);
+  const FabricNetwork& net = *run.network;
+  EXPECT_FALSE(net.peers()[0]->alive());
+  const ChannelState& channel = net.channel_state(0);
+  EXPECT_LT(net.ledger().height(), channel.height());
+
+  std::set<TxId> on_ledger;
+  for (const Block& block : net.ledger().blocks()) {
+    for (const Transaction& tx : block.txs) on_ledger.insert(tx.id);
+  }
+  ASSERT_GT(net.acked_txs().size(), 0u);
+  size_t past_ledger = 0;
+  for (TxId id : net.acked_txs()) {
+    EXPECT_TRUE(channel.committed(id)) << "acked tx " << id;
+    if (on_ledger.count(id) == 0) ++past_ledger;
+  }
+  EXPECT_GT(past_ledger, 0u);
+  ChainIntegrityReport report = CheckChainIntegrity(net);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST(FaultOrdererTest, PauseBuffersAndResumeDrainsInOrder) {

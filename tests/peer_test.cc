@@ -1,6 +1,6 @@
 // Actor-level tests for the Peer: endorsement queueing, out-of-order
-// block buffering, validation-cache sharing, and the FabricSharp
-// snapshot view.
+// block buffering, validation shared through the channel's record, and
+// the FabricSharp snapshot view.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -138,48 +138,43 @@ TEST_F(PeerTest, CommitCallbackFiresInOrder) {
 }
 
 TEST_F(PeerTest, ValidationCacheSharedAcrossPeers) {
-  ValidationOutcomeCache cache(/*consumers=*/2);
-  int computations = 0;
-
+  // Two peers on one channel state: the channel's record validates the
+  // block once and hands both peers the same outcome object.
+  std::vector<const ValidationOutcome*> outcomes;
+  auto record = [&](ChannelId, uint64_t, const ValidationOutcome& outcome) {
+    outcomes.push_back(&outcome);
+    EXPECT_EQ(outcome.valid_count, 1u);
+  };
   Peer::Params p1 = BaseParams();
-  p1.validation_cache = &cache;
+  p1.on_commit = record;
   Peer::Params p2 = BaseParams();
   p2.id = 1;
   p2.node = 2;
-  p2.validation_cache = &cache;
-  // Each peer commits to a world state of its own, so each commit shows.
-  std::unique_ptr<ChannelState> state2 = BootstrappedState();
-  p2.channel_states = {state2.get()};
+  p2.on_commit = record;
   Peer peer1(std::move(p1));
   Peer peer2(std::move(p2));
-
-  // Count computations via the cache API directly.
-  auto outcome_a = cache.GetOrCompute(7, [&] {
-    ++computations;
-    return ValidationOutcome{};
-  });
-  auto outcome_b = cache.GetOrCompute(7, [&] {
-    ++computations;
-    return ValidationOutcome{};
-  });
-  EXPECT_EQ(computations, 1);
-  EXPECT_EQ(outcome_a.get(), outcome_b.get());
-  // Entry is dropped after the last consumer.
-  EXPECT_EQ(cache.live_entries(), 0u);
 
   auto block = MakeWriterBlock(1, GenChaincode::Key(4));
   peer1.HandleBlock(block);
   peer2.HandleBlock(block);
   env_->RunAll();
-  EXPECT_EQ(peer1.committed_height(), 1u);
-  EXPECT_EQ(peer2.committed_height(), 1u);
-  EXPECT_EQ(cache.live_entries(), 0u);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  // Each peer's own commit shows: both views moved to height 1, and
+  // both peers copied the one hash-chain link.
+  EXPECT_TRUE(state_->violations().empty());
   for (const Peer* peer : {&peer1, &peer2}) {
+    EXPECT_EQ(peer->committed_height(), 1u);
     std::optional<VersionedValue> got = peer->state().Get(GenChaincode::Key(4));
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->value, "v1");
     EXPECT_EQ(got->version, (Version{1, 0}));
+    ASSERT_EQ(peer->chain_records(0).size(), 1u);
+    EXPECT_EQ(peer->chain_records(0)[0].chain_hash,
+              peer1.chain_records(0)[0].chain_hash);
   }
+  // No peer lags, so the record is gone.
+  EXPECT_EQ(state_->undo_records(), 0u);
 }
 
 TEST_F(PeerTest, FabricSharpSnapshotViewLagsCommittedState) {

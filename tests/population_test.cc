@@ -305,14 +305,6 @@ TEST(PopulationTest, StreamingTracerStoresOnlyExemplars) {
   EXPECT_LT(tracer->ApproxMemoryBytes(), 512u * 1024u);
 }
 
-TEST(PopulationTest, StreamingLedgerRejectsFaultPlans) {
-  ExperimentConfig config = GoldenConfig();
-  config.fabric.streaming_ledger = true;
-  config.fabric.faults = FaultPlan{}.Crash(/*peer=*/1, 1 * kSecond);
-  Result<FailureReport> r = RunOnce(config, 42);
-  EXPECT_FALSE(r.ok());
-}
-
 // ----------------------------------------------------------- validation
 
 TEST(PopulationTest, ValidateRejectsDegenerateConfigs) {
