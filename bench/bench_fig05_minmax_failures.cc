@@ -13,23 +13,33 @@ int main() {
          "(large range queries)");
 
   const std::vector<uint32_t> sizes = {10, 25, 50, 100, 200};
-  std::printf("%-10s %8s %10s %10s %10s %10s\n", "chaincode", "rate",
-              "best bs", "min fail%", "worst bs", "max fail%");
-  for (const char* chaincode : {"ehr", "dv", "scm", "drm"}) {
-    for (double rate : {50.0, 100.0}) {
+  const char* const chaincodes[] = {"ehr", "dv", "scm", "drm"};
+  const double rates[] = {50.0, 100.0};
+  std::vector<ExperimentConfig> bases;
+  for (const char* chaincode : chaincodes) {
+    for (double rate : rates) {
       ExperimentConfig config = BaseC2(rate);
       config.workload.chaincode = chaincode;
       config.repetitions = 1;
-      Result<BlockSizeSearch> search = FindBestBlockSize(config, sizes);
-      if (!search.ok()) {
-        std::fprintf(stderr, "%s\n", search.status().ToString().c_str());
-        return 1;
-      }
-      const BlockSizeSearch& s = search.value();
+      bases.push_back(config);
+    }
+  }
+  Result<std::vector<std::vector<SweepPoint>>> sweeps =
+      RunSweeps(bases, BlockSizeSweepSpec(sizes));
+  if (!sweeps.ok()) {
+    std::fprintf(stderr, "%s\n", sweeps.status().ToString().c_str());
+    return 1;
+  }
+
+  std::printf("%-10s %8s %10s %10s %10s %10s\n", "chaincode", "rate",
+              "best bs", "min fail%", "worst bs", "max fail%");
+  size_t next = 0;
+  for (const char* chaincode : chaincodes) {
+    for (double rate : rates) {
+      const BlockSizeSearch s = FindBestBlockSize(sweeps.value()[next++]);
       std::printf("%-10s %8.0f %10u %10.2f %10u %10.2f\n", chaincode, rate,
                   s.best_block_size, s.min_failure_pct, s.worst_block_size,
                   s.max_failure_pct);
-      std::fflush(stdout);
     }
   }
   return 0;

@@ -11,15 +11,19 @@ int main() {
          "blocks, so phantom reads are not significantly affected by "
          "block size");
 
+  ExperimentConfig base = BaseC2(100);
+  base.workload.chaincode = "scm";
+  // All (block size, seed) runs go to the pool as one job list.
+  Result<std::vector<SweepPoint>> points =
+      RunSweep(base, BlockSizeSweepSpec(DefaultBlockSizes()));
+  if (!points.ok()) {
+    std::fprintf(stderr, "%s\n", points.status().ToString().c_str());
+    return 1;
+  }
   std::printf("%10s %14s %14s\n", "block size", "phantom%", "total fail%");
-  for (uint32_t bs : {10u, 25u, 50u, 100u, 200u}) {
-    ExperimentConfig config = BaseC2(100);
-    config.workload.chaincode = "scm";
-    config.fabric.block_size = bs;
-    FailureReport r = MustRun(config);
-    std::printf("%10u %14.2f %14.2f\n", bs, r.phantom_pct,
-                r.total_failure_pct);
-    std::fflush(stdout);
+  for (const SweepPoint& point : points.value()) {
+    std::printf("%10u %14.2f %14.2f\n", static_cast<uint32_t>(point.value),
+                point.report.phantom_pct, point.report.total_failure_pct);
   }
   return 0;
 }

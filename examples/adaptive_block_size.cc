@@ -23,18 +23,24 @@ int main() {
   std::printf("calibrating the rate -> best-block-size relation...\n");
   BlockSizeAdvisor advisor;
   const std::vector<uint32_t> sizes = {10, 25, 50, 100, 200};
-  for (double rate : {25.0, 50.0, 100.0, 150.0}) {
+  const std::vector<double> rates = {25.0, 50.0, 100.0, 150.0};
+  std::vector<ExperimentConfig> bases;
+  for (double rate : rates) {
     ExperimentConfig config = base;
     config.arrival_rate_tps = rate;
-    Result<BlockSizeSearch> search = FindBestBlockSize(config, sizes);
-    if (!search.ok()) {
-      std::fprintf(stderr, "%s\n", search.status().ToString().c_str());
-      return 1;
-    }
-    advisor.AddObservation(rate, search.value().best_block_size);
-    std::printf("  %.0f tps -> best block size %u (%.1f%% failures)\n", rate,
-                search.value().best_block_size,
-                search.value().min_failure_pct);
+    bases.push_back(config);
+  }
+  Result<std::vector<std::vector<SweepPoint>>> sweeps =
+      RunSweeps(bases, BlockSizeSweepSpec(sizes));
+  if (!sweeps.ok()) {
+    std::fprintf(stderr, "%s\n", sweeps.status().ToString().c_str());
+    return 1;
+  }
+  for (size_t i = 0; i < rates.size(); ++i) {
+    const BlockSizeSearch search = FindBestBlockSize(sweeps.value()[i]);
+    advisor.AddObservation(rates[i], search.best_block_size);
+    std::printf("  %.0f tps -> best block size %u (%.1f%% failures)\n",
+                rates[i], search.best_block_size, search.min_failure_pct);
   }
   std::printf("fitted slope: %.3f blocks per tps\n\n", advisor.slope());
 

@@ -66,7 +66,7 @@ std::vector<std::string> AssetTransferChaincode::Functions() const {
 }
 
 Status AssetTransferChaincode::Invoke(ChaincodeStub& stub,
-                                      const Invocation& inv) {
+                                      const Invocation& inv) const {
   const auto& args = inv.args;
   auto need = [&](size_t n) -> Status {
     if (args.size() < n) {

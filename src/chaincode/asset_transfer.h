@@ -40,7 +40,7 @@ class AssetTransferChaincode : public Chaincode {
 
   std::string name() const override { return "asset"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   const AssetTransferConfig& config() const { return config_; }

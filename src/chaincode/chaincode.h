@@ -20,7 +20,9 @@ struct Invocation {
 /// Base class for smart contracts ("chaincode" in Fabric jargon).
 /// Implementations must be deterministic functions of (stub, inv):
 /// every endorsing peer runs the same invocation against its view of
-/// the channel's world state.
+/// the channel's world state. Invoke is const, so a chaincode keeps no
+/// state between invocations: endorsers of a channel at one height
+/// share one simulation (ChannelState::Endorse).
 class Chaincode {
  public:
   virtual ~Chaincode() = default;
@@ -34,7 +36,7 @@ class Chaincode {
   virtual std::vector<WriteItem> BootstrapState() const = 0;
 
   /// Simulates one invocation, accumulating the rw-set in `stub`.
-  virtual Status Invoke(ChaincodeStub& stub, const Invocation& inv) = 0;
+  virtual Status Invoke(ChaincodeStub& stub, const Invocation& inv) const = 0;
 
   /// Names of the invocable functions (for diagnostics / Table 2).
   virtual std::vector<std::string> Functions() const = 0;

@@ -46,7 +46,7 @@ std::vector<std::string> DigitalVotingChaincode::Functions() const {
 }
 
 Status DigitalVotingChaincode::Invoke(ChaincodeStub& stub,
-                                      const Invocation& inv) {
+                                      const Invocation& inv) const {
   if (inv.function == "initLedger") {
     stub.PutState("ELECTION",
                   JsonObject({{"docType", "election"}, {"status", "open"}}));

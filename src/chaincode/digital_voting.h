@@ -24,7 +24,7 @@ class DigitalVotingChaincode : public Chaincode {
 
   std::string name() const override { return "dv"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   int num_voters() const { return num_voters_; }

@@ -59,7 +59,8 @@ std::vector<std::string> DrmChaincode::Functions() const {
           "queryRghts",  "viewMetaData", "calcRevenue"};
 }
 
-Status DrmChaincode::Invoke(ChaincodeStub& stub, const Invocation& inv) {
+Status DrmChaincode::Invoke(ChaincodeStub& stub,
+                           const Invocation& inv) const {
   const auto& args = inv.args;
   auto need = [&](size_t n) -> Status {
     if (args.size() < n) {

@@ -23,7 +23,7 @@ class DrmChaincode : public Chaincode {
 
   std::string name() const override { return "drm"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   int num_artworks() const { return num_artworks_; }

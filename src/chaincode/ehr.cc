@@ -54,7 +54,8 @@ std::string WithAccess(const std::string& doc, const std::string& actor) {
 
 }  // namespace
 
-Status EhrChaincode::Invoke(ChaincodeStub& stub, const Invocation& inv) {
+Status EhrChaincode::Invoke(ChaincodeStub& stub,
+                           const Invocation& inv) const {
   const auto& args = inv.args;
   auto need = [&](size_t n) -> Status {
     if (args.size() < n) {

@@ -25,7 +25,7 @@ class EhrChaincode : public Chaincode {
 
   std::string name() const override { return "ehr"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   int num_patients() const { return num_patients_; }

@@ -68,7 +68,8 @@ std::vector<std::string> GenChaincode::Functions() const {
   return names;
 }
 
-Status GenChaincode::Invoke(ChaincodeStub& stub, const Invocation& inv) {
+Status GenChaincode::Invoke(ChaincodeStub& stub,
+                           const Invocation& inv) const {
   const GenFunctionSpec* fn = nullptr;
   for (const GenFunctionSpec& f : spec_.functions) {
     if (f.name == inv.function) {

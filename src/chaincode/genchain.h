@@ -62,7 +62,7 @@ class GenChaincode : public Chaincode {
 
   std::string name() const override { return spec_.name; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   const GenChaincodeSpec& spec() const { return spec_; }

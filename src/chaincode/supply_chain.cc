@@ -51,7 +51,7 @@ std::vector<std::string> SupplyChainChaincode::Functions() const {
 }
 
 Status SupplyChainChaincode::Invoke(ChaincodeStub& stub,
-                                    const Invocation& inv) {
+                                    const Invocation& inv) const {
   const auto& args = inv.args;
   auto need = [&](size_t n) -> Status {
     if (args.size() < n) {

@@ -28,7 +28,7 @@ class SupplyChainChaincode : public Chaincode {
 
   std::string name() const override { return "scm"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   int num_lsps() const { return static_cast<int>(unit_counts_.size()); }

@@ -96,7 +96,8 @@ std::vector<std::string> TpccChaincode::Functions() const {
   return {"NewOrder", "Payment", "Delivery", "OrderStatus", "StockLevel"};
 }
 
-Status TpccChaincode::Invoke(ChaincodeStub& stub, const Invocation& inv) {
+Status TpccChaincode::Invoke(ChaincodeStub& stub,
+                            const Invocation& inv) const {
   if (inv.function == "NewOrder") return NewOrder(stub, inv.args);
   if (inv.function == "Payment") return Payment(stub, inv.args);
   if (inv.function == "Delivery") return Delivery(stub, inv.args);
@@ -107,7 +108,7 @@ Status TpccChaincode::Invoke(ChaincodeStub& stub, const Invocation& inv) {
 
 // args: w, d, c, n, then n (item, quantity) pairs.
 Status TpccChaincode::NewOrder(ChaincodeStub& stub,
-                               const std::vector<std::string>& args) {
+                               const std::vector<std::string>& args) const {
   if (args.size() < 4) {
     return Status::InvalidArgument("NewOrder: expected at least 4 args");
   }
@@ -186,7 +187,7 @@ Status TpccChaincode::NewOrder(ChaincodeStub& stub,
 
 // args: w, d, c, amount_cents.
 Status TpccChaincode::Payment(ChaincodeStub& stub,
-                              const std::vector<std::string>& args) {
+                              const std::vector<std::string>& args) const {
   if (args.size() < 4) {
     return Status::InvalidArgument("Payment: expected 4 args");
   }
@@ -224,7 +225,7 @@ Status TpccChaincode::Payment(ChaincodeStub& stub,
 
 // args: w, d, carrier id.
 Status TpccChaincode::Delivery(ChaincodeStub& stub,
-                               const std::vector<std::string>& args) {
+                               const std::vector<std::string>& args) const {
   if (args.size() < 3) {
     return Status::InvalidArgument("Delivery: expected 3 args");
   }
@@ -272,7 +273,7 @@ Status TpccChaincode::Delivery(ChaincodeStub& stub,
 // args: w, d, c, o (the generator's optimistic guess of a recent
 // order; a stale guess still records the read dependency).
 Status TpccChaincode::OrderStatus(ChaincodeStub& stub,
-                                  const std::vector<std::string>& args) {
+                                  const std::vector<std::string>& args) const {
   if (args.size() < 4) {
     return Status::InvalidArgument("OrderStatus: expected 4 args");
   }
@@ -291,7 +292,7 @@ Status TpccChaincode::OrderStatus(ChaincodeStub& stub,
 
 // args: w, d, threshold.
 Status TpccChaincode::StockLevel(ChaincodeStub& stub,
-                                 const std::vector<std::string>& args) {
+                                 const std::vector<std::string>& args) const {
   if (args.size() < 3) {
     return Status::InvalidArgument("StockLevel: expected 3 args");
   }

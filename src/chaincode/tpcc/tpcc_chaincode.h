@@ -38,7 +38,7 @@ class TpccChaincode : public Chaincode {
 
   std::string name() const override { return "tpcc"; }
   std::vector<WriteItem> BootstrapState() const override;
-  Status Invoke(ChaincodeStub& stub, const Invocation& inv) override;
+  Status Invoke(ChaincodeStub& stub, const Invocation& inv) const override;
   std::vector<std::string> Functions() const override;
 
   const TpccConfig& config() const { return config_; }
@@ -50,12 +50,16 @@ class TpccChaincode : public Chaincode {
   static constexpr int kDeliveryBatch = 20;
 
  private:
-  Status NewOrder(ChaincodeStub& stub, const std::vector<std::string>& args);
-  Status Payment(ChaincodeStub& stub, const std::vector<std::string>& args);
-  Status Delivery(ChaincodeStub& stub, const std::vector<std::string>& args);
+  Status NewOrder(ChaincodeStub& stub,
+                  const std::vector<std::string>& args) const;
+  Status Payment(ChaincodeStub& stub,
+                 const std::vector<std::string>& args) const;
+  Status Delivery(ChaincodeStub& stub,
+                  const std::vector<std::string>& args) const;
   Status OrderStatus(ChaincodeStub& stub,
-                     const std::vector<std::string>& args);
-  Status StockLevel(ChaincodeStub& stub, const std::vector<std::string>& args);
+                     const std::vector<std::string>& args) const;
+  Status StockLevel(ChaincodeStub& stub,
+                    const std::vector<std::string>& args) const;
 
   TpccConfig config_;
 };

@@ -138,7 +138,9 @@ void Client::SendProposal(TxId tx_id, Peer* peer, int attempt) {
                              p_.env->now());
   }
   request.reply = [this, peer_node](ProposalResponse response) {
-    uint64_t bytes = response.rwset.ByteSize() + 96;
+    // A refusal carries no rw-set; it is charged an empty one's size.
+    static const ReadWriteSet kNone;
+    uint64_t bytes = (response.rwset ? *response.rwset : kNone).ByteSize() + 96;
     auto shared = std::make_shared<ProposalResponse>(std::move(response));
     p_.net->Send(*p_.env, peer_node, p_.node, bytes,
                  [this, shared]() { OnEndorsement(std::move(*shared)); });
@@ -369,9 +371,9 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
   tx.deadline = pending.deadline;
   tx.endorsed_time = p_.env->now();
   bool rwset_attached = false;
-  for (ProposalResponse& r : pending.responses) {
+  for (const ProposalResponse& r : pending.responses) {
     if (!rwset_attached && r.endorsement.rwset_digest == best_digest) {
-      tx.rwset = std::move(r.rwset);
+      tx.rwset = *r.rwset;  // the envelope's own copy
       rwset_attached = true;
     }
     tx.endorsements.push_back(r.endorsement);

@@ -1,6 +1,8 @@
 #include "src/core/runner.h"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -126,12 +128,27 @@ Result<std::vector<ExperimentResult>> RunExperiments(
     }
   }
 
+  // The pool takes the costliest jobs first, so no long run starts
+  // last and leaves cores idle: a run's work grows with its
+  // transactions and the peers that endorse and validate each one.
+  auto cost = [&](size_t i) {
+    const ExperimentConfig& config = *jobs[i].config;
+    const ClusterConfig& cluster = config.fabric.cluster;
+    return config.arrival_rate_tps * ToSeconds(config.duration) *
+           cluster.num_orgs * cluster.peers_per_org;
+  };
+  std::vector<size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return cost(a) > cost(b); });
+
   // Each job writes only its own pre-sized slot; slot order (config,
   // then repetition) is fixed up front, so assembly below is
   // independent of worker scheduling.
   std::vector<std::optional<Result<RunArtifacts>>> slots(jobs.size());
-  ParallelFor(jobs.size(), ParallelJobs(), [&](size_t i) {
-    slots[i] = RunOnceArtifacts(*jobs[i].config, jobs[i].seed);
+  ParallelFor(order.size(), ParallelJobs(), [&](size_t k) {
+    const RepetitionJob& job = jobs[order[k]];
+    slots[order[k]] = RunOnceArtifacts(*job.config, job.seed);
   });
 
   std::vector<ExperimentResult> results(configs.size());

@@ -32,7 +32,8 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config);
 /// Runs a batch of experiments (e.g. the points of a sweep) as ONE
 /// flat (config, repetition) job list fanned out over ParallelJobs()
 /// threads — so a 5-point x 3-repetition sweep exposes 15 independent
-/// jobs instead of 3 at a time. Results are order-preserving:
+/// jobs instead of 3 at a time. Jobs start costliest first (rate x
+/// duration x peers). Results are order-preserving:
 /// out[i] corresponds to configs[i]. On failure, returns the error of
 /// the lexicographically first failing (config, repetition), which is
 /// exactly the error the serial loop would have hit first.

@@ -10,6 +10,13 @@ std::vector<uint32_t> DefaultBlockSizes() { return {10, 25, 50, 100, 200}; }
 
 Result<std::vector<SweepPoint>> RunSweep(const ExperimentConfig& base,
                                          const SweepSpec& spec) {
+  Result<std::vector<std::vector<SweepPoint>>> sweeps = RunSweeps({base}, spec);
+  if (!sweeps.ok()) return sweeps.status();
+  return std::move(sweeps.value().front());
+}
+
+Result<std::vector<std::vector<SweepPoint>>> RunSweeps(
+    const std::vector<ExperimentConfig>& bases, const SweepSpec& spec) {
   if (!spec.apply) {
     return Status::InvalidArgument("sweep spec has no apply function");
   }
@@ -18,29 +25,33 @@ Result<std::vector<SweepPoint>> RunSweep(const ExperimentConfig& base,
         "sweep labels must be empty or parallel to values");
   }
 
-  std::vector<SweepPoint> points;
+  std::vector<std::vector<SweepPoint>> sweeps(bases.size());
   std::vector<ExperimentConfig> configs;
-  points.reserve(spec.values.size());
-  configs.reserve(spec.values.size());
-  for (size_t i = 0; i < spec.values.size(); ++i) {
-    SweepPoint point;
-    point.value = spec.values[i];
-    point.label = spec.labels.empty()
-                      ? StrFormat("%s=%g", spec.parameter.c_str(),
-                                  spec.values[i])
-                      : spec.labels[i];
-    ExperimentConfig config = base;
-    FABRICSIM_RETURN_NOT_OK(spec.apply(&config, spec.values[i], i));
-    configs.push_back(std::move(config));
-    points.push_back(std::move(point));
+  configs.reserve(bases.size() * spec.values.size());
+  for (size_t b = 0; b < bases.size(); ++b) {
+    for (size_t i = 0; i < spec.values.size(); ++i) {
+      SweepPoint point;
+      point.value = spec.values[i];
+      point.label = spec.labels.empty()
+                        ? StrFormat("%s=%g", spec.parameter.c_str(),
+                                    spec.values[i])
+                        : spec.labels[i];
+      ExperimentConfig config = bases[b];
+      FABRICSIM_RETURN_NOT_OK(spec.apply(&config, spec.values[i], i));
+      configs.push_back(std::move(config));
+      sweeps[b].push_back(std::move(point));
+    }
   }
 
   Result<std::vector<ExperimentResult>> results = RunExperiments(configs);
   if (!results.ok()) return results.status();
-  for (size_t i = 0; i < points.size(); ++i) {
-    points[i].report = std::move(results.value()[i].mean);
+  size_t next = 0;
+  for (std::vector<SweepPoint>& points : sweeps) {
+    for (SweepPoint& point : points) {
+      point.report = std::move(results.value()[next++].mean);
+    }
   }
-  return points;
+  return sweeps;
 }
 
 SweepSpec BlockSizeSweepSpec(const std::vector<uint32_t>& sizes) {
@@ -98,15 +109,10 @@ SweepSpec PolicyPresetSweepSpec(const std::vector<PolicyPreset>& presets) {
 
 // --- derived searches ------------------------------------------------
 
-Result<BlockSizeSearch> FindBestBlockSize(ExperimentConfig config,
-                                          const std::vector<uint32_t>& sizes) {
-  Result<std::vector<SweepPoint>> sweep =
-      RunSweep(config, BlockSizeSweepSpec(sizes));
-  if (!sweep.ok()) return sweep.status();
+BlockSizeSearch FindBestBlockSize(const std::vector<SweepPoint>& points) {
   BlockSizeSearch search;
-  search.points = std::move(sweep).value();
   bool first = true;
-  for (const SweepPoint& point : search.points) {
+  for (const SweepPoint& point : points) {
     uint32_t block_size = static_cast<uint32_t>(point.value);
     double pct = point.report.total_failure_pct;
     if (first || pct < search.min_failure_pct) {

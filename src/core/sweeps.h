@@ -49,6 +49,12 @@ struct SweepSpec {
 Result<std::vector<SweepPoint>> RunSweep(const ExperimentConfig& base,
                                          const SweepSpec& spec);
 
+/// RunSweep from each of `bases`, all as one flat job list: out[i] is
+/// the sweep from bases[i]. A figure that sweeps many bases hands the
+/// pool every (base, point, repetition) at once.
+Result<std::vector<std::vector<SweepPoint>>> RunSweeps(
+    const std::vector<ExperimentConfig>& bases, const SweepSpec& spec);
+
 // --- Ready-made specs for the paper's sweep dimensions ---------------
 
 /// Block-size sweep (paper Fig. 7 / §5.1.1): fabric.block_size.
@@ -69,7 +75,7 @@ SweepSpec PolicyPresetSweepSpec(const std::vector<PolicyPreset>& presets);
 std::vector<uint32_t> DefaultBlockSizes();
 
 // ---------------------------------------------------------------------
-// Derived searches over RunSweep(). (The legacy typed wrappers —
+// Derived searches over finished sweeps. (The legacy typed wrappers —
 // SweepBlockSizes / SweepArrivalRates / SweepOrgCounts /
 // SweepPolicyPresets — are gone: build a SweepSpec, or use a factory
 // above, and call RunSweep() directly.)
@@ -77,18 +83,17 @@ std::vector<uint32_t> DefaultBlockSizes();
 
 /// Outcome of a best/worst block-size search (paper §5.1.1: "best
 /// block size" minimizes the failed-transaction percentage, "worst"
-/// maximizes it). `points` is the underlying block-size sweep
-/// (point.value = block size).
+/// maximizes it).
 struct BlockSizeSearch {
   uint32_t best_block_size = 0;
   uint32_t worst_block_size = 0;
   double min_failure_pct = 0;
   double max_failure_pct = 0;
-  std::vector<SweepPoint> points;
 };
 
-Result<BlockSizeSearch> FindBestBlockSize(ExperimentConfig config,
-                                          const std::vector<uint32_t>& sizes);
+/// The best and worst points of a finished block-size sweep
+/// (point.value = block size); the first point wins ties.
+BlockSizeSearch FindBestBlockSize(const std::vector<SweepPoint>& points);
 
 }  // namespace fabricsim
 

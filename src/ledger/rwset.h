@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/ledger/version.h"
 
 namespace fabricsim {
@@ -28,9 +29,12 @@ struct WriteItem {
 
 /// Footprint of one range query, kept for phantom-read validation
 /// (paper §3.2.3): the queried interval [start_key, end_key) and every
-/// key+version the endorser saw inside it. Rich (JSON selector)
-/// queries set `phantom_check == false`: Fabric does not re-execute
-/// them at validation, so they provide no phantom detection.
+/// key+version the endorser saw inside it. `reads` is in strictly
+/// ascending key order, each key once — GetStateByRange records what a
+/// sorted range scan returns, and the validator's phantom re-scan
+/// merges against it in step. Rich (JSON selector) queries set
+/// `phantom_check == false`: Fabric does not re-execute them at
+/// validation, so they provide no phantom detection.
 struct RangeQueryInfo {
   std::string start_key;
   std::string end_key;
@@ -93,6 +97,20 @@ struct ReadWriteSet {
   uint64_t digest_ = 0;
   uint64_t byte_size_ = 0;
   bool sealed_ = false;
+};
+
+/// Result of simulating a proposal at one world-state height. Every
+/// endorser of a channel at that height shares one (ChannelState::
+/// Endorse), so it never changes once built.
+struct EndorsementResult {
+  /// The generated, sealed read/write set (meaningful when app_status
+  /// is OK).
+  ReadWriteSet rwset;
+  /// Chaincode-level outcome. A non-OK status means the endorser
+  /// returns an error response and the client will drop the
+  /// transaction — this is an application failure, not one of the
+  /// paper's three concurrency failure classes.
+  Status app_status;
 };
 
 }  // namespace fabricsim

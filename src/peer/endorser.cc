@@ -5,7 +5,7 @@
 namespace fabricsim {
 
 EndorsementResult SimulateProposal(const StateDatabase& view,
-                                   Chaincode& chaincode,
+                                   const Chaincode& chaincode,
                                    const Invocation& invocation,
                                    bool rich_queries_supported) {
   EndorsementResult result;

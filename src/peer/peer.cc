@@ -66,41 +66,56 @@ void Peer::HandleProposal(ProposalRequest request) {
     HandleProposalAdmitted(std::move(request));
     return;
   }
-  auto result = std::make_shared<EndorsementResult>();
-  auto executed = std::make_shared<bool>(false);
+  auto result = std::make_shared<std::shared_ptr<const EndorsementResult>>();
   auto req = std::make_shared<ProposalRequest>(std::move(request));
   endorse_queue_.Submit(
       *env_,
-      [this, result, executed, req]() -> SimTime {
+      [this, result, req]() -> SimTime {
         if (!alive_) return 0;  // crashed while queued: abandon silently
-        ChannelLedger& ch = Channel(req->channel);
-        // Chaincode simulation against the endorsement view *as of
-        // now* — the staleness of this view is the root of both
-        // endorsement mismatches and MVCC conflicts.
-        *result = SimulateProposal(*ch.endorse_view, *ch.chaincode,
-                                   req->invocation,
-                                   db_profile_.supports_rich_queries);
-        *executed = true;
-        SimTime service = timing_.proposal_overhead +
-                          db_profile_.EndorseCost(result->rwset) +
-                          timing_.endorsement_sign_cost;
-        return static_cast<SimTime>(static_cast<double>(service) *
-                                    JitterFactor());
+        SimTime service = 0;
+        *result = Endorse(*req, &service);
+        return service;
       },
-      [this, result, executed, req]() {
-        if (!*executed || !alive_) {
+      [this, result, req]() {
+        if (*result == nullptr || !alive_) {
           ++proposals_dropped_;
           return;
         }
-        ProposalResponse response;
-        response.tx_id = req->tx_id;
-        response.app_ok = result->app_status.ok();
-        response.app_error = result->app_status.message();
-        response.rwset = std::move(result->rwset);
-        response.endorsement = Endorsement{
-            id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        req->reply(std::move(response));
+        SendEndorsement(*req, std::move(*result));
       });
+}
+
+std::shared_ptr<const EndorsementResult> Peer::Endorse(
+    const ProposalRequest& request, SimTime* service) {
+  ChannelLedger& ch = Channel(request.channel);
+  // Chaincode simulation against the endorsement view *as of now* —
+  // the staleness of this view is the root of both endorsement
+  // mismatches and MVCC conflicts. Peers at the same height share one
+  // simulation, but each pays for its own.
+  std::shared_ptr<const EndorsementResult> result = ch.world->Endorse(
+      ch.endorse_view, request.tx_id, [&](const StateDatabase& view) {
+        return SimulateProposal(view, *ch.chaincode, request.invocation,
+                                db_profile_.supports_rich_queries);
+      });
+  SimTime cost = timing_.proposal_overhead +
+                 db_profile_.EndorseCost(result->rwset) +
+                 timing_.endorsement_sign_cost;
+  *service = static_cast<SimTime>(static_cast<double>(cost) * JitterFactor());
+  return result;
+}
+
+void Peer::SendEndorsement(const ProposalRequest& request,
+                           std::shared_ptr<const EndorsementResult> result) {
+  ProposalResponse response;
+  response.tx_id = request.tx_id;
+  response.app_ok = result->app_status.ok();
+  response.app_error = result->app_status.message();
+  response.endorsement = Endorsement{id_, org_, result->rwset.Digest(),
+                                     /*signature_valid=*/true};
+  const ReadWriteSet* rwset = &result->rwset;
+  response.rwset =
+      std::shared_ptr<const ReadWriteSet>(std::move(result), rwset);
+  request.reply(std::move(response));
 }
 
 void Peer::CancelProposal(TxId tx_id) {
@@ -215,16 +230,9 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
           if (admission_stats_ != nullptr) admission_stats_->NoteShed(org_);
           return 0;
         }
-        ChannelLedger& ch = Channel(entry->req.channel);
-        entry->result = SimulateProposal(*ch.endorse_view, *ch.chaincode,
-                                         entry->req.invocation,
-                                         db_profile_.supports_rich_queries);
-        entry->executed = true;
-        SimTime service = timing_.proposal_overhead +
-                          db_profile_.EndorseCost(entry->result.rwset) +
-                          timing_.endorsement_sign_cost;
-        return static_cast<SimTime>(static_cast<double>(service) *
-                                    JitterFactor());
+        SimTime service = 0;
+        entry->result = Endorse(entry->req, &service);
+        return service;
       },
       [this, entry]() {
         if (entry->cancelled) return;  // reply sent at eviction
@@ -236,18 +244,11 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
           SendRejectReply(entry->req, entry->refusal);
           return;
         }
-        if (!entry->executed || !alive_) {
+        if (entry->result == nullptr || !alive_) {
           ++proposals_dropped_;
           return;
         }
-        ProposalResponse response;
-        response.tx_id = entry->req.tx_id;
-        response.app_ok = entry->result.app_status.ok();
-        response.app_error = entry->result.app_status.message();
-        response.rwset = std::move(entry->result.rwset);
-        response.endorsement = Endorsement{
-            id_, org_, response.rwset.Digest(), /*signature_valid=*/true};
-        entry->req.reply(std::move(response));
+        SendEndorsement(entry->req, std::move(entry->result));
       });
 }
 

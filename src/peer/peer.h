@@ -37,19 +37,22 @@ enum class ProposalReject : uint8_t {
 struct ProposalResponse {
   TxId tx_id = 0;
   Endorsement endorsement;
-  ReadWriteSet rwset;
+  /// The sealed rw-set, shared by every endorser of the channel that
+  /// simulated the proposal at the same height.
+  std::shared_ptr<const ReadWriteSet> rwset;
   bool app_ok = true;
   std::string app_error;
   /// Set when the endorser refused the proposal instead of executing
-  /// it; endorsement/rwset are empty in that case.
+  /// it; the endorsement then names only the refusing peer and org,
+  /// and rwset is null.
   ProposalReject reject = ProposalReject::kNone;
 };
 
 /// A proposal sent from a client to an endorsing peer (flow step 1).
 /// `reply` is invoked by the peer when the endorsement response is
 /// ready; the closure the client installed routes it back over the
-/// network. The response is passed by value so its rw-set is moved,
-/// never copied, on the way to the client.
+/// network. The response's rw-set is shared, never copied, on the way
+/// to the client.
 struct ProposalRequest {
   TxId tx_id = 0;
   ChannelId channel = 0;
@@ -83,8 +86,8 @@ class Peer {
     Environment* env = nullptr;
     Network* net = nullptr;
     /// World state and commit record of each channel this peer serves
-    /// (ids 0..size-1); each must outlive the peer. The peer keeps its
-    /// own commit pipeline per channel.
+    /// (ids 0..size-1); each must outlive the peer. The peer validates
+    /// and commits each channel's blocks in order on its own.
     std::vector<ChannelState*> channel_states;
     /// Chaincode every channel falls back to.
     Chaincode* chaincode = nullptr;
@@ -209,8 +212,8 @@ class Peer {
 
  private:
   /// Everything a peer keeps per channel: its views of the channel's
-  /// shared world state, and the commit pipeline's in-order
-  /// bookkeeping.
+  /// shared world state, and the bookkeeping that hands its blocks to
+  /// validation in order.
   struct ChannelLedger {
     ChannelState* world = nullptr;
     /// At the committed height.
@@ -233,12 +236,20 @@ class Peer {
     bool cancelled = false;
     /// Refused at dequeue (deadline / CoDel); reply sent at drain.
     ProposalReject refusal = ProposalReject::kNone;
-    bool executed = false;
-    EndorsementResult result;
+    /// Set once the proposal is endorsed.
+    std::shared_ptr<const EndorsementResult> result;
   };
 
   /// HandleProposal body when an AdmissionConfig is active.
   void HandleProposalAdmitted(ProposalRequest request);
+  /// The channel's endorsement of `request` at this peer's endorsement
+  /// view (simulated there unless a peer at the same height already
+  /// did), and this peer's jittered service time for it.
+  std::shared_ptr<const EndorsementResult> Endorse(
+      const ProposalRequest& request, SimTime* service);
+  /// Sends the endorsement response for `result` back to the client.
+  void SendEndorsement(const ProposalRequest& request,
+                       std::shared_ptr<const EndorsementResult> result);
   /// Sends the refusal response back to the client (same reply path as
   /// a served endorsement, so it costs one network hop).
   void SendRejectReply(const ProposalRequest& request, ProposalReject why);

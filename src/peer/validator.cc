@@ -1,8 +1,10 @@
 #include "src/peer/validator.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace fabricsim {
 
@@ -112,70 +114,90 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
   }
 
   // --- Phantom reads: re-execute range queries (paper Eq. 5) ----------
+  // One pass per range: the database range overlaid with this block's
+  // earlier writes in it, compared in step with the endorsed reads
+  // (both in key order). It remembers the first endorsed read that
+  // vanished or changed version, else the first key that appeared.
+  struct RangeMerge {
+    const std::vector<ReadItem>& reads;
+    // This block's earlier writes in the range, sorted by key.
+    const std::vector<const Overlay::value_type*>& writes;
+    size_t next_read = 0;
+    size_t next_write = 0;
+    const ReadItem* changed = nullptr;
+    std::optional<Version> changed_to = {};  // nullopt: the read vanished
+    std::optional<std::pair<std::string, Version>> appeared = {};
+
+    // The next key of the range as it is now.
+    void Visit(const std::string& key, Version version) {
+      if (changed != nullptr) return;
+      if (next_read < reads.size() && reads[next_read].key < key) {
+        changed = &reads[next_read];
+      } else if (next_read < reads.size() && reads[next_read].key == key) {
+        if (reads[next_read].version != version) {
+          changed = &reads[next_read];
+          changed_to = version;
+        }
+        ++next_read;
+      } else if (!appeared.has_value()) {
+        appeared.emplace(key, version);
+      }
+    }
+    // The block's writes below `key` (all that are left when null).
+    void VisitWritesBelow(const std::string* key) {
+      for (; next_write < writes.size() &&
+             (key == nullptr || writes[next_write]->first < *key);
+           ++next_write) {
+        const auto& [written, entry] = *writes[next_write];
+        if (!entry.deleted) Visit(written, entry.version);
+      }
+    }
+    // The next key of the database range.
+    void VisitDb(const std::string& key, Version version) {
+      VisitWritesBelow(&key);
+      // A key this block rewrote is visited with the writes.
+      if (next_write < writes.size() && writes[next_write]->first == key) {
+        return;
+      }
+      Visit(key, version);
+    }
+  };
+  std::vector<const Overlay::value_type*> writes;
   for (const RangeQueryInfo& rq : tx.rwset.range_queries) {
     if (!rq.phantom_check) continue;  // rich queries are not re-checked
-    // Merge the database range with the block-local overlay.
-    std::map<std::string, Version> current_range;
-    db.ForEachVersionInRange(
-        rq.start_key, rq.end_key,
-        [&current_range](const std::string& key, Version version) {
-          current_range[key] = version;
-        });
-    for (const auto& [key, entry] : overlay) {
-      if (!KeyInRange(key, rq.start_key, rq.end_key)) continue;
-      if (entry.deleted) {
-        current_range.erase(key);
-      } else {
-        current_range[key] = entry.version;
+    writes.clear();
+    for (const Overlay::value_type& entry : overlay) {
+      if (KeyInRange(entry.first, rq.start_key, rq.end_key)) {
+        writes.push_back(&entry);
       }
     }
-    bool mismatch = current_range.size() != rq.reads.size();
-    if (!mismatch) {
-      for (const ReadItem& read : rq.reads) {
-        auto it = current_range.find(read.key);
-        if (it == current_range.end() || it->second != read.version) {
-          mismatch = true;
-          break;
-        }
-      }
+    std::sort(writes.begin(), writes.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    RangeMerge merge{.reads = rq.reads, .writes = writes};
+    db.ForEachVersionInRange(rq.start_key, rq.end_key,
+                             [&merge](const std::string& key, Version version) {
+                               merge.VisitDb(key, version);
+                             });
+    merge.VisitWritesBelow(nullptr);
+    if (merge.changed == nullptr && merge.next_read < rq.reads.size()) {
+      merge.changed = &rq.reads[merge.next_read];  // past the range's end
     }
-    if (mismatch) {
-      result.code = TxValidationCode::kPhantomReadConflict;
-      // Attribution: the first endorser-read key that vanished or
-      // changed version, else the first phantom key that appeared in
-      // the interval (current_range is sorted, so this is
-      // deterministic).
-      for (const ReadItem& read : rq.reads) {
-        auto it = current_range.find(read.key);
-        if (it == current_range.end()) {
-          result.conflicting_key = read.key;
-          result.read_found = true;
-          result.read_version = read.version;
-          break;
-        }
-        if (it->second != read.version) {
-          result.conflicting_key = read.key;
-          result.read_found = true;
-          result.read_version = read.version;
-          result.observed_found = true;
-          result.observed_version = it->second;
-          break;
-        }
+    if (merge.changed == nullptr && !merge.appeared) continue;
+    result.code = TxValidationCode::kPhantomReadConflict;
+    if (merge.changed != nullptr) {
+      result.conflicting_key = merge.changed->key;
+      result.read_found = true;
+      result.read_version = merge.changed->version;
+      result.observed_found = merge.changed_to.has_value();
+      if (merge.changed_to.has_value()) {
+        result.observed_version = *merge.changed_to;
       }
-      if (result.conflicting_key.empty()) {
-        std::set<std::string> endorsed_keys;
-        for (const ReadItem& read : rq.reads) endorsed_keys.insert(read.key);
-        for (const auto& [key, version] : current_range) {
-          if (endorsed_keys.count(key) == 0) {
-            result.conflicting_key = key;
-            result.observed_found = true;
-            result.observed_version = version;
-            break;
-          }
-        }
-      }
-      return result;
+    } else {
+      result.conflicting_key = std::move(merge.appeared->first);
+      result.observed_found = true;
+      result.observed_version = merge.appeared->second;
     }
+    return result;
   }
 
   result.code = TxValidationCode::kValid;

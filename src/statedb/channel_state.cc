@@ -146,6 +146,23 @@ std::shared_ptr<const ValidationOutcome> ChannelState::Validate(
   return next_.outcome;
 }
 
+std::shared_ptr<const EndorsementResult> ChannelState::Endorse(
+    const StateView* reader, TxId tx_id,
+    const std::function<EndorsementResult(const StateDatabase& view)>&
+        simulate) {
+  Record& record =
+      reader->height_ == height_ ? next_ : RecordOf(reader->height_ + 1);
+  std::weak_ptr<const EndorsementResult>& entry = record.endorsements[tx_id];
+  std::shared_ptr<const EndorsementResult> result = entry.lock();
+  if (result == nullptr) {
+    // Not make_shared: an expired entry then pins only the control
+    // block, not the result's storage, while its record is kept.
+    result.reset(new EndorsementResult(simulate(*reader)));
+    entry = result;
+  }
+  return result;
+}
+
 Result<PeerChainRecord> ChannelState::Commit(
     StateView* reader, const std::shared_ptr<const Block>& block) {
   const uint64_t number = block->number;
@@ -213,6 +230,10 @@ Status ChannelState::CommitNext() {
 }
 
 const ChannelState::Record& ChannelState::RecordOf(uint64_t number) const {
+  return records_[records_.size() - 1 - (height_ - number)];
+}
+
+ChannelState::Record& ChannelState::RecordOf(uint64_t number) {
   return records_[records_.size() - 1 - (height_ - number)];
 }
 

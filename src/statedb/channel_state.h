@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,14 @@ class StateView : public StateDatabase {
 /// digest sealed at endorsement. Every commit checks that the block it
 /// was handed is the recorded one. What the audit finds is kept in
 /// violations().
+///
+/// Each transaction is simulated once per height it is endorsed at.
+/// An endorser's rw-set is a function of the chaincode, the invocation
+/// and the state it reads, so every reader at height h that endorses
+/// a transaction gets the result the first one simulated. The result
+/// is kept in the record of block h + 1 (next_ while h is the head),
+/// held weakly: the endorsers and clients still holding it keep it
+/// alive, and the record's going drops what is left.
 class ChannelState {
  public:
   explicit ChannelState(StateBackendType backend);
@@ -127,6 +136,17 @@ class ChannelState {
       const StateView* reader, const std::shared_ptr<const Block>& block,
       const std::function<ValidationOutcome(const StateDatabase& head)>&
           validate);
+
+  /// The endorsement of transaction `tx_id` at `reader`'s height. The
+  /// first call for a (height, tx id) runs `simulate` on `reader`; later
+  /// calls at that height return the same sealed result for as long as
+  /// anyone holds it. Precondition: every reader of this state endorses
+  /// a tx id with the same chaincode, invocation and rich-query flag,
+  /// so the result depends on the height alone.
+  std::shared_ptr<const EndorsementResult> Endorse(
+      const StateView* reader, TxId tx_id,
+      const std::function<EndorsementResult(const StateDatabase& view)>&
+          simulate);
 
   /// Commits `block` for `reader`, which must sit at `block` - 1, and
   /// returns the block's link in the channel's hash chain. The first
@@ -178,6 +198,9 @@ class ChannelState {
     uint64_t content_hash = 0;
     uint64_t chain_hash = 0;
     UndoRecord undo;
+    /// Endorsements simulated at height number - 1, by tx id.
+    std::unordered_map<TxId, std::weak_ptr<const EndorsementResult>>
+        endorsements;
   };
 
   /// Applies next_ to the head, hashes and audits its block, and moves
@@ -185,6 +208,7 @@ class ChannelState {
   Status CommitNext();
   /// The kept record of block `number` (at most height_).
   const Record& RecordOf(uint64_t number) const;
+  Record& RecordOf(uint64_t number);
 
   /// The value `key` had at `height` if a block above it wrote the key
   /// (the record of the lowest such block); nullptr otherwise.

@@ -311,6 +311,42 @@ TEST(AdmissionGoldenTest, DescribeOmitsDisabledAdmission) {
       << config.Describe();
 }
 
+// The enabled path with a bounded endorsement queue, at the saturating
+// config and seed of the queue-policy tests below: drop-oldest evicts
+// queued proposals, CoDel refuses them at dequeue. Recorded before
+// endorsers at one height shared one simulation.
+constexpr char kGoldenDropOldest[] =
+    "ledger=327 valid=150 endorse=1 mvcc_intra=151 mvcc_inter=25 phantom=0 "
+    "submitted=327 app=0\n"
+    "pct=54.128440366972477/0.3058103975535168/53.822629969418955/0/0\n"
+    "lat=1.2763496819571867/1.2928577808809076/2.2371776900135338 "
+    "tput=32.833333333333336/25\n"
+    "adm=9835/0/0/0/0/0/0/0\n";
+constexpr char kGoldenCoDel[] =
+    "ledger=202 valid=99 endorse=0 mvcc_intra=84 mvcc_inter=19 phantom=0 "
+    "submitted=202 app=0\n"
+    "pct=50.990099009900987/0/50.990099009900987/0/0\n"
+    "lat=1.8383883069306926/2.1206369104671916/4.3114775202527937 "
+    "tput=32.666666666666664/16.5\n"
+    "adm=5944/0/0/0/0/0/0/0\n";
+
+TEST(AdmissionGoldenTest, DropOldestAndCoDelPinned) {
+  ExperimentConfig drop_oldest = OverloadConfig();
+  drop_oldest.fabric.admission.endorse_policy =
+      AdmissionQueuePolicy::kDropOldest;
+  drop_oldest.fabric.admission.max_endorse_queue_depth = 16;
+  ExperimentConfig codel = OverloadConfig();
+  codel.fabric.admission.endorse_policy = AdmissionQueuePolicy::kCoDel;
+  codel.fabric.admission.codel_target = 5 * kMillisecond;
+  codel.fabric.admission.codel_interval = 100 * kMillisecond;
+  Result<FailureReport> r = RunOnce(drop_oldest, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(AdmissionFingerprint(r.value()), kGoldenDropOldest);
+  r = RunOnce(codel, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(AdmissionFingerprint(r.value()), kGoldenCoDel);
+}
+
 // ---------------------------------------------------------------------
 // Integration: deadline propagation.
 

@@ -106,11 +106,12 @@ TEST(FailureReportTest, ToStringMentionsFailures) {
 TEST(SweepsTest, BlockSizeSweepFindsExtremes) {
   ExperimentConfig config = FastConfig();
   config.repetitions = 1;
-  auto search = FindBestBlockSize(config, {10, 100});
-  ASSERT_TRUE(search.ok());
-  EXPECT_EQ(search.value().points.size(), 2u);
-  EXPECT_LE(search.value().min_failure_pct, search.value().max_failure_pct);
-  EXPECT_NE(search.value().best_block_size, 0u);
+  auto points = RunSweep(config, BlockSizeSweepSpec({10, 100}));
+  ASSERT_TRUE(points.ok());
+  EXPECT_EQ(points.value().size(), 2u);
+  BlockSizeSearch search = FindBestBlockSize(points.value());
+  EXPECT_LE(search.min_failure_pct, search.max_failure_pct);
+  EXPECT_NE(search.best_block_size, 0u);
 }
 
 TEST(SweepsTest, RateSweepOrdersPoints) {

@@ -80,6 +80,29 @@ TEST(FaultGoldenTest, DelayWindowMatchesLegacyDelayedOrg) {
   EXPECT_EQ(Fingerprint(r.value()), kGoldenDelayedOrg);
 }
 
+// The delayed org combined with a crash/restart plan: endorsers of one
+// proposal sit at different heights, and the restarted peer replays
+// the blocks it missed. Recorded before endorsers at one height shared
+// one simulation.
+TEST(FaultGoldenTest, CrashRestartWithDelayedOrgPinned) {
+  ExperimentConfig config = GoldenConfig();
+  DelayWindow window;
+  window.org = 1;
+  window.extra = 100 * kMillisecond;
+  window.jitter = 10 * kMillisecond;
+  config.fabric.retry.endorse_timeout = 500 * kMillisecond;
+  config.fabric.faults.Delay(window).Crash(/*peer=*/2, 5 * kSecond,
+                                           /*restart_at=*/12 * kSecond);
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Fingerprint(r.value()),
+            "ledger=1582 valid=519 endorse=450 mvcc_intra=310 mvcc_inter=303 "
+            "phantom=0 submitted=1582 app=0\n"
+            "pct=67.19342604298356/28.445006321112515/38.748419721871045/0/0\n"
+            "lat=1.9580047629582804/1.780527642338299/4.8649257147653939 "
+            "tput=75/25.949999999999999\n");
+}
+
 // A chaos mix exercising every fault type plus client retries and
 // MVCC resubmission. Used for the jobs-determinism check.
 ExperimentConfig ChaosConfig() {

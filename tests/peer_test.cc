@@ -83,11 +83,11 @@ TEST_F(PeerTest, EndorsesAgainstBootstrappedState) {
 
   EXPECT_EQ(got.tx_id, 42u);
   EXPECT_TRUE(got.app_ok);
-  ASSERT_EQ(got.rwset.reads.size(), 1u);
-  EXPECT_TRUE(got.rwset.reads[0].found);
-  EXPECT_EQ(got.rwset.reads[0].version, kBootstrapVersion);
+  ASSERT_EQ(got.rwset->reads.size(), 1u);
+  EXPECT_TRUE(got.rwset->reads[0].found);
+  EXPECT_EQ(got.rwset->reads[0].version, kBootstrapVersion);
   EXPECT_EQ(got.endorsement.org_id, 0);
-  EXPECT_EQ(got.endorsement.rwset_digest, got.rwset.Digest());
+  EXPECT_EQ(got.endorsement.rwset_digest, got.rwset->Digest());
 }
 
 TEST_F(PeerTest, EndorsementTakesDbAndSigningTime) {

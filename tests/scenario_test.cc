@@ -279,5 +279,46 @@ TEST(ScenarioTest, FabricSharpRichQueryChaincodesPinned) {
   }
 }
 
+// FabricSharp with point-read chaincodes (range reads are disabled
+// under FabricSharp): endorsers read a snapshot that lags the committed
+// height, so these runs cover endorsements at heights below the head.
+// Recorded before endorsements were shared between endorsers at one
+// height.
+struct FabricSharpGolden {
+  const char* chaincode;
+  WorkloadMix mix;
+  const char* fingerprint;
+};
+
+constexpr FabricSharpGolden kFabricSharpPointReadGoldens[] = {
+    {"ehr", WorkloadMix::kUniform,
+     "ledger=1136 valid=1094 endorse=42 mvcc_intra=0 mvcc_inter=0 phantom=0 "
+     "submitted=1998 app=0\n"
+     "pct=3.6971830985915495/3.6971830985915495/0/0/43.143143143143142\n"
+     "lat=0.73227328257042279/0.70421813303596448/1.5021411761231789 "
+     "tput=53.049999999999997/54.700000000000003\n"},
+    {"genchain", WorkloadMix::kUpdateHeavy,
+     "ledger=1624 valid=1612 endorse=12 mvcc_intra=0 mvcc_inter=0 phantom=0 "
+     "submitted=1960 app=0\n"
+     "pct=0.73891625615763545/0.73891625615763545/0/0/17.142857142857142\n"
+     "lat=0.80272058004926272/0.78031808884939136/1.4937706975885057 "
+     "tput=80.400000000000006/80.599999999999994\n"},
+};
+
+TEST(ScenarioTest, FabricSharpPointReadChaincodesPinned) {
+  for (const FabricSharpGolden& golden : kFabricSharpPointReadGoldens) {
+    ExperimentConfig config = ExperimentConfig::Builder()
+                                  .Chaincode(golden.chaincode)
+                                  .Mix(golden.mix)
+                                  .Variant(FabricVariant::kFabricSharp)
+                                  .Duration(20 * kSecond)
+                                  .RateTps(100)
+                                  .Build();
+    Result<FailureReport> r = RunOnce(config, 42);
+    ASSERT_TRUE(r.ok()) << golden.chaincode << ": " << r.status().ToString();
+    EXPECT_EQ(Fingerprint(r.value()), golden.fingerprint) << golden.chaincode;
+  }
+}
+
 }  // namespace
 }  // namespace fabricsim

@@ -300,5 +300,25 @@ TEST(TpccDeterminismTest, BitwiseIdenticalAcrossJobs) {
   SetParallelJobs(saved_jobs);
 }
 
+// The determinism config above, pinned: the test above compares runs
+// with each other only. Recorded before endorsers at one height shared
+// one simulation.
+TEST(TpccGoldenTest, DefaultMixPinned) {
+  ExperimentConfig config = ExperimentConfig::Builder()
+                                .Chaincode("tpcc")
+                                .Duration(10 * kSecond)
+                                .RateTps(100)
+                                .Build();
+  Result<FailureReport> r = RunOnce(config, 7);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Fingerprint(r.value()),
+            "ledger=926 valid=253 endorse=77 mvcc_intra=416 mvcc_inter=176 "
+            "phantom=4 submitted=926 app=6\n"
+            "pct=72.678185745140382/8.315334773218142/63.930885529157671/"
+            "0.43196544276457882/0\n"
+            "lat=25.898118577753809/26.550299126044258/50.938727124157026 "
+            "tput=12/25.300000000000001\n");
+}
+
 }  // namespace
 }  // namespace fabricsim

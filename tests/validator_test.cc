@@ -227,6 +227,112 @@ TEST_F(ValidatorTest, InterBlockPhantom) {
   EXPECT_EQ(outcome.results[0].code, TxValidationCode::kPhantomReadConflict);
 }
 
+// Phantom attribution: the first endorsed read (in key order) that
+// vanished or changed version; else the first key that appeared.
+
+TEST_F(ValidatorTest, PhantomVanishedReadAttributed) {
+  ReadWriteSet scan = RangeRead(db_, "a", "d");
+  db_.ApplyWrite(WriteItem{"b", "", true}, {3, 0});
+  Block block = MakeBlock({MakeTx(1, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[0];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "b");
+  EXPECT_TRUE(r.read_found);
+  EXPECT_EQ(r.read_version, (Version{0, 0}));
+  EXPECT_FALSE(r.observed_found);
+}
+
+TEST_F(ValidatorTest, PhantomChangedVersionAttributed) {
+  ReadWriteSet scan = RangeRead(db_, "a", "d");
+  db_.ApplyWrite(WriteItem{"c", "newer", false}, {4, 1});
+  Block block = MakeBlock({MakeTx(1, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[0];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "c");
+  EXPECT_TRUE(r.read_found);
+  EXPECT_EQ(r.read_version, (Version{0, 0}));
+  EXPECT_TRUE(r.observed_found);
+  EXPECT_EQ(r.observed_version, (Version{4, 1}));
+}
+
+TEST_F(ValidatorTest, PhantomVanishedReadOutranksEarlierNewKey) {
+  // "ab" appears before "c" vanishes in key order; the endorsed read
+  // still names the conflict.
+  ReadWriteSet scan = RangeRead(db_, "a", "d");
+  db_.ApplyWrite(WriteItem{"ab", "new", false}, {5, 0});
+  db_.ApplyWrite(WriteItem{"c", "", true}, {5, 1});
+  Block block = MakeBlock({MakeTx(1, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[0];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "c");
+  EXPECT_TRUE(r.read_found);
+  EXPECT_FALSE(r.observed_found);
+}
+
+TEST_F(ValidatorTest, PhantomOverlayDeleteAttributed) {
+  ReadWriteSet scan = RangeRead(db_, "a", "d");
+  ReadWriteSet deleter;
+  deleter.writes.push_back(WriteItem{"a", "", true});
+  Block block = MakeBlock({MakeTx(1, deleter), MakeTx(2, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[1];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "a");
+  EXPECT_TRUE(r.read_found);
+  EXPECT_EQ(r.read_version, (Version{0, 0}));
+  EXPECT_FALSE(r.observed_found);
+}
+
+TEST_F(ValidatorTest, PhantomOverlayInsertAttributed) {
+  ReadWriteSet scan = RangeRead(db_, "a", "d");
+  ReadWriteSet inserter;
+  inserter.writes.push_back(WriteItem{"bb", "phantom", false});
+  inserter.writes.push_back(WriteItem{"ba", "phantom", false});
+  Block block = MakeBlock({MakeTx(1, inserter), MakeTx(2, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[1];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "ba");  // the first new key in key order
+  EXPECT_FALSE(r.read_found);
+  EXPECT_TRUE(r.observed_found);
+  EXPECT_EQ(r.observed_version, (Version{1, 0}));
+}
+
+TEST_F(ValidatorTest, PhantomEmptyRange) {
+  ReadWriteSet scan = RangeRead(db_, "x", "y");
+  ASSERT_TRUE(scan.range_queries[0].reads.empty());
+  ReadWriteSet outside;
+  outside.writes.push_back(WriteItem{"b", "changed", false});
+  Block block = MakeBlock({MakeTx(1, outside), MakeTx(2, scan)});
+  EXPECT_EQ(validator_.ValidateBlock(db_, block).results[1].code,
+            TxValidationCode::kValid);
+
+  ReadWriteSet inside;
+  inside.writes.push_back(WriteItem{"xa", "new", false});
+  block = MakeBlock({MakeTx(1, inside), MakeTx(2, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[1];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "xa");
+  EXPECT_EQ(r.observed_version, (Version{1, 0}));
+}
+
+TEST_F(ValidatorTest, PhantomOpenEndKey) {
+  // An empty end key scans to the end of the key space.
+  ReadWriteSet scan = RangeRead(db_, "b", "");
+  ASSERT_EQ(scan.range_queries[0].reads.size(), 2u);
+  ReadWriteSet before_start;
+  before_start.writes.push_back(WriteItem{"a", "changed", false});
+  Block block = MakeBlock({MakeTx(1, before_start), MakeTx(2, scan)});
+  EXPECT_EQ(validator_.ValidateBlock(db_, block).results[1].code,
+            TxValidationCode::kValid);
+
+  ReadWriteSet past_last;
+  past_last.writes.push_back(WriteItem{"zz", "new", false});
+  block = MakeBlock({MakeTx(1, past_last), MakeTx(2, scan)});
+  const TxValidationResult r = validator_.ValidateBlock(db_, block).results[1];
+  EXPECT_EQ(r.code, TxValidationCode::kPhantomReadConflict);
+  EXPECT_EQ(r.conflicting_key, "zz");
+  EXPECT_TRUE(r.observed_found);
+}
+
 TEST_F(ValidatorTest, PreAbortedTxSkipped) {
   Block block = MakeBlock({MakeTx(1, ReadWrite("a", {0, 0}, "a"))});
   block.results[0].code = TxValidationCode::kAbortedByReordering;
