@@ -7,8 +7,10 @@ and records for each its wall time, CPU time (user + system), peak RSS
 and the SHA-256 of its stdout. fig11 prints the host wall time of each
 run in its last column; that column is left out of the hash, so equal
 hashes mean every simulated number printed is equal. The row also
-names the commit, the compiler, the build type and the host's
-hardware concurrency. The kernel counts a child's peak RSS from before
+names the commit the build was configured from (the source tree named
+by its CMakeCache.txt, -dirty if that tree has changes other than the
+output file), the compiler, the build type and the host's hardware
+concurrency. The kernel counts a child's peak RSS from before
 it execs, so a bench smaller than this interpreter reads the
 interpreter's size (about 18 MB).
 
@@ -110,12 +112,22 @@ def compiler(build):
     return "unknown"
 
 
-def head_commit():
+def source_commit(build, out):
+    src = os.path.realpath(cmake_cache(build, "CMAKE_HOME_DIRECTORY"))
+
     def git(*args):
-        return subprocess.run(["git", "-C", REPO, *args], capture_output=True,
+        return subprocess.run(["git", "-C", src, *args], capture_output=True,
                               text=True, check=True).stdout.strip()
-    commit = git("rev-parse", "--short", "HEAD")
-    return commit + ("-dirty" if git("status", "--porcelain", "-uno") else "")
+    # The rows file may live in the source tree; appending to it is not a
+    # change to the source that was built.
+    rel = os.path.relpath(os.path.realpath(out), src)
+    spec = [] if rel.startswith("..") else ["--", ".", ":(exclude)" + rel]
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "-uno", *spec)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"  # not a git checkout, e.g. a git archive export
+    return commit + ("-dirty" if dirty else "")
 
 
 def main():
@@ -124,9 +136,6 @@ def main():
                         help="cmake build directory holding bench/")
     parser.add_argument("--label", required=True,
                         help="what the row measures, e.g. parent or change")
-    parser.add_argument("--commit",
-                        help="commit of the build's source (default: this "
-                             "checkout's HEAD, -dirty if modified)")
     parser.add_argument("--out", default=os.path.join(REPO,
                                                       "BENCH_figures.json"))
     args = parser.parse_args()
@@ -150,7 +159,7 @@ def main():
 
     row = {
         "label": args.label,
-        "commit": args.commit or head_commit(),
+        "commit": source_commit(args.build, args.out),
         "compiler": compiler(args.build),
         "build_type": cmake_cache(args.build, "CMAKE_BUILD_TYPE"),
         "hardware_concurrency": os.cpu_count(),

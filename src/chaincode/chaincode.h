@@ -18,11 +18,13 @@ struct Invocation {
 };
 
 /// Base class for smart contracts ("chaincode" in Fabric jargon).
-/// Implementations must be deterministic functions of (stub, inv):
-/// every endorsing peer runs the same invocation against its view of
-/// the channel's world state. Invoke is const, so a chaincode keeps no
-/// state between invocations: endorsers of a channel at one height
-/// share one simulation (ChannelState::Endorse).
+/// Implementations must be deterministic functions of (stub, inv) and
+/// of members fixed at construction: every endorsing peer runs the
+/// same invocation against its view of the channel's world state, and
+/// endorsers of a channel at one height share one simulation
+/// (ChannelState::Endorse). Invoke is const, which rules out plain
+/// member writes; it must not touch mutable members, function-local
+/// statics, globals or objects behind pointer members either.
 class Chaincode {
  public:
   virtual ~Chaincode() = default;

@@ -131,6 +131,8 @@ Result<std::vector<ExperimentResult>> RunExperiments(
   // The pool takes the costliest jobs first, so no long run starts
   // last and leaves cores idle: a run's work grows with its
   // transactions and the peers that endorse and validate each one.
+  // The estimate ignores chaincode and block size; only the start
+  // order depends on it (EXPERIMENTS.md, "Job order").
   auto cost = [&](size_t i) {
     const ExperimentConfig& config = *jobs[i].config;
     const ClusterConfig& cluster = config.fabric.cluster;

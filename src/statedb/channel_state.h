@@ -142,7 +142,8 @@ class ChannelState {
   /// calls at that height return the same sealed result for as long as
   /// anyone holds it. Precondition: every reader of this state endorses
   /// a tx id with the same chaincode, invocation and rich-query flag,
-  /// so the result depends on the height alone.
+  /// and that chaincode keeps no state between invocations (see
+  /// Chaincode), so the result depends on the height alone.
   std::shared_ptr<const EndorsementResult> Endorse(
       const StateView* reader, TxId tx_id,
       const std::function<EndorsementResult(const StateDatabase& view)>&
