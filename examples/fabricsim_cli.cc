@@ -8,9 +8,17 @@
 //                 [--block-size=N] [--rate=TPS] [--duration-s=S]
 //                 [--skew=Z] [--orgs=N] [--policy=TEXT] [--seed=N]
 //                 [--reps=N] [--csv]
+//
+// A numeric flag must parse in full and fit its field, and --rate and
+// --duration-s must be positive; otherwise the usage line is printed
+// and the exit code is 2.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "src/core/recommendations.h"
 #include "src/core/runner.h"
@@ -23,6 +31,18 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   std::string prefix = std::string("--") + name + "=";
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *value = arg + prefix.size();
+  return true;
+}
+
+// Parses all of `text` into `*out`. False when characters are left
+// over, when the value does not fit T, or when a floating-point value
+// is not finite.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
   return true;
 }
 
@@ -92,21 +112,36 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (ParseFlag(argv[i], "block-size", &value)) {
-      config.fabric.block_size = static_cast<uint32_t>(std::stoul(value));
+      if (!ParseNumber(value, &config.fabric.block_size)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "rate", &value)) {
-      config.arrival_rate_tps = std::stod(value);
+      if (!ParseNumber(value, &config.arrival_rate_tps) ||
+          config.arrival_rate_tps <= 0) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "duration-s", &value)) {
-      config.duration = FromSeconds(std::stod(value));
+      double seconds = 0;
+      // The product FromSeconds converts must fit SimTime.
+      if (!ParseNumber(value, &seconds) || seconds <= 0 ||
+          seconds * static_cast<double>(kSecond) >= 0x1p63) {
+        return Usage(argv[0]);
+      }
+      config.duration = FromSeconds(seconds);
     } else if (ParseFlag(argv[i], "skew", &value)) {
-      config.workload.zipf_skew = std::stod(value);
+      if (!ParseNumber(value, &config.workload.zipf_skew)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "orgs", &value)) {
-      config.fabric.cluster.num_orgs = std::stoi(value);
+      if (!ParseNumber(value, &config.fabric.cluster.num_orgs)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "policy", &value)) {
       config.fabric.policy_text = value;
     } else if (ParseFlag(argv[i], "seed", &value)) {
-      config.base_seed = std::stoull(value);
+      if (!ParseNumber(value, &config.base_seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "reps", &value)) {
-      config.repetitions = std::stoi(value);
+      if (!ParseNumber(value, &config.repetitions)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else {

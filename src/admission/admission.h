@@ -155,14 +155,6 @@ struct AdmissionStats {
       ++shed_by_org[static_cast<size_t>(org)];
     }
   }
-
-  /// Total transactions cut short by overload protection before
-  /// validation (excludes commit-phase deadline failures, which the
-  /// ledger itself records).
-  uint64_t TotalDropped() const {
-    return endorse_shed + deadline_expired_endorse + deadline_expired_order +
-           orderer_throttled + breaker_rejected;
-  }
 };
 
 /// Token bucket for retry spending. Deterministic: pure arithmetic on

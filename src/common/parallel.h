@@ -72,17 +72,6 @@ class ThreadPool {
 /// observable error is identical in both modes).
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn);
 
-/// Maps fn over [0, n) into an order-preserving vector: out[i] =
-/// fn(i), regardless of which worker ran which index. T must be
-/// default-constructible; results are written into pre-sized slots so
-/// no synchronization of the output is needed.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(size_t n, int jobs, Fn&& fn) {
-  std::vector<T> out(n);
-  ParallelFor(n, jobs, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
-
 }  // namespace fabricsim
 
 #endif  // FABRICSIM_COMMON_PARALLEL_H_

@@ -23,13 +23,6 @@ struct StreamchainModel {
     return config.variant == FabricVariant::kStreamchain &&
            config.streamchain_ram_disk;
   }
-
-  /// Applies the Streamchain knobs to a config (streaming is wired by
-  /// the orderer's `streaming` flag; block size/timeout are ignored).
-  static void Configure(FabricConfig* config) {
-    config->variant = FabricVariant::kStreamchain;
-    config->block_size = 1;
-  }
 };
 
 }  // namespace fabricsim

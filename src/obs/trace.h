@@ -123,8 +123,7 @@ struct TxTrace {
 
   /// Heap-allocated (set only for failed transactions) to keep the
   /// common-case TxTrace slot small — trace storage is the dominant
-  /// cost of enabled tracing, so slot size directly bounds the
-  /// bench_trace_overhead budget.
+  /// cost of enabled tracing, so slot size directly bounds that cost.
   std::unique_ptr<FailureAttribution> failure;
 
   /// Phase durations. They telescope: Endorse + Ordering + Commit ==

@@ -69,8 +69,7 @@ class Tracer {
   // --- recording hooks (called by client/ordering/peer/fabric) -------
   // The per-event hooks on the DES hot path are defined inline: after
   // Touch() collapses to an array index they are a handful of stores,
-  // and inlining keeps the enabled-tracing overhead within the <5%
-  // budget enforced by bench_trace_overhead.
+  // and inlining keeps the cost of enabled tracing small.
   void OnClientSubmit(TxId id, const std::string& function, ChannelId channel,
                       SimTime now) {
     TxTrace& trace = Touch(id);

@@ -83,15 +83,6 @@ TEST(ParallelForTest, CoversEveryIndexOnceWithMoreJobsThanThreads) {
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ParallelMapTest, PreservesSlotOrder) {
-  std::vector<int> out =
-      ParallelMap<int>(100, 8, [](size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
 TEST(ParallelForTest, PropagatesExceptionFromJob) {
   auto throwing = [](size_t i) {
     if (i == 7) throw std::runtime_error("job 7 failed");
