@@ -86,8 +86,8 @@ int main() {
   network.StartLoad(/*tps=*/80, /*duration=*/30 * kSecond);
   env.RunAll();
 
-  FailureReport report =
-      BuildFailureReport(network.ledger(), network.stats(), 30 * kSecond);
+  FailureReport report = BuildFailureReport(*network.ledger_stats(),
+                                            network.stats(), 30 * kSecond);
   std::printf("custom workload results (80 tps, 30 s):\n%s",
               report.ToString().c_str());
   return 0;

@@ -48,12 +48,8 @@ ColdChannelView RunAndInspect(int channels, double channel_skew,
   env.RunAll();
 
   const ChannelId cold = 1;
-  std::vector<const BlockStore*> ledgers;
-  for (int c = 0; c < network.num_channels(); ++c) {
-    ledgers.push_back(&network.ledger(c));
-  }
-  FailureReport report =
-      BuildFailureReport(ledgers, network.stats(), config.duration);
+  FailureReport report = BuildFailureReport(*network.ledger_stats(),
+                                            network.stats(), config.duration);
 
   ColdChannelView view;
   view.committed_tps = report.per_channel[cold].committed_throughput_tps;

@@ -47,73 +47,6 @@ void SummaryStats::Merge(const SummaryStats& other) {
 }
 
 namespace {
-// Buckets: [0, 0.001ms) then geometric with ratio kRatio (1.06)
-// starting at 1 microsecond, covering up to ~hours in 512 buckets.
-constexpr double kFirstBucket = 0.001;
-constexpr double kRatio = 1.06;
-}  // namespace
-
-Histogram::Histogram() : buckets_(kBucketCount, 0) {}
-
-size_t Histogram::BucketFor(double value) const {
-  if (value < kFirstBucket) return 0;
-  double idx = std::log(value / kFirstBucket) / std::log(kRatio);
-  size_t bucket = static_cast<size_t>(idx) + 1;
-  return std::min(bucket, kBucketCount - 1);
-}
-
-double Histogram::BucketLow(size_t index) const {
-  if (index == 0) return 0.0;
-  return kFirstBucket * std::pow(kRatio, static_cast<double>(index - 1));
-}
-
-double Histogram::BucketHigh(size_t index) const {
-  return kFirstBucket * std::pow(kRatio, static_cast<double>(index));
-}
-
-void Histogram::Add(double value) {
-  if (value < 0) value = 0;
-  buckets_[BucketFor(value)]++;
-  min_ = count_ == 0 ? value : std::min(min_, value);
-  count_++;
-  sum_ += value;
-  max_ = std::max(max_, value);
-}
-
-double Histogram::mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double Histogram::Percentile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    double next = cum + static_cast<double>(buckets_[i]);
-    if (next >= target && buckets_[i] > 0) {
-      double frac = (target - cum) / static_cast<double>(buckets_[i]);
-      // Interpolate only across the part of the bucket that can hold
-      // data. Bucket 0 nominally spans [0, 0.001ms) and the overflow
-      // bucket's BucketHigh overstates its upper edge, so both used to
-      // report values no sample ever took; clamping the bucket edges
-      // to the observed [min, max] keeps every interpolated quantile
-      // inside the recorded range.
-      double lo = std::max(BucketLow(i), min_);
-      // The overflow bucket has no meaningful nominal upper edge; its
-      // true range ends at the observed max.
-      double hi = (i + 1 == buckets_.size())
-                      ? max_
-                      : std::min(BucketHigh(i), max_);
-      if (hi < lo) return std::clamp(BucketLow(i), min_, max_);
-      return lo + frac * (hi - lo);
-    }
-    cum = next;
-  }
-  return max_;
-}
-
-namespace {
 // gamma and 1/ln(gamma) for the sketch's geometric buckets. Bucket i
 // covers (kMinTracked * gamma^(i-1), kMinTracked * gamma^i]; the
 // mid-estimate 2*gamma^i/(gamma+1) is within kRelativeError of every

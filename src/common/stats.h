@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace fabricsim {
 
@@ -34,49 +33,13 @@ class SummaryStats {
   double sum_ = 0.0;
 };
 
-/// Fixed-resolution latency histogram with logarithmic-ish buckets,
-/// supporting approximate percentile queries. Values are arbitrary
-/// doubles >= 0 (we use milliseconds).
-class Histogram {
- public:
-  Histogram();
-
-  void Add(double value);
-  size_t count() const { return count_; }
-  double mean() const;
-  /// Smallest value added so far (0 when empty).
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  /// Largest value added so far (0 when empty).
-  double max() const { return max_; }
-  /// Approximate p-quantile (q in [0,1]); linear interpolation inside
-  /// the bucket that contains the quantile, clamped to the observed
-  /// [min, max] range (so Percentile(0.0) >= min() and
-  /// Percentile(1.0) == max() — interpolation never invents values
-  /// outside what was recorded, including in bucket 0 and the
-  /// overflow bucket whose nominal edges overstate the data).
-  double Percentile(double q) const;
-
- private:
-  size_t BucketFor(double value) const;
-  double BucketLow(size_t index) const;
-  double BucketHigh(size_t index) const;
-
-  static constexpr size_t kBucketCount = 512;
-  std::vector<uint64_t> buckets_;
-  size_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Mergeable DDSketch-style quantile sketch: geometric buckets sized so
 /// every reported quantile of the values above kMinTracked is within
 /// kRelativeError of an actually-observed value, at O(log(max/min))
-/// memory regardless of how many samples stream through. This is the
-/// memory-bounded replacement for dense per-sample storage in the
-/// streaming observability path (Tracer phase latencies, streaming
-/// ledger stats); `Histogram` above stays for the fixed-range dense
-/// path.
+/// memory regardless of how many samples stream through. Every
+/// latency quantile the simulator reports comes from one of these:
+/// the commit-time ledger fold (StreamingLedgerStats) and the Tracer's
+/// phase sketches, in retained and streaming runs alike.
 ///
 /// Determinism contract: the sketch state is a pure function of the
 /// multiset of added values (insertion order never matters), buckets

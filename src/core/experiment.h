@@ -154,8 +154,8 @@ class ExperimentConfig::Builder {
     config_.fabric.streaming_obs = on;
     return *this;
   }
-  /// Fold commits into streaming aggregates instead of retaining the
-  /// canonical ledger.
+  /// Keep no canonical ledger: every run folds commits into
+  /// aggregates, and this drops each block after its fold.
   Builder& StreamingLedger(bool on = true) {
     config_.fabric.streaming_ledger = on;
     return *this;

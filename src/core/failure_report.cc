@@ -1,7 +1,5 @@
 #include "src/core/failure_report.h"
 
-#include <algorithm>
-
 #include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/ledger/ledger_stats.h"
@@ -11,10 +9,8 @@ namespace fabricsim {
 
 namespace {
 
-/// Counts, failure percentages, stats-side counters and throughput —
-/// the part of the report that is a pure function of (summary, stats,
-/// window length), shared by the parsed-ledger and streaming builds so
-/// both produce identical numbers from identical counts.
+/// Counts, failure percentages, stats-side counters and valid
+/// throughput: a pure function of (summary, stats, window length).
 void FillFromSummary(FailureReport& report, const LedgerSummary& summary,
                      const RunStats& stats, double seconds) {
   report.ledger_txs = summary.total;
@@ -73,7 +69,7 @@ void FillFromSummary(FailureReport& report, const LedgerSummary& summary,
   }
 }
 
-/// Per-phase breakdown from the tracer's sketches (both build paths).
+/// Per-phase breakdown from the tracer's sketches.
 void FillPhases(FailureReport& report, const Tracer* tracer) {
   if (tracer == nullptr || tracer->phases().total.count() == 0) return;
   const PhaseSketches& phases = tracer->phases();
@@ -86,8 +82,8 @@ void FillPhases(FailureReport& report, const Tracer* tracer) {
   report.commit_p99_s = phases.commit.Percentile(0.99) / 1000.0;
 }
 
-/// Overload-protection section (both build paths). A null `admission`
-/// — every unprotected run — leaves the report untouched.
+/// Overload-protection section. A null `admission` — every
+/// unprotected run — leaves the report untouched.
 void FillAdmission(FailureReport& report, const AdmissionStats* admission) {
   if (admission == nullptr) return;
   report.has_admission = true;
@@ -110,97 +106,6 @@ void FillAdmission(FailureReport& report, const AdmissionStats* admission) {
 }
 
 }  // namespace
-
-FailureReport BuildFailureReport(const BlockStore& ledger,
-                                 const RunStats& stats,
-                                 SimTime load_duration,
-                                 const Tracer* tracer,
-                                 const AdmissionStats* admission) {
-  return BuildFailureReport(std::vector<const BlockStore*>{&ledger}, stats,
-                            load_duration, tracer, admission);
-}
-
-FailureReport BuildFailureReport(const std::vector<const BlockStore*>& ledgers,
-                                 const RunStats& stats,
-                                 SimTime load_duration,
-                                 const Tracer* tracer,
-                                 const AdmissionStats* admission) {
-  FailureReport report;
-  double seconds = ToSeconds(load_duration);
-  // Aggregate counts sum over every channel's chain; with exactly one
-  // ledger every accumulation below reduces to the same arithmetic the
-  // single-ledger report always did, keeping it bitwise stable.
-  LedgerSummary summary;
-  Histogram latencies;
-  uint64_t committed_in_window = 0;
-  for (size_t c = 0; c < ledgers.size(); ++c) {
-    const BlockStore& ledger = *ledgers[c];
-    LedgerSummary channel_summary = LedgerParser::Summarize(ledger);
-    summary.Merge(channel_summary);
-
-    uint64_t channel_committed_in_window = 0;
-    for (const TxRecord& rec : LedgerParser::Parse(ledger)) {
-      latencies.Add(ToMillis(rec.TotalLatency()));
-      if (rec.committed_time <= load_duration) ++channel_committed_in_window;
-    }
-    committed_in_window += channel_committed_in_window;
-
-    // Ordering-availability proxy: the widest silence between
-    // consecutive block cuts on any one channel's chain.
-    SimTime prev_cut = kSimTimeNever;
-    for (const auto& block : ledger.blocks()) {
-      if (prev_cut != kSimTimeNever && block.cut_time > prev_cut) {
-        double gap = ToSeconds(block.cut_time - prev_cut);
-        if (gap > report.max_interblock_gap_s) {
-          report.max_interblock_gap_s = gap;
-        }
-      }
-      prev_cut = block.cut_time;
-    }
-
-    if (ledgers.size() > 1) {
-      ChannelFailureBreakdown slice;
-      slice.channel = static_cast<int>(c);
-      slice.ledger_txs = channel_summary.total;
-      slice.valid_txs = channel_summary.valid;
-      slice.endorsement_failures = channel_summary.endorsement_policy_failures;
-      slice.mvcc_intra = channel_summary.mvcc_intra_block;
-      slice.mvcc_inter = channel_summary.mvcc_inter_block;
-      slice.phantom = channel_summary.phantom_read_conflicts;
-      if (channel_summary.total > 0) {
-        double n = static_cast<double>(channel_summary.total);
-        slice.total_failure_pct =
-            100.0 * static_cast<double>(channel_summary.failed()) / n;
-        slice.mvcc_pct =
-            100.0 * static_cast<double>(channel_summary.mvcc_total()) / n;
-      }
-      if (seconds > 0) {
-        slice.committed_throughput_tps =
-            static_cast<double>(channel_committed_in_window) / seconds;
-      }
-      report.per_channel.push_back(slice);
-    }
-  }
-  FillFromSummary(report, summary, stats, seconds);
-
-  // Latency over all ledger transactions (failed and successful), and
-  // the count of transactions that committed within the load window
-  // (the throughput the paper measures; commits during the drain
-  // phase of a saturated system do not count).
-  if (latencies.count() > 0) {
-    report.avg_latency_s = latencies.mean() / 1000.0;
-    report.p50_latency_s = latencies.Percentile(0.5) / 1000.0;
-    report.p99_latency_s = latencies.Percentile(0.99) / 1000.0;
-  }
-  if (seconds > 0) {
-    report.committed_throughput_tps =
-        static_cast<double>(committed_in_window) / seconds;
-  }
-
-  FillPhases(report, tracer);
-  FillAdmission(report, admission);
-  return report;
-}
 
 FailureReport BuildFailureReport(const StreamingLedgerStats& ledger_stats,
                                  const RunStats& stats,
@@ -252,6 +157,22 @@ FailureReport BuildFailureReport(const StreamingLedgerStats& ledger_stats,
   FillPhases(report, tracer);
   FillAdmission(report, admission);
   return report;
+}
+
+FailureReport BuildFailureReport(const std::vector<const BlockStore*>& ledgers,
+                                 const RunStats& stats,
+                                 SimTime load_duration,
+                                 const Tracer* tracer,
+                                 const AdmissionStats* admission) {
+  StreamingLedgerStats ledger_stats(static_cast<int>(ledgers.size()));
+  ledger_stats.set_window_end(load_duration);
+  for (size_t c = 0; c < ledgers.size(); ++c) {
+    for (const Block& block : ledgers[c]->blocks()) {
+      ledger_stats.OnBlockCommitted(static_cast<ChannelId>(c), block);
+    }
+  }
+  return BuildFailureReport(ledger_stats, stats, load_duration, tracer,
+                            admission);
 }
 
 FailureReport FailureReport::Average(

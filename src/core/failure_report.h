@@ -6,7 +6,7 @@
 
 #include "src/admission/admission.h"
 #include "src/client/client.h"
-#include "src/ledger/ledger_parser.h"
+#include "src/ledger/block_store.h"
 
 namespace fabricsim {
 
@@ -14,7 +14,7 @@ class Tracer;
 class StreamingLedgerStats;
 
 /// Failure-class slice of one channel's ledger (multi-channel runs
-/// only): the same blockchain-parsed counts as the aggregate report,
+/// only): the same commit-time counts as the aggregate report,
 /// restricted to one shard.
 struct ChannelFailureBreakdown {
   int channel = 0;
@@ -29,8 +29,8 @@ struct ChannelFailureBreakdown {
   double committed_throughput_tps = 0;
 };
 
-/// Aggregated metrics of one run, computed by parsing the blockchain
-/// after the experiment (paper §4.5): failure percentages per type,
+/// Aggregated metrics of one run, read from the committed blockchain
+/// (paper §4.5) as each block commits: failure percentages per type,
 /// average total transaction latency over successful *and* failed
 /// transactions, and committed transaction throughput.
 struct FailureReport {
@@ -127,36 +127,26 @@ struct FailureReport {
   std::string ToString() const;
 };
 
-/// Builds the report from a parsed ledger plus the client-side
-/// counters. `load_duration` is the length of the submission phase.
-/// When `tracer` is non-null (run had tracing enabled), the report
-/// additionally carries the per-phase latency breakdown; a null tracer
-/// produces output identical to a build without the obs subsystem.
-/// Likewise `admission`: non-null adds the overload-protection
-/// section, null reproduces the unprotected report byte-for-byte.
-FailureReport BuildFailureReport(const BlockStore& ledger,
-                                 const RunStats& stats,
-                                 SimTime load_duration,
-                                 const Tracer* tracer = nullptr,
-                                 const AdmissionStats* admission = nullptr);
-
-/// Multi-channel variant: one ledger per channel, in channel order.
-/// The aggregate metrics sum/merge across every channel's chain; with
-/// more than one ledger the report additionally carries the
-/// per-channel breakdown. Passing exactly one ledger is arithmetic-
-/// identical to the single-ledger overload.
-FailureReport BuildFailureReport(const std::vector<const BlockStore*>& ledgers,
-                                 const RunStats& stats,
-                                 SimTime load_duration,
-                                 const Tracer* tracer = nullptr,
-                                 const AdmissionStats* admission = nullptr);
-
-/// Streaming variant: builds the report from commit-time aggregates
-/// instead of a retained ledger. Failure counts and throughput are
-/// exact (same per-tx classification as the parsed path); latency
-/// quantiles are sketch-approximate within
-/// QuantileSketch::kRelativeError.
+/// Builds the report from the run's commit-time fold
+/// (FabricNetwork::ledger_stats()) plus the client-side counters.
+/// `load_duration` is the length of the submission phase. Counts,
+/// percentages, mean latency and throughput are exact; p50/p99 are
+/// within QuantileSketch::kRelativeError of the true order statistic.
+/// A non-null `tracer` (run had tracing enabled) adds the per-phase
+/// latency breakdown; a non-null `admission` adds the
+/// overload-protection section. Null for either leaves the report
+/// exactly as without that subsystem.
 FailureReport BuildFailureReport(const StreamingLedgerStats& ledger_stats,
+                                 const RunStats& stats,
+                                 SimTime load_duration,
+                                 const Tracer* tracer = nullptr,
+                                 const AdmissionStats* admission = nullptr);
+
+/// Adapter for retained ledgers: folds `ledgers[i]` into slot i (never
+/// by its blocks' channel ids), counting commits up to `load_duration`
+/// as in-window, and builds the report above from that fold. More than
+/// one ledger adds one per-channel slice per slot.
+FailureReport BuildFailureReport(const std::vector<const BlockStore*>& ledgers,
                                  const RunStats& stats,
                                  SimTime load_duration,
                                  const Tracer* tracer = nullptr,

@@ -79,20 +79,9 @@ Result<RunArtifacts> RunOnceArtifacts(const ExperimentConfig& config,
                             integrity.Summary());
   }
   RunArtifacts artifacts;
-  if (network.ledger_stats() != nullptr) {
-    artifacts.report = BuildFailureReport(
-        *network.ledger_stats(), network.stats(), config.duration,
-        network.tracer(), network.admission_stats());
-  } else {
-    std::vector<const BlockStore*> ledgers;
-    ledgers.reserve(network.num_channels());
-    for (int c = 0; c < network.num_channels(); ++c) {
-      ledgers.push_back(&network.ledger(c));
-    }
-    artifacts.report =
-        BuildFailureReport(ledgers, network.stats(), config.duration,
-                           network.tracer(), network.admission_stats());
-  }
+  artifacts.report = BuildFailureReport(
+      *network.ledger_stats(), network.stats(), config.duration,
+      network.tracer(), network.admission_stats());
   if (network.tracer() != nullptr) {
     artifacts.trace_jsonl = network.tracer()->ExportJsonl(config.Describe());
   }

@@ -57,9 +57,7 @@ Status FabricNetwork::Init() {
     return Status::InvalidArgument("cluster must have orgs, peers, clients");
   }
   const int num_channels = this->num_channels();
-  if (config_.streaming_ledger) {
-    ledger_stats_ = std::make_unique<StreamingLedgerStats>(num_channels);
-  }
+  ledger_stats_ = std::make_unique<StreamingLedgerStats>(num_channels);
 
   // Every channel inherits the constructor's chaincode unless a
   // channel-specific installation shadows it.
@@ -376,9 +374,7 @@ Status FabricNetwork::StartLoad(
         "class_workloads must be empty or one entry per behaviour class");
   }
   class_workloads_ = std::move(class_workloads);
-  if (ledger_stats_ != nullptr) {
-    ledger_stats_->set_window_end(env_->now() + duration);
-  }
+  ledger_stats_->set_window_end(env_->now() + duration);
 
   const int num_channels = this->num_channels();
   int num_orderer_nodes =
@@ -537,13 +533,9 @@ void FabricNetwork::RecordCommit(ChannelId channel, uint64_t block_number,
       client->OnCommittedResult(block.txs[i].id, block.results[i].code);
     }
   }
-  if (ledger_stats_ != nullptr) {
-    // Streaming mode: fold the block into the bounded aggregates and
-    // drop it — the BlockStore stays empty by design.
-    ledger_stats_->OnBlockCommitted(block);
-    return;
-  }
-  runtime.ledger.Append(std::move(block));
+  ledger_stats_->OnBlockCommitted(channel, block);
+  // A streaming run drops the block here; its BlockStore stays empty.
+  if (!config_.streaming_ledger) runtime.ledger.Append(std::move(block));
 }
 
 }  // namespace fabricsim

@@ -101,8 +101,8 @@ class FabricNetwork {
   }
 
   /// Canonical ledger of the default channel (from the reference
-  /// peer), including failed transactions — parse it for metrics, as
-  /// the paper does.
+  /// peer), including failed transactions. Empty when
+  /// config.streaming_ledger is set.
   const BlockStore& ledger() const { return channels_[0].ledger; }
   /// Canonical ledger of one channel.
   const BlockStore& ledger(ChannelId channel) const {
@@ -112,17 +112,18 @@ class FabricNetwork {
   const RunStats& stats() const { return stats_; }
   const FabricConfig& config() const { return config_; }
 
-  /// Streaming ledger aggregates; nullptr unless
-  /// config.streaming_ledger. When set, the BlockStore ledgers above
-  /// stay empty — commits fold here instead.
+  /// Commit-time ledger aggregates, one slot per channel: every
+  /// reference-peer commit folds here, retained or streaming ledger
+  /// alike. Never null after Init(); BuildFailureReport reads it.
   const StreamingLedgerStats* ledger_stats() const {
     return ledger_stats_.get();
   }
 
-  /// Lifecycle tracer; nullptr unless config.tracing was set before
-  /// Init(). When present it holds one TxTrace per generated
-  /// transaction (complete span chain + failure attribution) and the
-  /// per-phase latency histograms.
+  /// Lifecycle tracer; nullptr unless config.tracing or
+  /// config.streaming_obs was set before Init(). It folds every
+  /// terminal transaction into per-phase latency sketches and failure
+  /// counters; without streaming_obs it also keeps one TxTrace per
+  /// transaction (span chain + failure attribution).
   const Tracer* tracer() const { return tracer_.get(); }
 
   const EndorsementPolicy& policy() const { return *policy_; }

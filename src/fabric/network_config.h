@@ -235,22 +235,24 @@ struct FabricConfig {
   /// without the tracing subsystem.
   bool tracing = false;
 
-  /// Memory-bounded observability for long/large runs. With
-  /// streaming_obs the tracer keeps only the in-flight transaction
-  /// window: terminal events fold each trace into quantile sketches,
-  /// failure counters and a reservoir of failure exemplars, then drop
-  /// it. Implies a tracer even when `tracing` is false. Aggregate
-  /// counts match dense tracing exactly; the full per-transaction
-  /// export is replaced by the exemplar sample.
+  /// Memory-bounded observability for long/large runs. The tracer
+  /// folds every terminal trace into quantile sketches and failure
+  /// counters in either mode; streaming_obs only decides what is kept
+  /// per transaction. With it the tracer holds just the in-flight
+  /// window and a reservoir of failure exemplars, releasing each trace
+  /// once folded. Implies a tracer even when `tracing` is false.
+  /// Aggregates are identical to dense tracing; the full
+  /// per-transaction export is replaced by the exemplar sample.
   bool streaming_obs = false;
 
-  /// Fold the reference peer's commits into streaming per-channel
-  /// aggregates (StreamingLedgerStats) instead of retaining the
-  /// canonical BlockStore. Makes ledger memory O(channels) instead of
-  /// O(transactions) — the enabler for hour-long million-user runs.
-  /// Failure counts/throughput are exact; latency quantiles are
-  /// sketch-approximate. The chain-integrity audit runs at commit time
-  /// from each channel's record, so it covers streaming runs too.
+  /// Drop each block after the commit-time fold instead of retaining
+  /// the canonical BlockStore. Every run folds the reference peer's
+  /// commits into StreamingLedgerStats and builds its FailureReport
+  /// from that fold, so the report is the same either way; this knob
+  /// only makes ledger memory O(channels) instead of O(transactions),
+  /// the enabler for hour-long million-user runs. The chain-integrity
+  /// audit runs at commit time from each channel's record, so it
+  /// covers streaming runs too.
   bool streaming_ledger = false;
 
   /// Streamchain: ledger/world state on a RAM disk (paper §5.3.3).

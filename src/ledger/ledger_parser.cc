@@ -62,25 +62,4 @@ void LedgerSummary::Count(const TxValidationResult& result) {
   }
 }
 
-void LedgerSummary::Merge(const LedgerSummary& other) {
-  total += other.total;
-  valid += other.valid;
-  endorsement_policy_failures += other.endorsement_policy_failures;
-  mvcc_intra_block += other.mvcc_intra_block;
-  mvcc_inter_block += other.mvcc_inter_block;
-  phantom_read_conflicts += other.phantom_read_conflicts;
-  reordering_aborts += other.reordering_aborts;
-  deadline_expired += other.deadline_expired;
-}
-
-LedgerSummary LedgerParser::Summarize(const BlockStore& store) {
-  LedgerSummary s;
-  for (const Block& block : store.blocks()) {
-    for (const TxValidationResult& res : block.results) {
-      s.Count(res);
-    }
-  }
-  return s;
-}
-
 }  // namespace fabricsim

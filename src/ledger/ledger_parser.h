@@ -48,19 +48,16 @@ struct LedgerSummary {
   uint64_t mvcc_total() const { return mvcc_intra_block + mvcc_inter_block; }
   uint64_t failed() const { return total - valid; }
 
-  /// Classifies one validation verdict into the counters — shared by
-  /// the post-run ledger parse and the streaming commit-time fold, so
-  /// both paths count identically by construction.
+  /// Classifies one validation verdict into the counters (the
+  /// commit-time fold in StreamingLedgerStats calls it once per
+  /// ledger transaction).
   void Count(const TxValidationResult& result);
-  void Merge(const LedgerSummary& other);
 };
 
-/// Walks a block store and extracts per-transaction records and
-/// aggregate failure counts.
+/// Walks a block store and extracts per-transaction records.
 class LedgerParser {
  public:
   static std::vector<TxRecord> Parse(const BlockStore& store);
-  static LedgerSummary Summarize(const BlockStore& store);
 };
 
 }  // namespace fabricsim

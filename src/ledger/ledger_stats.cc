@@ -5,11 +5,11 @@ namespace fabricsim {
 StreamingLedgerStats::StreamingLedgerStats(int num_channels)
     : channels_(static_cast<size_t>(num_channels < 1 ? 1 : num_channels)) {}
 
-void StreamingLedgerStats::OnBlockCommitted(const Block& block) {
-  ChannelAgg& agg = channels_[static_cast<size_t>(block.channel)];
+void StreamingLedgerStats::OnBlockCommitted(ChannelId channel,
+                                            const Block& block) {
+  ChannelAgg& agg = channels_[static_cast<size_t>(channel)];
   ++blocks_committed_;
-  // Same gap definition as the dense report: consecutive cut times on
-  // one channel's chain (blocks commit in order per channel).
+  // Gap between consecutive cut times on one channel's chain.
   if (agg.prev_cut != kSimTimeNever && block.cut_time > agg.prev_cut) {
     double gap = ToSeconds(block.cut_time - agg.prev_cut);
     if (gap > max_interblock_gap_s_) max_interblock_gap_s_ = gap;

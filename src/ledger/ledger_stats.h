@@ -12,16 +12,15 @@
 
 namespace fabricsim {
 
-/// Streaming replacement for the canonical BlockStore + post-run
-/// LedgerParser pass: every committed block is folded into per-channel
-/// failure counts, a latency quantile sketch, in-window commit counts
-/// and interblock-gap tracking at commit time, then dropped. Memory is
-/// O(channels + sketch buckets) — independent of how many transactions
-/// the run commits — which is what lets hour-long 10^4 tps simulations
-/// keep flat observability memory. The per-tx classification is the
-/// exact LedgerSummary::Count the parser uses, so counts match the
-/// dense path bit-for-bit; only latency quantiles are sketch-
-/// approximate (within QuantileSketch::kRelativeError).
+/// The commit-time fold behind every FailureReport: each block the
+/// reference peer commits is folded into per-channel failure counts, a
+/// latency quantile sketch, in-window commit counts and interblock-gap
+/// tracking. Every run keeps one, whether or not it also retains the
+/// BlockStore (FabricConfig::streaming_ledger only decides that).
+/// Memory is O(channels + sketch buckets), independent of how many
+/// transactions the run commits. Counts use LedgerSummary::Count and
+/// are exact; latency quantiles are within
+/// QuantileSketch::kRelativeError of the true order statistic.
 class StreamingLedgerStats {
  public:
   explicit StreamingLedgerStats(int num_channels);
@@ -32,8 +31,9 @@ class StreamingLedgerStats {
   void set_window_end(SimTime window_end) { window_end_ = window_end; }
 
   /// Folds one reference-peer-committed block (results + committed
-  /// times filled in) into the aggregates.
-  void OnBlockCommitted(const Block& block);
+  /// times filled in) into slot `channel`. Blocks of one slot must
+  /// arrive in chain order.
+  void OnBlockCommitted(ChannelId channel, const Block& block);
 
   /// Aggregate failure counts across all channels.
   const LedgerSummary& summary() const { return total_; }
@@ -51,7 +51,7 @@ class StreamingLedgerStats {
   }
 
   /// Widest silence between consecutive block cuts on any channel, in
-  /// seconds (the ordering-availability proxy of the dense report).
+  /// seconds (the report's ordering-availability proxy).
   double max_interblock_gap_s() const { return max_interblock_gap_s_; }
 
   uint64_t blocks_committed() const { return blocks_committed_; }

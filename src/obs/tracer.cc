@@ -23,11 +23,7 @@ void Tracer::OnEarlyAbort(TxId id, TxValidationCode code, SimTime now) {
   auto failure = std::make_unique<FailureAttribution>();
   failure->code = code;
   trace.failure = std::move(failure);
-  if (streaming_) {
-    FoldTerminal(id);
-    return;
-  }
-  aggregates_dirty_ = true;
+  FoldTerminal(trace);
 }
 
 void Tracer::OnAdmissionDrop(TxId id, TraceTerminal terminal,
@@ -39,11 +35,7 @@ void Tracer::OnAdmissionDrop(TxId id, TraceTerminal terminal,
   auto failure = std::make_unique<FailureAttribution>();
   failure->code = code;
   trace.failure = std::move(failure);
-  if (streaming_) {
-    FoldTerminal(id);
-    return;
-  }
-  aggregates_dirty_ = true;
+  FoldTerminal(trace);
 }
 
 void Tracer::OnCommit(TxId id, uint64_t block_number, uint32_t tx_index,
@@ -67,11 +59,7 @@ void Tracer::OnCommit(TxId id, uint64_t block_number, uint32_t tx_index,
     failure->block_number = block_number;
     trace.failure = std::move(failure);
   }
-  if (streaming_) {
-    FoldTerminal(id);
-    return;
-  }
-  aggregates_dirty_ = true;
+  FoldTerminal(trace);
 }
 
 void Tracer::CountIntoChannel(const TxTrace& trace) {
@@ -102,10 +90,7 @@ void Tracer::CountIntoChannel(const TxTrace& trace) {
   }
 }
 
-void Tracer::FoldTerminal(TxId id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  TxTrace& trace = it->second;
+void Tracer::FoldTerminal(TxTrace& trace) {
   if (trace.terminal == TraceTerminal::kLedger) {
     ++failure_counts_[trace.final_code];
     phases_.endorse.Add(ToMillis(trace.EndorsePhase()));
@@ -116,31 +101,13 @@ void Tracer::FoldTerminal(TxId id) {
     ++failure_counts_[trace.final_code];
   }
   CountIntoChannel(trace);
-  if (trace.failure != nullptr) {
-    if (!trace.failure->conflicting_key.empty()) {
-      ++conflict_key_counts_[trace.failure->conflicting_key];
-    }
-    exemplars_.Offer(std::move(trace));
+  if (trace.failure != nullptr && !trace.failure->conflicting_key.empty()) {
+    ++conflict_key_counts_[trace.failure->conflicting_key];
   }
-  live_.erase(it);
-}
-
-void Tracer::RebuildAggregates() const {
-  phases_ = PhaseSketches();
-  failure_counts_.clear();
-  for (const TxTrace& trace : traces_) {
-    if (trace.id == 0) continue;
-    if (trace.terminal == TraceTerminal::kLedger) {
-      ++failure_counts_[trace.final_code];
-      phases_.endorse.Add(ToMillis(trace.EndorsePhase()));
-      phases_.ordering.Add(ToMillis(trace.OrderingPhase()));
-      phases_.commit.Add(ToMillis(trace.CommitPhase()));
-      phases_.total.Add(ToMillis(trace.TotalLatency()));
-    } else if (trace.terminal == TraceTerminal::kEarlyAborted) {
-      ++failure_counts_[trace.final_code];
-    }
-  }
-  aggregates_dirty_ = false;
+  if (!streaming_) return;
+  TxId id = trace.id;
+  if (trace.failure != nullptr) exemplars_.Offer(std::move(trace));
+  live_.erase(id);
 }
 
 void Tracer::OnPeerCommit(PeerId peer, ChannelId channel,
@@ -178,19 +145,8 @@ std::vector<const TxTrace*> Tracer::SortedTraces() const {
 
 std::vector<std::pair<std::string, uint64_t>> Tracer::TopConflictingKeys(
     size_t limit) const {
-  std::map<std::string, uint64_t> counts;
-  if (streaming_) {
-    counts = conflict_key_counts_;
-  } else {
-    for (const TxTrace& trace : traces_) {
-      if (trace.id != 0 && trace.failure != nullptr &&
-          !trace.failure->conflicting_key.empty()) {
-        ++counts[trace.failure->conflicting_key];
-      }
-    }
-  }
-  std::vector<std::pair<std::string, uint64_t>> ranked(counts.begin(),
-                                                       counts.end());
+  std::vector<std::pair<std::string, uint64_t>> ranked(
+      conflict_key_counts_.begin(), conflict_key_counts_.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -209,11 +165,6 @@ size_t Tracer::ApproxMemoryBytes() const {
   if (streaming_) {
     bytes += live_.size() * (kPerTrace + 4 * sizeof(void*));
     bytes += exemplars_.items().capacity() * kPerTrace;
-    bytes += channel_counts_.capacity() * sizeof(ChannelCounts);
-    for (const auto& [key, count] : conflict_key_counts_) {
-      (void)count;
-      bytes += key.capacity() + sizeof(uint64_t) + 4 * sizeof(void*);
-    }
   } else {
     bytes += traces_.capacity() * sizeof(TxTrace);
     bytes += size_ * (4 * sizeof(EndorserSpan));
@@ -222,6 +173,11 @@ size_t Tracer::ApproxMemoryBytes() const {
               sizeof(SimTime) + 4 * sizeof(void*));
   }
   bytes += phases_.ApproxMemoryBytes();
+  bytes += channel_counts_.capacity() * sizeof(ChannelCounts);
+  for (const auto& [key, count] : conflict_key_counts_) {
+    (void)count;
+    bytes += key.capacity() + sizeof(uint64_t) + 4 * sizeof(void*);
+  }
   bytes += fault_events_.capacity() * sizeof(FaultEventRow);
   bytes += raft_events_.capacity() * sizeof(RaftEventRow);
   for (const auto& [code, count] : failure_counts_) {
@@ -243,7 +199,7 @@ std::string Tracer::ExportJsonl(const std::string& config_echo) const {
     // The full per-transaction body is gone (that is the point); the
     // export leads with the bounded roll-up, then the sampled failure
     // exemplars as ordinary transaction rows.
-    const PhaseSketches& sketches = phases();
+    const PhaseSketches& sketches = phases_;
     writer.AddRow(StrFormat(
         "{\"type\": \"streaming_summary\", \"txs_observed\": %zu, "
         "\"in_flight\": %zu, \"failures_seen\": %llu, \"exemplars\": %zu, "
@@ -286,42 +242,9 @@ std::string Tracer::ExportJsonl(const std::string& config_echo) const {
   if (num_channels_ > 1) {
     std::vector<ChannelCounts> per_channel(
         static_cast<size_t>(num_channels_));
-    if (streaming_) {
-      for (size_t c = 0; c < channel_counts_.size() && c < per_channel.size();
-           ++c) {
-        per_channel[c] = channel_counts_[c];
-      }
-    } else {
-      for (const TxTrace& trace : traces_) {
-        if (trace.id == 0) continue;
-        if (trace.channel < 0 ||
-            static_cast<size_t>(trace.channel) >= per_channel.size()) {
-          continue;
-        }
-        ChannelCounts& counts =
-            per_channel[static_cast<size_t>(trace.channel)];
-        if (trace.terminal == TraceTerminal::kLedger) {
-          ++counts.ledger;
-          switch (trace.final_code) {
-            case TxValidationCode::kValid:
-              ++counts.valid;
-              break;
-            case TxValidationCode::kEndorsementPolicyFailure:
-              ++counts.endorse;
-              break;
-            case TxValidationCode::kMvccReadConflict:
-              ++counts.mvcc;
-              break;
-            case TxValidationCode::kPhantomReadConflict:
-              ++counts.phantom;
-              break;
-            default:
-              break;
-          }
-        } else if (trace.terminal == TraceTerminal::kEarlyAborted) {
-          ++counts.early_abort;
-        }
-      }
+    for (size_t c = 0; c < channel_counts_.size() && c < per_channel.size();
+         ++c) {
+      per_channel[c] = channel_counts_[c];
     }
     for (size_t c = 0; c < per_channel.size(); ++c) {
       const ChannelCounts& counts = per_channel[c];

@@ -17,10 +17,9 @@
 namespace fabricsim {
 
 /// Aggregate per-phase latency sinks over ledger transactions, held as
-/// mergeable quantile sketches (milliseconds). Sketch state is a pure
-/// function of the multiset of added values, so aggregates are
-/// identical whether they were folded in streaming or rebuilt from
-/// dense traces.
+/// mergeable quantile sketches (milliseconds). Both tracer modes fold
+/// each transaction in at its terminal event, so dense and streaming
+/// runs hold identical sketches.
 struct PhaseSketches {
   QuantileSketch endorse;   ///< client submit -> all endorsements collected
   QuantileSketch ordering;  ///< endorsed -> block cut
@@ -33,16 +32,17 @@ struct PhaseSketches {
   }
 };
 
-/// How the tracer stores what it observes.
+/// How the tracer stores what it observes. In both modes each terminal
+/// event folds the trace into bounded aggregates (phase sketches,
+/// failure counters, conflict-key counts, per-channel roll-ups); the
+/// mode only decides what is kept per transaction.
 struct TracerOptions {
   /// Dense mode (default) keeps every span of every transaction — the
   /// full-fidelity export the analysis tools consume, with memory
   /// linear in transaction count. Streaming mode keeps only the
-  /// in-flight window: terminal events fold the trace into bounded
-  /// aggregates (phase sketches, failure counters, conflict-key
-  /// counts, per-channel roll-ups) plus a reservoir of failure
-  /// exemplars, then drop it — memory stays flat no matter how long
-  /// the run is.
+  /// in-flight window and a reservoir of failure exemplars, releasing
+  /// each trace once folded — memory stays flat no matter how long the
+  /// run is.
   bool streaming = false;
   /// Failure exemplars retained in streaming mode (reservoir-sampled
   /// uniformly over all failed transactions).
@@ -103,12 +103,13 @@ class Tracer {
     trace.endorsed = now;
   }
   /// Client-side drop: app error, read-only skip, no endorsers, or
-  /// endorsement-retry exhaustion. Terminal — in streaming mode the
-  /// trace is folded and released here.
+  /// endorsement-retry exhaustion. Terminal — the trace is folded here
+  /// (and released in streaming mode).
   void OnClientDrop(TxId id, TraceTerminal reason, SimTime now) {
     (void)now;
-    Touch(id).terminal = reason;
-    if (streaming_) FoldTerminal(id);
+    TxTrace& trace = Touch(id);
+    trace.terminal = reason;
+    FoldTerminal(trace);
   }
   /// The client re-proposed after an endorsement timeout; `attempt` is
   /// the new (1-based) retry round.
@@ -195,19 +196,13 @@ class Tracer {
   /// Dense mode: all traces ordered by transaction id. Streaming mode:
   /// the retained failure exemplars, id-ordered. Deterministic.
   std::vector<const TxTrace*> SortedTraces() const;
-  /// Per-phase latency sketches over ledger transactions. Dense mode
-  /// computes them lazily from the recorded traces (the hot-path hooks
-  /// only record raw spans); streaming mode maintains them eagerly at
-  /// terminal events. Both fold the same values in the same (id-dense
-  /// commit) order, so the sketches agree bit-for-bit.
-  const PhaseSketches& phases() const {
-    if (aggregates_dirty_) RebuildAggregates();
-    return phases_;
-  }
-  /// Failure-class counters over ledger + early-aborted transactions.
-  /// Lazily derived in dense mode, eagerly maintained in streaming.
+  /// Per-phase latency sketches over ledger transactions, folded at
+  /// each commit in both modes (same values, same order), so dense and
+  /// streaming runs agree bit-for-bit.
+  const PhaseSketches& phases() const { return phases_; }
+  /// Failure-class counters over ledger + early-aborted transactions,
+  /// folded at each terminal event in both modes.
   const std::map<TxValidationCode, uint64_t>& failure_counts() const {
-    if (aggregates_dirty_) RebuildAggregates();
     return failure_counts_;
   }
   /// Per-peer commit time of each block, in (channel, block, peer)
@@ -259,8 +254,8 @@ class Tracer {
   std::string ExportJsonl(const std::string& config_echo) const;
 
  private:
-  /// Per-channel failure roll-up (multi-channel exports; maintained
-  /// eagerly in streaming mode, derived from traces in dense mode).
+  /// Per-channel failure roll-up (multi-channel exports), folded at
+  /// each terminal event.
   struct ChannelCounts {
     uint64_t ledger = 0, valid = 0, endorse = 0, mvcc = 0, phantom = 0,
              early_abort = 0;
@@ -284,11 +279,12 @@ class Tracer {
     return trace;
   }
 
-  /// Streaming mode: folds a terminal trace into the aggregates (and
-  /// the failure reservoir) and releases its live_ slot.
-  void FoldTerminal(TxId id);
+  /// Folds a terminal trace into the aggregates. Streaming mode then
+  /// offers it to the failure reservoir and releases its live_ slot.
+  void FoldTerminal(TxTrace& trace);
   void CountIntoChannel(const TxTrace& trace);
 
+  const bool streaming_;
   /// Transaction ids are a dense counter starting at 1 (see
   /// Client::Submit), so dense-mode traces are stored in a vector
   /// indexed by id — every hook is an array index instead of a hash
@@ -296,11 +292,6 @@ class Tracer {
   /// slots stay default-constructed (id == 0) and are skipped by the
   /// queries. Streaming mode keeps only in-flight traces, keyed by id
   /// in live_.
-  /// Recomputes phases_ and failure_counts_ from traces_ (dense mode
-  /// only). Scans in id order, so the result is deterministic.
-  void RebuildAggregates() const;
-
-  const bool streaming_;
   std::vector<TxTrace> traces_;           ///< dense mode storage
   std::unordered_map<TxId, TxTrace> live_;  ///< streaming in-flight window
   size_t size_ = 0;  ///< number of transactions ever observed
@@ -309,16 +300,11 @@ class Tracer {
   std::vector<RaftEventRow> raft_events_;
   int num_channels_ = 1;
   ReservoirSampler<TxTrace> exemplars_;
-  /// Streaming-only eager aggregates (always empty in dense mode,
-  /// which derives them from traces_ on demand instead).
+  /// Aggregates folded at terminal events (both modes).
   std::vector<ChannelCounts> channel_counts_;
   std::map<std::string, uint64_t> conflict_key_counts_;
-  /// Dense mode: caches over traces_, rebuilt on demand — keeping
-  /// sketch/map updates off the per-commit hot path. Streaming mode:
-  /// maintained eagerly (aggregates_dirty_ stays false).
-  mutable bool aggregates_dirty_ = false;
-  mutable std::map<TxValidationCode, uint64_t> failure_counts_;
-  mutable PhaseSketches phases_;
+  std::map<TxValidationCode, uint64_t> failure_counts_;
+  PhaseSketches phases_;
 };
 
 }  // namespace fabricsim

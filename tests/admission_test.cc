@@ -47,7 +47,7 @@ constexpr char kGoldenDefault[] =
     "ledger=1998 valid=889 endorse=21 mvcc_intra=808 mvcc_inter=280 "
     "phantom=0 submitted=1998 app=0\n"
     "pct=55.505505505505504/1.0510510510510511/54.454454454454456/0/0\n"
-    "lat=0.79166268968969022/0.75911118027396884/2.02848615705734 "
+    "lat=0.79166268968969022/0.76137129816446747/2.0287067818024185 "
     "tput=95/44.450000000000003\n";
 
 ExperimentConfig GoldenConfig() {
@@ -319,14 +319,14 @@ constexpr char kGoldenDropOldest[] =
     "ledger=327 valid=150 endorse=1 mvcc_intra=151 mvcc_inter=25 phantom=0 "
     "submitted=327 app=0\n"
     "pct=54.128440366972477/0.3058103975535168/53.822629969418955/0/0\n"
-    "lat=1.2763496819571867/1.2928577808809076/2.2371776900135338 "
+    "lat=1.2763496819571867/1.2806697746154441/2.2420752105708956 "
     "tput=32.833333333333336/25\n"
     "adm=9835/0/0/0/0/0/0/0\n";
 constexpr char kGoldenCoDel[] =
     "ledger=202 valid=99 endorse=0 mvcc_intra=84 mvcc_inter=19 phantom=0 "
     "submitted=202 app=0\n"
     "pct=50.990099009900987/0/50.990099009900987/0/0\n"
-    "lat=1.8383883069306926/2.1206369104671916/4.3114775202527937 "
+    "lat=1.8383883069306926/2.1115026916811006/4.3380453722402699 "
     "tput=32.666666666666664/16.5\n"
     "adm=5944/0/0/0/0/0/0/0\n";
 

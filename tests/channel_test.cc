@@ -5,10 +5,12 @@
 // serialization, worker budget, FIFO interference), per-channel
 // chaincode namespaces, channel affinity (pinning, skew, the no-draw
 // contract), fault composition across channels, per-channel failure
-// breakdowns, and the versioned artifact schema.
+// breakdowns, the commit-time report fold against the retained
+// ledgers, and the versioned artifact schema.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,10 +21,12 @@
 #include "src/channels/channel_affinity.h"
 #include "src/channels/channel_work_pool.h"
 #include "src/common/parallel.h"
+#include "src/common/stats.h"
 #include "src/common/strings.h"
 #include "src/core/invariants.h"
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
+#include "src/ledger/ledger_parser.h"
 #include "src/obs/json_writer.h"
 #include "src/sim/work_queue.h"
 #include "src/workload/paper_workloads.h"
@@ -40,7 +44,7 @@ constexpr char kGoldenCompat[] =
     "ledger=1998 valid=889 endorse=21 mvcc_intra=808 mvcc_inter=280 "
     "phantom=0 submitted=1998 app=0\n"
     "pct=55.505505505505504/1.0510510510510511/54.454454454454456/0/0\n"
-    "lat=0.79166268968969022/0.75911118027396884/2.02848615705734 "
+    "lat=0.79166268968969022/0.76137129816446747/2.0287067818024185 "
     "tput=95/44.450000000000003\n";
 
 // Same run under replicated (Raft) ordering, recorded pre-channel.
@@ -48,7 +52,7 @@ constexpr char kGoldenReplicated[] =
     "ledger=1992 valid=899 endorse=20 mvcc_intra=796 mvcc_inter=277 "
     "phantom=0 submitted=1992 app=0\n"
     "pct=54.869477911646584/1.0040160642570282/53.865461847389561/0/0\n"
-    "lat=0.78060464658634665/0.74022120304450434/2.0647142323398877 "
+    "lat=0.78060464658634665/0.73151652713556969/2.0696907571923666 "
     "tput=95/44.950000000000003\n";
 
 // Pre-channel trace exports of the same two runs (tracing on,
@@ -486,32 +490,8 @@ TEST(ChannelFaultTest, StreamingLedgerRunWithCrashRestartPassesTheAudit) {
   const FailureReport& r = retained.value();
   const FailureReport& s = streaming.value();
   EXPECT_GT(s.ledger_txs, 0u);
-  EXPECT_EQ(s.ledger_txs, r.ledger_txs);
-  EXPECT_EQ(s.valid_txs, r.valid_txs);
-  EXPECT_EQ(s.endorsement_failures, r.endorsement_failures);
-  EXPECT_EQ(s.mvcc_intra, r.mvcc_intra);
-  EXPECT_EQ(s.mvcc_inter, r.mvcc_inter);
-  EXPECT_EQ(s.phantom, r.phantom);
-  EXPECT_EQ(s.submitted_txs, r.submitted_txs);
-  EXPECT_EQ(s.app_errors, r.app_errors);
-  EXPECT_DOUBLE_EQ(s.total_failure_pct, r.total_failure_pct);
-  EXPECT_DOUBLE_EQ(s.committed_throughput_tps, r.committed_throughput_tps);
   ASSERT_EQ(s.per_channel.size(), 2u);
-  ASSERT_EQ(r.per_channel.size(), 2u);
-  for (size_t c = 0; c < 2; ++c) {
-    const ChannelFailureBreakdown& rc = r.per_channel[c];
-    const ChannelFailureBreakdown& sc = s.per_channel[c];
-    EXPECT_EQ(sc.channel, rc.channel);
-    EXPECT_EQ(sc.ledger_txs, rc.ledger_txs) << "channel " << c;
-    EXPECT_EQ(sc.valid_txs, rc.valid_txs) << "channel " << c;
-    EXPECT_EQ(sc.endorsement_failures, rc.endorsement_failures);
-    EXPECT_EQ(sc.mvcc_intra, rc.mvcc_intra) << "channel " << c;
-    EXPECT_EQ(sc.mvcc_inter, rc.mvcc_inter) << "channel " << c;
-    EXPECT_EQ(sc.phantom, rc.phantom) << "channel " << c;
-    EXPECT_DOUBLE_EQ(sc.total_failure_pct, rc.total_failure_pct);
-    EXPECT_DOUBLE_EQ(sc.mvcc_pct, rc.mvcc_pct);
-    EXPECT_DOUBLE_EQ(sc.committed_throughput_tps, rc.committed_throughput_tps);
-  }
+  EXPECT_EQ(FingerprintWithChannels(s), FingerprintWithChannels(r));
 
   // The crash really forced a catch-up, on both channels, from records.
   DirectRun run = RunSharded(config, 42);
@@ -526,6 +506,87 @@ TEST(ChannelFaultTest, StreamingLedgerRunWithCrashRestartPassesTheAudit) {
         << "channel " << c;
   }
   EXPECT_TRUE(CheckChainIntegrity(network).ok());
+}
+
+// ------------------------------------------- the commit-time report
+
+TEST(ReportFoldTest, QuantilesWithinTheSketchBoundOfTheLedger) {
+  // The report's p50/p99 come from the commit-time fold's sketch. On
+  // retained runs they must sit within QuantileSketch::kRelativeError
+  // of the exact rank-ceil(q*n) order statistic over the latencies the
+  // parser reads from every channel's ledger.
+  for (int channels : {1, 2}) {
+    ExperimentConfig config = ShardedConfig(channels, /*skew=*/0);
+    DirectRun run = RunSharded(config, 42);
+    const FabricNetwork& network = *run.network;
+    std::vector<double> latencies_ms;
+    for (int c = 0; c < channels; ++c) {
+      for (const TxRecord& rec : LedgerParser::Parse(network.ledger(c))) {
+        latencies_ms.push_back(ToMillis(rec.TotalLatency()));
+      }
+    }
+    ASSERT_GT(latencies_ms.size(), 100u);
+    std::sort(latencies_ms.begin(), latencies_ms.end());
+    FailureReport report = BuildFailureReport(
+        *network.ledger_stats(), network.stats(), config.duration);
+    for (auto [q, reported_s] : {std::pair{0.5, report.p50_latency_s},
+                                 std::pair{0.99, report.p99_latency_s}}) {
+      size_t rank = static_cast<size_t>(
+          std::ceil(q * static_cast<double>(latencies_ms.size())));
+      double exact_s = latencies_ms[rank - 1] / 1000.0;
+      EXPECT_NEAR(reported_s, exact_s,
+                  QuantileSketch::kRelativeError * exact_s)
+          << channels << " channel(s), q=" << q;
+    }
+  }
+}
+
+TEST(ReportFoldTest, LedgerAdapterMatchesTheInRunFold) {
+  // One channel: folding the retained ledger after the run is the same
+  // fold in the same order, so the reports agree bit for bit.
+  {
+    ExperimentConfig config = ShardedConfig(1, /*skew=*/0);
+    DirectRun run = RunSharded(config, 42);
+    const FabricNetwork& network = *run.network;
+    EXPECT_EQ(Fingerprint(BuildFailureReport({&network.ledger()},
+                                             network.stats(),
+                                             config.duration)),
+              Fingerprint(BuildFailureReport(*network.ledger_stats(),
+                                             network.stats(),
+                                             config.duration)));
+  }
+  // Two channels: the adapter folds channel by channel, the run in
+  // commit order. Counts, slices and quantiles agree exactly; only the
+  // latency sum is added in another order.
+  ExperimentConfig config = ShardedConfig(2, /*skew=*/0);
+  DirectRun run = RunSharded(config, 42);
+  const FabricNetwork& network = *run.network;
+  FailureReport in_run = BuildFailureReport(
+      *network.ledger_stats(), network.stats(), config.duration);
+  FailureReport adapted =
+      BuildFailureReport({&network.ledger(0), &network.ledger(1)},
+                         network.stats(), config.duration);
+  ASSERT_EQ(adapted.per_channel.size(), 2u);
+  EXPECT_NEAR(adapted.avg_latency_s, in_run.avg_latency_s,
+              1e-12 * in_run.avg_latency_s);
+  adapted.avg_latency_s = in_run.avg_latency_s;
+  EXPECT_EQ(FingerprintWithChannels(adapted), FingerprintWithChannels(in_run));
+  EXPECT_EQ(adapted.max_interblock_gap_s, in_run.max_interblock_gap_s);
+
+  // A ledger passed alone lands in slot 0 whatever its channel id.
+  FailureReport one = BuildFailureReport({&network.ledger(1)},
+                                         network.stats(), config.duration);
+  const ChannelFailureBreakdown& ch1 = in_run.per_channel[1];
+  EXPECT_GT(one.ledger_txs, 0u);
+  EXPECT_TRUE(one.per_channel.empty());
+  EXPECT_EQ(one.ledger_txs, ch1.ledger_txs);
+  EXPECT_EQ(one.valid_txs, ch1.valid_txs);
+  EXPECT_EQ(one.endorsement_failures, ch1.endorsement_failures);
+  EXPECT_EQ(one.mvcc_intra, ch1.mvcc_intra);
+  EXPECT_EQ(one.mvcc_inter, ch1.mvcc_inter);
+  EXPECT_EQ(one.phantom, ch1.phantom);
+  EXPECT_EQ(one.total_failure_pct, ch1.total_failure_pct);
+  EXPECT_EQ(one.committed_throughput_tps, ch1.committed_throughput_tps);
 }
 
 TEST(ChannelStateNetworkTest, PeersOfAChannelShareOneStateAndKeepNoUndo) {

@@ -219,22 +219,6 @@ TEST(SummaryStatsTest, MergeMatchesCombined) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
 }
 
-TEST(HistogramTest, MeanAndPercentiles) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.Add(static_cast<double>(i));
-  EXPECT_NEAR(h.mean(), 500.5, 0.01);
-  EXPECT_NEAR(h.Percentile(0.5), 500, 40);
-  EXPECT_NEAR(h.Percentile(0.99), 990, 80);
-  EXPECT_GE(h.Percentile(1.0), h.Percentile(0.0));
-}
-
-TEST(HistogramTest, EmptyIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.Percentile(0.5), 0.0);
-}
-
 // ---------------------------------------------------------- Strings
 
 TEST(StringsTest, StrFormat) {

@@ -30,7 +30,7 @@ constexpr char kGoldenDefault[] =
     "ledger=1998 valid=889 endorse=21 mvcc_intra=808 mvcc_inter=280 "
     "phantom=0 submitted=1998 app=0\n"
     "pct=55.505505505505504/1.0510510510510511/54.454454454454456/0/0\n"
-    "lat=0.79166268968969022/0.75911118027396884/2.02848615705734 "
+    "lat=0.79166268968969022/0.76137129816446747/2.0287067818024185 "
     "tput=95/44.450000000000003\n";
 
 // Same config with the paper's Fig. 16 chaos: 100 ± 10 ms injected on
@@ -40,7 +40,7 @@ constexpr char kGoldenDelayedOrg[] =
     "ledger=1998 valid=794 endorse=134 mvcc_intra=556 mvcc_inter=514 "
     "phantom=0 submitted=1998 app=0\n"
     "pct=60.26026026026026/6.706706706706707/53.553553553553556/0/0\n"
-    "lat=0.98395471171171112/0.95217126197147772/2.2089206563091031 "
+    "lat=0.98395471171171112/0.94873401575459027/2.2420752105708956 "
     "tput=95/39.700000000000003\n";
 
 ExperimentConfig GoldenConfig() {
@@ -99,7 +99,7 @@ TEST(FaultGoldenTest, CrashRestartWithDelayedOrgPinned) {
             "ledger=1582 valid=519 endorse=450 mvcc_intra=310 mvcc_inter=303 "
             "phantom=0 submitted=1582 app=0\n"
             "pct=67.19342604298356/28.445006321112515/38.748419721871045/0/0\n"
-            "lat=1.9580047629582804/1.780527642338299/4.8649257147653939 "
+            "lat=1.9580047629582804/1.7636647170209279/4.8911520649524682 "
             "tput=75/25.949999999999999\n");
 }
 
@@ -344,10 +344,10 @@ TEST(FaultPartitionTest, HardPartitionDropsMessagesDeterministically) {
   EXPECT_GT(a.network->net().messages_dropped(), 0u);
   EXPECT_EQ(a.network->net().messages_dropped(),
             b.network->net().messages_dropped());
-  EXPECT_EQ(Fingerprint(BuildFailureReport(a.network->ledger(),
+  EXPECT_EQ(Fingerprint(BuildFailureReport(*a.network->ledger_stats(),
                                            a.network->stats(),
                                            config.duration)),
-            Fingerprint(BuildFailureReport(b.network->ledger(),
+            Fingerprint(BuildFailureReport(*b.network->ledger_stats(),
                                            b.network->stats(),
                                            config.duration)));
 }

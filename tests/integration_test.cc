@@ -46,7 +46,7 @@ RunOutput RunNetwork(const ExperimentConfig& config, uint64_t seed) {
   env.RunAll();
 
   RunOutput out;
-  out.report = BuildFailureReport(network.ledger(), network.stats(),
+  out.report = BuildFailureReport(*network.ledger_stats(), network.stats(),
                                   config.duration);
   uint64_t digest = 14695981039346656037ULL;
   for (const TxRecord& rec : LedgerParser::Parse(network.ledger())) {

@@ -4,6 +4,7 @@
 
 #include "src/ledger/block_store.h"
 #include "src/ledger/ledger_parser.h"
+#include "src/ledger/ledger_stats.h"
 #include "src/ledger/rwset.h"
 #include "src/ledger/transaction.h"
 #include "src/ledger/version.h"
@@ -191,26 +192,28 @@ TEST(BlockStoreTest, GetBlockBounds) {
 // ----------------------------------------------------- LedgerParser
 
 TEST(LedgerParserTest, SummarizesFailureTypes) {
-  BlockStore store;
-  ASSERT_TRUE(store
-                  .Append(MakeBlock(
-                      1, {TxValidationCode::kValid,
-                          TxValidationCode::kEndorsementPolicyFailure,
-                          TxValidationCode::kMvccReadConflict,   // intra (i=2)
-                          TxValidationCode::kMvccReadConflict,   // inter (i=3)
-                          TxValidationCode::kPhantomReadConflict,
-                          TxValidationCode::kAbortedByReordering}))
-                  .ok());
-  LedgerSummary summary = LedgerParser::Summarize(store);
-  EXPECT_EQ(summary.total, 6u);
-  EXPECT_EQ(summary.valid, 1u);
-  EXPECT_EQ(summary.endorsement_policy_failures, 1u);
-  EXPECT_EQ(summary.mvcc_intra_block, 1u);
-  EXPECT_EQ(summary.mvcc_inter_block, 1u);
-  EXPECT_EQ(summary.mvcc_total(), 2u);
-  EXPECT_EQ(summary.phantom_read_conflicts, 1u);
-  EXPECT_EQ(summary.reordering_aborts, 1u);
-  EXPECT_EQ(summary.failed(), 5u);
+  // LedgerSummary::Count classifies each verdict; the commit-time fold
+  // applies it to the aggregate and to the block's channel slot.
+  StreamingLedgerStats stats(1);
+  stats.OnBlockCommitted(
+      0, MakeBlock(1, {TxValidationCode::kValid,
+                       TxValidationCode::kEndorsementPolicyFailure,
+                       TxValidationCode::kMvccReadConflict,  // intra (i=2)
+                       TxValidationCode::kMvccReadConflict,  // inter (i=3)
+                       TxValidationCode::kPhantomReadConflict,
+                       TxValidationCode::kAbortedByReordering}));
+  for (const LedgerSummary* summary :
+       {&stats.summary(), &stats.channel_summary(0)}) {
+    EXPECT_EQ(summary->total, 6u);
+    EXPECT_EQ(summary->valid, 1u);
+    EXPECT_EQ(summary->endorsement_policy_failures, 1u);
+    EXPECT_EQ(summary->mvcc_intra_block, 1u);
+    EXPECT_EQ(summary->mvcc_inter_block, 1u);
+    EXPECT_EQ(summary->mvcc_total(), 2u);
+    EXPECT_EQ(summary->phantom_read_conflicts, 1u);
+    EXPECT_EQ(summary->reordering_aborts, 1u);
+    EXPECT_EQ(summary->failed(), 5u);
+  }
 }
 
 TEST(LedgerParserTest, RecordsCarryLatency) {

@@ -158,7 +158,7 @@ TEST(RaftFailoverTest, LeaderCrashElectsNewLeaderAndStaysDense) {
   EXPECT_GT(net.stats().orderer_leader_changes, 0u);
 
   // The unavailability window shows up as the widest inter-block gap.
-  FailureReport fr = BuildFailureReport(net.ledger(), net.stats(),
+  FailureReport fr = BuildFailureReport(*net.ledger_stats(), net.stats(),
                                         config.duration);
   EXPECT_GT(fr.max_interblock_gap_s, 0.0);
 }

@@ -208,26 +208,26 @@ constexpr PaperGolden kPaperGoldens[] = {
      "ledger=1998 valid=889 endorse=21 mvcc_intra=808 mvcc_inter=280 "
      "phantom=0 submitted=1998 app=0\n"
      "pct=55.505505505505504/1.0510510510510511/54.454454454454456/0/0\n"
-     "lat=0.79166268968969022/0.75911118027396884/2.02848615705734 "
+     "lat=0.79166268968969022/0.76137129816446747/2.0287067818024185 "
      "tput=95/44.450000000000003\n"},
     {"dv",
      "ledger=2024 valid=296 endorse=374 mvcc_intra=0 mvcc_inter=0 "
      "phantom=1354 submitted=2024 app=0\n"
      "pct=85.37549407114625/18.478260869565219/0/66.897233201581031/0\n"
-     "lat=71.500701794466451/72.41539802538037/139.56856779725715 "
+     "lat=71.500701794466451/72.785581352633443/138.03940831036243 "
      "tput=11.65/14.800000000000001\n"},
     {"scm",
      "ledger=2012 valid=1239 endorse=64 mvcc_intra=241 mvcc_inter=97 "
      "phantom=371 submitted=2012 app=0\n"
      "pct=38.419483101391648/3.1809145129224654/16.79920477137177/"
      "18.439363817097416/0\n"
-     "lat=20.541065363817115/20.863695193389376/38.860728820436243 "
+     "lat=20.541065363817115/21.062127898785992/38.378466828324754 "
      "tput=31.800000000000001/61.950000000000003\n"},
     {"drm",
      "ledger=2084 valid=1673 endorse=43 mvcc_intra=265 mvcc_inter=103 "
      "phantom=0 submitted=2084 app=0\n"
      "pct=19.72168905950096/2.0633397312859887/17.658349328214971/0/0\n"
-     "lat=2.6511339966410814/2.6048969902609422/6.116775407998591 "
+     "lat=2.6511339966410814/2.5790124058723167/6.0947954715864725 "
      "tput=85/83.650000000000006\n"},
 };
 
@@ -254,13 +254,13 @@ constexpr PaperGolden kFabricSharpRichGoldens[] = {
      "ledger=887 valid=883 endorse=4 mvcc_intra=0 mvcc_inter=0 phantom=0 "
      "submitted=2012 app=0\n"
      "pct=0.45095828635851182/0.45095828635851182/0/0/55.914512922465207\n"
-     "lat=20.316193749718156/20.70990081492338/38.656863589837933 "
+     "lat=20.316193749718156/20.645056059206073/37.618497188159907 "
      "tput=14.699999999999999/44.149999999999999\n"},
     {"drm",
      "ledger=1440 valid=1427 endorse=13 mvcc_intra=0 mvcc_inter=0 phantom=0 "
      "submitted=2084 app=0\n"
      "pct=0.90277777777777779/0.90277777777777779/0/0/30.9021113243762\n"
-     "lat=2.7826691277777766/2.6998445810778327/6.0290333105423946 "
+     "lat=2.7826691277777766/2.6842674780434139/5.9741064523471374 "
      "tput=56.25/71.349999999999994\n"},
 };
 
@@ -295,13 +295,13 @@ constexpr FabricSharpGolden kFabricSharpPointReadGoldens[] = {
      "ledger=1136 valid=1094 endorse=42 mvcc_intra=0 mvcc_inter=0 phantom=0 "
      "submitted=1998 app=0\n"
      "pct=3.6971830985915495/3.6971830985915495/0/0/43.143143143143142\n"
-     "lat=0.73227328257042279/0.70421813303596448/1.5021411761231789 "
+     "lat=0.73227328257042279/0.70283241667049501/1.5028879185236679 "
      "tput=53.049999999999997/54.700000000000003\n"},
     {"genchain", WorkloadMix::kUpdateHeavy,
      "ledger=1624 valid=1612 endorse=12 mvcc_intra=0 mvcc_inter=0 phantom=0 "
      "submitted=1960 app=0\n"
      "pct=0.73891625615763545/0.73891625615763545/0/0/17.142857142857142\n"
-     "lat=0.80272058004926272/0.78031808884939136/1.4937706975885057 "
+     "lat=0.80272058004926272/0.77675253651122433/1.4731277617212193 "
      "tput=80.400000000000006/80.599999999999994\n"},
 };
 

@@ -1,8 +1,8 @@
 // Streaming-statistics substrate tests: QuantileSketch accuracy
-// against exact quantiles (and the dense Histogram) on adversarial
-// distributions, merge/order independence, memory bounds, the
-// Histogram::Percentile observed-range clamp, Rng::Exponential's
-// degenerate-mean guard, and the ReservoirSampler contract.
+// against exact quantiles on adversarial and latency-shaped
+// distributions, merge/order independence, memory bounds,
+// Rng::Exponential's degenerate-mean guard, and the ReservoirSampler
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,26 +106,25 @@ TEST(SketchTest, AccurateOnBimodalWithZeros) {
   EXPECT_TRUE(p70 < 0.02 || p70 > 9e6) << p70;
 }
 
-TEST(SketchTest, MatchesDenseHistogramOnLatencyShapedData) {
-  // On data inside the Histogram's designed range both estimators must
-  // agree with the exact answer (and hence each other) to a few
-  // percent — the sketch is a drop-in for the dense path here.
+TEST(SketchTest, AccurateOnLatencyShapedData) {
+  // Exponential millisecond latencies, the shape every FailureReport
+  // p50/p99 is read from: each quantile within 1 % of the exact one,
+  // and the mean exact (sum/count in insertion order, not bucketed).
   Rng rng(17);
   std::vector<double> values;
   QuantileSketch sketch;
-  Histogram dense;
+  double sum = 0;
   for (int i = 0; i < 30000; ++i) {
     double v = rng.Exponential(250.0);  // latency-ish ms
     values.push_back(v);
     sketch.Add(v);
-    dense.Add(v);
+    sum += v;
   }
   for (double q : {0.5, 0.9, 0.99}) {
     double exact = ExactQuantile(values, q);
     EXPECT_NEAR(sketch.Percentile(q), exact, 0.01 * exact);
-    EXPECT_NEAR(dense.Percentile(q), exact, 0.05 * exact);
   }
-  EXPECT_DOUBLE_EQ(sketch.mean(), dense.mean());
+  EXPECT_EQ(sketch.mean(), sum / static_cast<double>(values.size()));
 }
 
 TEST(SketchTest, MergeEquivalentToSingleStream) {
@@ -198,41 +197,6 @@ TEST(SketchTest, EmptyAndSingletonSketches) {
   }
   EXPECT_EQ(one.min(), 123.456);
   EXPECT_EQ(one.max(), 123.456);
-}
-
-// ------------------------------------------- Histogram percentile clamp
-
-TEST(SketchTest, HistogramPercentileClampedToObservedRange) {
-  // A single sample: every percentile IS that sample, not a bucket
-  // edge (the pre-fix interpolation invented values outside the data).
-  Histogram single;
-  single.Add(7.3);
-  for (double q : {0.0, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(single.Percentile(q), 7.3) << q;
-  }
-
-  // Overflow bucket: the top percentile reports the observed max, not
-  // the bucket's nominal (unbounded) edge.
-  Histogram overflow;
-  overflow.Add(1.0);
-  overflow.Add(1e12);
-  EXPECT_EQ(overflow.Percentile(1.0), 1e12);
-  EXPECT_GE(overflow.Percentile(0.0), 1.0);
-
-  // General streams never report outside [min, max].
-  Rng rng(31);
-  Histogram h;
-  double lo = 1e300, hi = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.Exponential(3.0);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-    h.Add(v);
-  }
-  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_GE(h.Percentile(q), lo) << q;
-    EXPECT_LE(h.Percentile(q), hi) << q;
-  }
 }
 
 // --------------------------------------------- Rng::Exponential guard

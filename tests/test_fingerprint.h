@@ -2,7 +2,10 @@
 // tests that pin goldens: integer counters plus %.17g-rendered
 // doubles, so two reports compare bit-for-bit. The format matches the
 // generator that produced every pinned golden string; changing it
-// re-records all of them.
+// re-records all of them. The p50/p99 in each `lat=` field are the
+// commit-time fold's sketch quantiles, within
+// QuantileSketch::kRelativeError of the exact order statistic
+// (ReportFoldTest in channel_test.cc checks that bound).
 #ifndef FABRICSIM_TESTS_TEST_FINGERPRINT_H_
 #define FABRICSIM_TESTS_TEST_FINGERPRINT_H_
 

@@ -316,7 +316,7 @@ TEST(TpccGoldenTest, DefaultMixPinned) {
             "phantom=4 submitted=926 app=6\n"
             "pct=72.678185745140382/8.315334773218142/63.930885529157671/"
             "0.43196544276457882/0\n"
-            "lat=25.898118577753809/26.550299126044258/50.938727124157026 "
+            "lat=25.898118577753809/26.245219947121697/50.780167586817527 "
             "tput=12/25.300000000000001\n");
 }
 
