@@ -1,14 +1,6 @@
 // Figure 11: effect of the state database (CouchDB vs LevelDB) on
 // latency and failures (EHR, uniform workload).
-//
-// FABRICSIM_CROSS_BACKENDS=1 additionally crosses each latency
-// profile with every StateBackend. The db_type is a *cost model*
-// (what the simulation charges per call) while the backend is the
-// *data structure* actually serving the calls — so the simulated
-// columns must be identical across backends for a given db_type and
-// only the host wall clock may differ.
 #include "bench/bench_util.h"
-#include "src/statedb/state_backend.h"
 
 using namespace fabricsim;
 using namespace fabricsim::bench;
@@ -18,45 +10,18 @@ int main() {
          "LevelDB (embedded) beats CouchDB (external REST) on latency, "
          "endorsement failures and MVCC conflicts");
 
-  const bool cross = std::getenv("FABRICSIM_CROSS_BACKENDS") != nullptr;
-  std::vector<StateBackendType> backends = {StateBackendType::kOrderedMap};
-  if (cross) backends = AllStateBackends();
-
-  std::printf("%-10s %-12s %12s %14s %14s %14s %10s\n", "database", "backend",
-              "latency(s)", "endorsement%", "inter mvcc%", "intra mvcc%",
-              "wall(ms)");
+  std::printf("%-10s %12s %14s %14s %14s %10s\n", "database", "latency(s)",
+              "endorsement%", "inter mvcc%", "intra mvcc%", "wall(ms)");
   for (DatabaseType db : {DatabaseType::kCouchDb, DatabaseType::kLevelDb}) {
-    FailureReport baseline;
-    for (size_t b = 0; b < backends.size(); ++b) {
-      ExperimentConfig config = BaseC2(100);
-      config.fabric.db_type = db;
-      config.fabric.state_backend = backends[b];
-      double t0 = NowMs();
-      FailureReport r = MustRun(config);
-      double wall = NowMs() - t0;
-      std::printf("%-10s %-12s %12.3f %14.2f %14.2f %14.2f %10.0f\n",
-                  DatabaseTypeToString(db),
-                  StateBackendTypeToString(backends[b]), r.avg_latency_s,
-                  r.endorsement_pct, r.mvcc_inter_pct, r.mvcc_intra_pct, wall);
-      std::fflush(stdout);
-      if (b == 0) {
-        baseline = r;
-      } else if (r.avg_latency_s != baseline.avg_latency_s ||
-                 r.total_failure_pct != baseline.total_failure_pct ||
-                 r.mvcc_inter != baseline.mvcc_inter ||
-                 r.mvcc_intra != baseline.mvcc_intra ||
-                 r.endorsement_failures != baseline.endorsement_failures) {
-        std::fprintf(stderr,
-                     "FAIL: backend %s changed the simulated results — the "
-                     "data plane must not affect the cost model\n",
-                     StateBackendTypeToString(backends[b]));
-        return 1;
-      }
-    }
-  }
-  if (cross) {
-    std::printf("\nsimulated results identical across all backends per "
-                "database type (only wall clock differs)\n");
+    ExperimentConfig config = BaseC2(100);
+    config.fabric.db_type = db;
+    double t0 = NowMs();
+    FailureReport r = MustRun(config);
+    double wall = NowMs() - t0;
+    std::printf("%-10s %12.3f %14.2f %14.2f %14.2f %10.0f\n",
+                DatabaseTypeToString(db), r.avg_latency_s, r.endorsement_pct,
+                r.mvcc_inter_pct, r.mvcc_intra_pct, wall);
+    std::fflush(stdout);
   }
   return 0;
 }

@@ -64,9 +64,9 @@ BENCHES = [
 JOBS = 4
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# A fig11 data row: database, backend, four simulated columns, then
-# the host wall time in ms.
-FIG11_ROW = re.compile(r"^(\S+ +\S+(?: +[-\d.]+){4}) +\d+$")
+# A fig11 data row: database, four simulated columns, then the host
+# wall time in ms.
+FIG11_ROW = re.compile(r"^(\S+(?: +[-\d.]+){4}) +\d+$")
 
 
 def simulated_stdout(bench, out):
@@ -79,7 +79,6 @@ def simulated_stdout(bench, out):
 def run_bench(binary):
     env = dict(os.environ, FABRICSIM_JOBS=str(JOBS))
     env.pop("FABRICSIM_FULL", None)
-    env.pop("FABRICSIM_CROSS_BACKENDS", None)
     with tempfile.TemporaryDirectory() as cwd:  # benches may write files
         start = time.monotonic()
         with subprocess.Popen([binary], stdout=subprocess.PIPE, cwd=cwd,

@@ -38,12 +38,6 @@ std::string ExperimentConfig::Describe() const {
                              fabric.num_channels,
                              workload.channel_affinity.skew);
   }
-  // Only non-default backends are mentioned: default-backend report
-  // headers must match the pre-backend output byte for byte.
-  if (fabric.state_backend != StateBackendType::kOrderedMap) {
-    description += StrFormat(
-        " | backend=%s", StateBackendTypeToString(fabric.state_backend));
-  }
   // Population / streaming knobs are echoed only when engaged, for the
   // same byte-stability reason.
   if (!population.empty()) {

@@ -143,7 +143,7 @@ Status FabricNetwork::Init() {
   std::vector<ChannelState*> channel_states;
   for (int c = 0; c < num_channels; ++c) {
     ChannelRuntime& runtime = channels_[static_cast<size_t>(c)];
-    runtime.state = std::make_unique<ChannelState>(config_.state_backend);
+    runtime.state = std::make_unique<ChannelState>();
     FABRICSIM_RETURN_NOT_OK(
         runtime.state->Bootstrap(chaincode_for(c)->BootstrapState()));
     channel_states.push_back(runtime.state.get());

@@ -167,15 +167,11 @@ struct FabricConfig {
   ClusterConfig cluster = ClusterConfig::C1();
   DatabaseType db_type = DatabaseType::kCouchDb;
 
-  /// Data structure behind each channel's world-state head, the one
-  /// store every peer of the channel reads at its own height (see
-  /// src/statedb/channel_state.h). Orthogonal to db_type: the backend
-  /// is how fast the simulator executes state ops, db_type is how much
-  /// simulated time they cost. All backends produce bit-identical
-  /// simulation results; the ordered-map default pins the paper
-  /// figures, the hash/btree backends make million-key world state
-  /// cheap (see src/statedb/state_backend.h).
-  StateBackendType state_backend = StateBackendType::kOrderedMap;
+  /// Data structure behind each channel's world-state head: always the
+  /// ordered map. A constant, not a setting; perfbench still reads it
+  /// (see src/statedb/state_backend.h).
+  static constexpr StateBackendType state_backend =
+      StateBackendType::kOrderedMap;
 
   /// Number of channels (independent ledger shards) the network hosts.
   /// Every peer serves every channel, reading the channel's one shared

@@ -11,9 +11,9 @@ namespace fabricsim {
 
 bool StateView::AtHead() const { return height_ == state_->height_; }
 
-const StateDatabase& StateView::head() const { return *state_->head_; }
+const MemoryStateDb& StateView::head() const { return state_->head_; }
 
-Status StateView::DoApplyWrite(const WriteItem&, Version) {
+Status StateView::ApplyWrite(const WriteItem&, Version) {
   return Status::FailedPrecondition("a StateView is read-only");
 }
 
@@ -59,7 +59,9 @@ void StateView::ForEachVersionInRange(
     const std::function<void(const std::string& key, Version version)>& fn)
     const {
   if (AtHead()) return head().ForEachVersionInRange(start_key, end_key, fn);
-  StateDatabase::ForEachVersionInRange(start_key, end_key, fn);
+  for (const StateEntry& e : GetRange(start_key, end_key)) {
+    fn(e.key, e.vv.version);
+  }
 }
 
 size_t StateView::Size() const {
@@ -80,7 +82,7 @@ void StateView::ForEachEntry(
     const std::function<void(const std::string& key, const VersionedValue& vv)>&
         fn) const {
   if (AtHead()) return head().ForEachEntry(fn);
-  StateDatabase::ForEachEntry(fn);
+  for (const StateEntry& e : GetRange("", "")) fn(e.key, e.vv);
 }
 
 const std::set<std::string>& StateView::KeysWhere(
@@ -114,15 +116,12 @@ const std::set<std::string>& StateView::KeysWhere(
 
 // ------------------------------------------------------- ChannelState
 
-ChannelState::ChannelState(StateBackendType backend)
-    : head_(MakeStateDb(backend)) {}
-
 Status ChannelState::Bootstrap(const std::vector<WriteItem>& writes) {
   if (height_ != 0) {
     return Status::FailedPrecondition("bootstrap after the first commit");
   }
   for (const WriteItem& write : writes) {
-    FABRICSIM_RETURN_NOT_OK(head_->ApplyWrite(write, kBootstrapVersion));
+    FABRICSIM_RETURN_NOT_OK(head_.ApplyWrite(write, kBootstrapVersion));
   }
   return Status::OK();
 }
@@ -141,7 +140,7 @@ std::shared_ptr<const ValidationOutcome> ChannelState::Validate(
   if (next_.block == nullptr) {
     next_.block = block;
     next_.outcome =
-        std::make_shared<const ValidationOutcome>(validate(*head_));
+        std::make_shared<const ValidationOutcome>(validate(head_));
   }
   return next_.outcome;
 }
@@ -194,8 +193,8 @@ Status ChannelState::CommitNext() {
   // records_ always holds exactly the blocks up to height_.
   for (const auto& [write, version] : next_.outcome->state_updates) {
     auto [it, first_write] = next_.undo.try_emplace(write.key);
-    if (first_write) it->second = head_->Get(write.key);
-    FABRICSIM_RETURN_NOT_OK(head_->ApplyWrite(write, version));
+    if (first_write) it->second = head_.Get(write.key);
+    FABRICSIM_RETURN_NOT_OK(head_.ApplyWrite(write, version));
   }
   const Block& block = *next_.block;
   next_.content_hash = BlockContentHash(block, next_.outcome->results);

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/ledger/block.h"
-#include "src/statedb/state_backend.h"
+#include "src/statedb/memory_state_db.h"
 #include "src/statedb/state_database.h"
 
 namespace fabricsim {
@@ -49,6 +49,8 @@ class StateView : public StateDatabase {
       const std::string& start_key, const std::string& end_key,
       const std::function<void(const std::string& key, Version version)>& fn)
       const override;
+  /// Views are read-only: always fails.
+  Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override;
   std::vector<StateEntry> Scan() const override;
   void ForEachEntry(
@@ -65,11 +67,8 @@ class StateView : public StateDatabase {
   StateView(const ChannelState* state, uint64_t height)
       : state_(state), height_(height) {}
 
-  /// Views are read-only: always fails.
-  Status DoApplyWrite(const WriteItem& write, Version version) override;
-
   bool AtHead() const;
-  const StateDatabase& head() const;
+  const MemoryStateDb& head() const;
 
   const ChannelState* state_;
   uint64_t height_;
@@ -83,9 +82,9 @@ class StateView : public StateDatabase {
 /// One channel's world state and commit record, shared by every peer
 /// of the channel.
 ///
-/// It holds one head replica (of the configured backend) at the newest
-/// committed block, plus one record for every block some reader has
-/// not yet committed: the delivered block (shared, not copied), its
+/// It holds one head store (a MemoryStateDb) at the newest committed
+/// block, plus one record for every block some reader has not yet
+/// committed: the delivered block (shared, not copied), its
 /// validation outcome, its content and chain hashes, and its undo
 /// record — each key the block wrote, mapped to its value before the
 /// block (nullopt when the key did not exist). Readers are StateViews,
@@ -115,7 +114,7 @@ class StateView : public StateDatabase {
 /// alive, and the record's going drops what is left.
 class ChannelState {
  public:
-  explicit ChannelState(StateBackendType backend);
+  ChannelState() = default;
 
   ChannelState(const ChannelState&) = delete;
   ChannelState& operator=(const ChannelState&) = delete;
@@ -220,7 +219,7 @@ class ChannelState {
   Overlay OverlayAt(uint64_t height, const std::string& start_key,
                     const std::string& end_key) const;
 
-  std::unique_ptr<StateDatabase> head_;
+  MemoryStateDb head_;
   uint64_t height_ = 0;
   /// Chain hash of the head's block (kChainHashSeed at height 0).
   uint64_t chain_hash_ = kChainHashSeed;

@@ -1,5 +1,7 @@
 #include "src/statedb/memory_state_db.h"
 
+#include "src/statedb/rich_query.h"
+
 namespace fabricsim {
 
 std::optional<VersionedValue> MemoryStateDb::Get(const std::string& key) const {
@@ -35,7 +37,27 @@ void MemoryStateDb::ForEachVersionInRange(
   for (; it != end; ++it) fn(it->first, it->second.version);
 }
 
-Status MemoryStateDb::DoApplyWrite(const WriteItem& write, Version version) {
+Status MemoryStateDb::ApplyWrite(const WriteItem& write, Version version) {
+  if (!field_index_.empty()) {
+    // Postings move first: `before` views the old document in map_.
+    auto old = map_.find(write.key);
+    for (auto& [field, postings] : field_index_) {
+      std::optional<std::string_view> before =
+          old != map_.end() ? JsonFieldView(old->second.value, field)
+                            : std::nullopt;
+      std::optional<std::string_view> after =
+          write.is_delete ? std::nullopt : JsonFieldView(write.value, field);
+      if (before == after) continue;
+      if (before.has_value()) {
+        auto it = postings.find(*before);
+        if (it != postings.end()) {
+          it->second.erase(write.key);
+          if (it->second.empty()) postings.erase(it);
+        }
+      }
+      if (after.has_value()) postings[std::string(*after)].insert(write.key);
+    }
+  }
   if (write.is_delete) {
     map_.erase(write.key);
     return Status::OK();
@@ -55,6 +77,24 @@ void MemoryStateDb::ForEachEntry(
     const std::function<void(const std::string& key, const VersionedValue& vv)>&
         fn) const {
   for (const auto& [key, vv] : map_) fn(key, vv);
+}
+
+const std::set<std::string>& MemoryStateDb::KeysWhere(
+    std::string_view field, std::string_view value) const {
+  static const std::set<std::string> kNone;
+  auto indexed = field_index_.find(field);
+  if (indexed == field_index_.end()) {
+    indexed = field_index_.emplace(std::string(field), Postings()).first;
+    Postings& postings = indexed->second;
+    for (const auto& [key, vv] : map_) {
+      std::optional<std::string_view> got = JsonFieldView(vv.value, field);
+      if (!got.has_value()) continue;
+      std::set<std::string>& keys = postings[std::string(*got)];
+      keys.emplace_hint(keys.end(), key);  // keys arrive in ascending order
+    }
+  }
+  auto it = indexed->second.find(value);
+  return it == indexed->second.end() ? kNone : it->second;
 }
 
 std::unique_ptr<StateDatabase> MakeMemoryStateDb() {

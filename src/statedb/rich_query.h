@@ -23,7 +23,7 @@ std::string JsonObject(
 /// the text after the first `"field":"`, up to the next quote. nullopt
 /// when the field is absent. Allocation-free; the view points into
 /// `doc`. ExtractJsonField, RichQuerySelector::Matches and the
-/// rich-query field index (StateDatabase::KeysWhere) all read fields
+/// rich-query field index (MemoryStateDb::KeysWhere) all read fields
 /// through it, so the index agrees with a document scan by
 /// construction.
 std::optional<std::string_view> JsonFieldView(std::string_view doc,
@@ -39,6 +39,8 @@ std::optional<std::string> ExtractJsonField(const std::string& doc,
 /// calcRevenue). Rich queries are answered from the store's field
 /// index and are *not* re-executed at validation — no phantom read
 /// detection (paper §5.1.2), exactly like Fabric's GetQueryResult.
+/// Parse is the only way to build one, so a selector always has at
+/// least one term.
 class RichQuerySelector {
  public:
   static Result<RichQuerySelector> Parse(const std::string& selector);
@@ -52,6 +54,8 @@ class RichQuerySelector {
   std::string ToString() const;
 
  private:
+  RichQuerySelector() = default;
+
   std::vector<std::pair<std::string, std::string>> terms_;
 };
 

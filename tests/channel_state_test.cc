@@ -2,8 +2,8 @@
 // at mixed heights — a crashed peer that never moves again, a snapshot
 // that trails in lagged steps, peers committing at their own pace —
 // every StateView must read exactly what an ordered map that applied
-// blocks 1..h holds, whichever backend serves as the head, and undo
-// records must go as soon as every reader has passed their block.
+// blocks 1..h holds, and undo records must go as soon as every reader
+// has passed their block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "src/statedb/channel_state.h"
 #include "src/statedb/memory_state_db.h"
 #include "src/statedb/rich_query.h"
-#include "src/workload/ycsb.h"
 
 namespace fabricsim {
 namespace {
@@ -29,6 +28,11 @@ using Updates = std::vector<std::pair<WriteItem, Version>>;
 constexpr uint64_t kKeySpace = 40;
 constexpr uint64_t kBlocks = 30;
 constexpr int kPeers = 5;
+
+// Zero-padded so that key order is index order.
+std::string Key(uint64_t index) {
+  return StrFormat("user%010llu", static_cast<unsigned long long>(index));
+}
 
 const std::vector<std::string> kSelectors = {
     "docType==unit",          "docType==art",
@@ -57,7 +61,7 @@ std::vector<Updates> RandomBlocks(Rng& rng) {
     for (uint32_t i = 0; i < txs; ++i) {
       std::string key = !updates.empty() && rng.Bernoulli(0.3)
                             ? updates[rng.UniformU64(updates.size())].first.key
-                            : YcsbDriver::Key(rng.UniformU64(kKeySpace));
+                            : Key(rng.UniformU64(kKeySpace));
       bool is_delete = rng.Bernoulli(0.25);
       updates.emplace_back(
           WriteItem{key, is_delete ? "" : RandomDoc(rng), is_delete},
@@ -113,7 +117,7 @@ std::vector<StateEntry> Entries(const StateDatabase& db) {
 void ExpectSameState(const StateView& view, const StateDatabase& want,
                      Rng& rng) {
   for (uint64_t k = 0; k <= kKeySpace; ++k) {  // kKeySpace is never written
-    std::string key = YcsbDriver::Key(k);
+    std::string key = Key(k);
     std::optional<VersionedValue> got = view.Get(key);
     std::optional<VersionedValue> expected = want.Get(key);
     ASSERT_EQ(got.has_value(), expected.has_value()) << key;
@@ -123,8 +127,8 @@ void ExpectSameState(const StateView& view, const StateDatabase& want,
     }
     ASSERT_EQ(view.GetVersion(key), want.GetVersion(key)) << key;
   }
-  std::string a = YcsbDriver::Key(rng.UniformU64(kKeySpace));
-  std::string b = YcsbDriver::Key(rng.UniformU64(kKeySpace));
+  std::string a = Key(rng.UniformU64(kKeySpace));
+  std::string b = Key(rng.UniformU64(kKeySpace));
   if (b < a) std::swap(a, b);
   const std::vector<std::pair<std::string, std::string>> ranges = {
       {"", ""}, {"", b}, {a, ""}, {a, b}, {a, a}};
@@ -148,11 +152,11 @@ void ExpectSameState(const StateView& view, const StateDatabase& want,
   }
 }
 
-void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
+void RunAsOfDifferential(uint64_t seed) {
   Rng rng(seed, /*stream=*/91);
   std::vector<WriteItem> bootstrap;
   for (uint64_t k = 0; k < kKeySpace; k += 2) {
-    bootstrap.push_back(WriteItem{YcsbDriver::Key(k), RandomDoc(rng), false});
+    bootstrap.push_back(WriteItem{Key(k), RandomDoc(rng), false});
   }
   const std::vector<Updates> blocks = RandomBlocks(rng);
   // history[h]: a fresh ordered map that applied exactly blocks 1..h.
@@ -173,7 +177,7 @@ void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
     chain.push_back(std::move(block));
   }
 
-  ChannelState state(backend);
+  ChannelState state;
   ASSERT_TRUE(state.Bootstrap(bootstrap).ok());
   std::vector<StateView*> peers;
   for (int p = 0; p < kPeers; ++p) peers.push_back(state.AddReader());
@@ -232,19 +236,10 @@ void RunAsOfDifferential(StateBackendType backend, uint64_t seed) {
       peers[0]->ApplyWrite(WriteItem{"k", "v", false}, Version{1, 0}).ok());
 }
 
-class AsOfDifferentialTest
-    : public ::testing::TestWithParam<StateBackendType> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    ChannelState, AsOfDifferentialTest, ::testing::ValuesIn(AllStateBackends()),
-    [](const ::testing::TestParamInfo<StateBackendType>& info) {
-      return std::string(StateBackendTypeToString(info.param));
-    });
-
-TEST_P(AsOfDifferentialTest, ViewsReadWhatSerialReplayHeld) {
+TEST(ChannelStateAsOfDifferentialTest, ViewsReadWhatSerialReplayHeld) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
-    ASSERT_NO_FATAL_FAILURE(RunAsOfDifferential(GetParam(), seed));
+    ASSERT_NO_FATAL_FAILURE(RunAsOfDifferential(seed));
   }
 }
 

@@ -36,7 +36,7 @@ class ClientTest : public ::testing::Test {
   void BuildNetwork(int num_orgs, EndorsementPolicy policy,
                     Invocation inv, bool submit_read_only = true) {
     policy_ = std::make_unique<EndorsementPolicy>(policy);
-    state_ = std::make_unique<ChannelState>(StateBackendType::kOrderedMap);
+    state_ = std::make_unique<ChannelState>();
     EXPECT_TRUE(state_->Bootstrap(chaincode_->BootstrapState()).ok());
     for (int org = 0; org < num_orgs; ++org) {
       Peer::Params params;

@@ -49,7 +49,7 @@ PeerChainRecord CommitAs(ChannelState& state, StateView* reader,
 // A channel of `n` blocks with one transaction each (tx id == block
 // number), and the hash chain they must produce.
 struct Fixture {
-  ChannelState state{StateBackendType::kOrderedMap};
+  ChannelState state;
   std::vector<std::shared_ptr<const Block>> blocks;
   std::vector<PeerChainRecord> chain;
 
@@ -146,7 +146,7 @@ TEST(InvariantsTest, DivergingContentHashIsCaught) {
 }
 
 TEST(InvariantsTest, DoubleCommittedTransactionIsCaught) {
-  ChannelState state(StateBackendType::kOrderedMap);
+  ChannelState state;
   StateView* reader = state.AddReader();
   CommitAs(state, reader, MakeBlock(1, {10, 11}));
   CommitAs(state, reader, MakeBlock(2, {12, 10}));  // tx 10 again
@@ -170,7 +170,7 @@ TEST(InvariantsTest, RwSetChangedAfterSealingIsCaught) {
   tx.rwset.Seal();
   tx.rwset.writes[0].value = "forged";
   block->txs.push_back(std::move(tx));
-  ChannelState state(StateBackendType::kOrderedMap);
+  ChannelState state;
   CommitAs(state, state.AddReader(), block);
   ChainIntegrityReport report = CheckChannel(state, {});
   ASSERT_EQ(report.violations.size(), 1u) << report.Summary();

@@ -25,7 +25,7 @@ class PeerTest : public ::testing::Test {
 
   // A channel world state holding the chaincode's bootstrap writes.
   std::unique_ptr<ChannelState> BootstrappedState() {
-    auto state = std::make_unique<ChannelState>(StateBackendType::kOrderedMap);
+    auto state = std::make_unique<ChannelState>();
     EXPECT_TRUE(state->Bootstrap(chaincode_->BootstrapState()).ok());
     return state;
   }

@@ -5,60 +5,97 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/core/runner.h"
 #include "src/statedb/latency_profile.h"
 #include "src/statedb/memory_state_db.h"
 #include "src/statedb/rich_query.h"
-#include "src/statedb/state_backend.h"
-#include "src/workload/ycsb.h"
-#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
 
 // ----------------------------------------------------- MemoryStateDb
 
+// Zero-padded so that key order is index order.
+std::string Key(uint64_t index) {
+  return StrFormat("user%010llu", static_cast<unsigned long long>(index));
+}
+
 TEST(MemoryStateDbTest, PutGetDelete) {
   MemoryStateDb db;
   EXPECT_FALSE(db.Get("k").has_value());
+  EXPECT_FALSE(db.GetVersion("k").has_value());
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v1", false}, {1, 0}).ok());
   auto got = db.Get("k");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->value, "v1");
   EXPECT_EQ(got->version, (Version{1, 0}));
+  EXPECT_EQ(*db.GetVersion("k"), (Version{1, 0}));
+  // In-place update: value and version replaced, size unchanged.
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v2", false}, {2, 3}).ok());
+  EXPECT_EQ(db.Get("k")->value, "v2");
   EXPECT_EQ(db.Get("k")->version, (Version{2, 3}));
+  EXPECT_EQ(*db.GetVersion("k"), (Version{2, 3}));
+  EXPECT_EQ(db.Size(), 1u);
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "", true}, {3, 0}).ok());
   EXPECT_FALSE(db.Get("k").has_value());
   EXPECT_EQ(db.Size(), 0u);
 }
 
-TEST(MemoryStateDbTest, DeleteMissingIsNoop) {
+TEST(MemoryStateDbTest, DeletesAreAbsoluteEverywhere) {
   MemoryStateDb db;
-  EXPECT_TRUE(db.ApplyWrite(WriteItem{"ghost", "", true}, {1, 0}).ok());
+  for (int i = 0; i < 8; ++i) {
+    db.ApplyWrite(WriteItem{"k" + std::to_string(i), "v", false}, {1, 0});
+  }
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k3", "", true}, {2, 0}).ok());
+  // The deleted key must be invisible to every read path alike.
+  EXPECT_FALSE(db.Get("k3").has_value());
+  EXPECT_FALSE(db.GetVersion("k3").has_value());
+  EXPECT_EQ(db.Size(), 7u);
+  for (const StateEntry& entry : db.GetRange("k0", "k9")) {
+    EXPECT_NE(entry.key, "k3");
+  }
+  for (const StateEntry& entry : db.Scan()) {
+    EXPECT_NE(entry.key, "k3");
+  }
+  db.ForEachEntry([](const std::string& key, const VersionedValue&) {
+    EXPECT_NE(key, "k3");
+  });
+  db.ForEachVersionInRange("", "", [](const std::string& key, Version) {
+    EXPECT_NE(key, "k3");
+  });
+  // Deleting a missing key is a no-op returning OK.
+  EXPECT_TRUE(db.ApplyWrite(WriteItem{"ghost", "", true}, {2, 1}).ok());
+  EXPECT_EQ(db.Size(), 7u);
+  // A deleted key can be re-inserted and becomes fully visible again.
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k3", "back", false}, {3, 0}).ok());
+  EXPECT_EQ(db.Get("k3")->value, "back");
+  EXPECT_EQ(db.Size(), 8u);
 }
 
-TEST(MemoryStateDbTest, RangeScanHalfOpen) {
+TEST(MemoryStateDbTest, RangeSemantics) {
   MemoryStateDb db;
   for (int i = 0; i < 10; ++i) {
     db.ApplyWrite(WriteItem{"k" + std::to_string(i), "v", false}, {1, 0});
   }
-  auto range = db.GetRange("k2", "k5");
+  auto range = db.GetRange("k2", "k5");  // half-open
   ASSERT_EQ(range.size(), 3u);
   EXPECT_EQ(range[0].key, "k2");
   EXPECT_EQ(range[2].key, "k4");
-}
-
-TEST(MemoryStateDbTest, RangeScanOpenEnd) {
-  MemoryStateDb db;
-  db.ApplyWrite(WriteItem{"a", "1", false}, {1, 0});
-  db.ApplyWrite(WriteItem{"b", "2", false}, {1, 1});
-  auto range = db.GetRange("a", "");
-  EXPECT_EQ(range.size(), 2u);
+  EXPECT_EQ(db.GetRange("k7", "").size(), 3u);   // empty end = to end
+  EXPECT_EQ(db.GetRange("", "k2").size(), 2u);   // empty start = from front
+  EXPECT_EQ(db.GetRange("", "").size(), 10u);    // the whole key space
+  EXPECT_TRUE(db.GetRange("k5", "k5").empty());  // degenerate interval
+  EXPECT_TRUE(db.GetRange("x", "y").empty());    // past the last key
+  // Strictly ascending enumeration everywhere.
+  auto all = db.Scan();
+  ASSERT_EQ(all.size(), 10u);
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LT(all[i - 1].key, all[i].key);
+  }
 }
 
 TEST(MemoryStateDbTest, ScanReturnsAllInOrder) {
@@ -69,6 +106,46 @@ TEST(MemoryStateDbTest, ScanReturnsAllInOrder) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].key, "a");
   EXPECT_EQ(all[1].key, "z");
+}
+
+TEST(MemoryStateDbTest, SurvivesGrowthAndDeleteChurn) {
+  // 5,000 keys, then delete-heavy churn, then re-inserts over deleted
+  // keys, against a reference map.
+  MemoryStateDb db;
+  std::map<std::string, VersionedValue> reference;
+  auto put = [&](uint64_t i, uint32_t tx) {
+    std::string key = Key(i);
+    db.ApplyWrite(WriteItem{key, "v" + std::to_string(tx), false}, {1, tx});
+    reference[key] = VersionedValue{"v" + std::to_string(tx), {1, tx}};
+  };
+  auto del = [&](uint64_t i) {
+    std::string key = Key(i);
+    db.ApplyWrite(WriteItem{key, "", true}, {2, 0});
+    reference.erase(key);
+  };
+  for (uint64_t i = 0; i < 5000; ++i) put(i, 0);
+  for (uint64_t i = 0; i < 5000; i += 2) del(i);
+  for (uint64_t i = 1; i < 5000; i += 4) del(i);
+  for (uint64_t i = 0; i < 5000; i += 8) put(i, 7);
+  ASSERT_EQ(db.Size(), reference.size());
+  auto all = db.Scan();
+  ASSERT_EQ(all.size(), reference.size());
+  auto it = reference.begin();
+  for (const StateEntry& entry : all) {
+    EXPECT_EQ(entry.key, it->first);
+    EXPECT_EQ(entry.vv.value, it->second.value);
+    EXPECT_EQ(entry.vv.version, it->second.version);
+    ++it;
+  }
+}
+
+TEST(StateDbTest, KeyInRangeIsTheRangeDefinition) {
+  EXPECT_TRUE(KeyInRange("b", "a", "c"));
+  EXPECT_TRUE(KeyInRange("a", "a", "c"));   // start inclusive
+  EXPECT_FALSE(KeyInRange("c", "a", "c"));  // end exclusive
+  EXPECT_TRUE(KeyInRange("z", "a", ""));    // empty end = to end of space
+  EXPECT_TRUE(KeyInRange("a", "", ""));     // empty start = from the front
+  EXPECT_FALSE(KeyInRange("a", "b", ""));
 }
 
 // --------------------------------------------------------- JSON utils
@@ -82,6 +159,10 @@ TEST(JsonTest, BuildAndExtract) {
 }
 
 // --------------------------------------------------------- RichQuery
+
+// Parse, which rejects a selector with no terms, is the only way to
+// build one: ExecuteRichQuery needs a term to pick its candidates.
+static_assert(!std::is_default_constructible_v<RichQuerySelector>);
 
 TEST(RichQueryTest, ParseValidSelector) {
   auto sel = RichQuerySelector::Parse("docType==unit&lsp==LSP3");
@@ -153,224 +234,78 @@ TEST(RichQueryTest, ExecuteReturnsMatchesInKeyOrderWithVersions) {
   EXPECT_EQ(hits[2].key, "u5");
 }
 
-// ---------------------------------------------------- StateBackend
-
-TEST(StateBackendTest, FactoryAndNames) {
-  EXPECT_EQ(AllStateBackends().size(), 3u);
-  // The reference backend comes first: differential tests and benches
-  // compare everything else against index 0.
-  EXPECT_EQ(AllStateBackends()[0], StateBackendType::kOrderedMap);
-  for (StateBackendType backend : AllStateBackends()) {
-    const char* name = StateBackendTypeToString(backend);
-    auto parsed = StateBackendTypeFromString(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, backend);
-    EXPECT_NE(MakeStateDb(backend), nullptr);
-  }
-  EXPECT_EQ(StateBackendTypeFromString("map"), StateBackendType::kOrderedMap);
-  EXPECT_EQ(StateBackendTypeFromString("hash_index"),
-            StateBackendType::kHashIndex);
-  EXPECT_EQ(StateBackendTypeFromString("b+tree"), StateBackendType::kBTree);
-  EXPECT_FALSE(StateBackendTypeFromString("rocksdb").has_value());
-}
-
-TEST(StateBackendTest, KeyInRangeIsTheRangeDefinition) {
-  EXPECT_TRUE(KeyInRange("b", "a", "c"));
-  EXPECT_TRUE(KeyInRange("a", "a", "c"));   // start inclusive
-  EXPECT_FALSE(KeyInRange("c", "a", "c"));  // end exclusive
-  EXPECT_TRUE(KeyInRange("z", "a", ""));    // empty end = to end of space
-  EXPECT_TRUE(KeyInRange("a", "", ""));     // empty start = from the front
-  EXPECT_FALSE(KeyInRange("a", "b", ""));
-}
-
-// Every backend must present the exact same observable behaviour; these
-// tests run the full contract against each of them in turn.
-class AllBackendsTest : public ::testing::TestWithParam<StateBackendType> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    StateDb, AllBackendsTest, ::testing::ValuesIn(AllStateBackends()),
-    [](const ::testing::TestParamInfo<StateBackendType>& info) {
-      return std::string(StateBackendTypeToString(info.param));
-    });
-
-TEST_P(AllBackendsTest, PointOps) {
-  auto db = MakeStateDb(GetParam());
-  EXPECT_FALSE(db->Get("k").has_value());
-  EXPECT_FALSE(db->GetVersion("k").has_value());
-  ASSERT_TRUE(db->ApplyWrite(WriteItem{"k", "v1", false}, {1, 0}).ok());
-  ASSERT_TRUE(db->Get("k").has_value());
-  EXPECT_EQ(db->Get("k")->value, "v1");
-  EXPECT_EQ(*db->GetVersion("k"), (Version{1, 0}));
-  // In-place update: value and version replaced, size unchanged.
-  ASSERT_TRUE(db->ApplyWrite(WriteItem{"k", "v2", false}, {2, 3}).ok());
-  EXPECT_EQ(db->Get("k")->value, "v2");
-  EXPECT_EQ(*db->GetVersion("k"), (Version{2, 3}));
-  EXPECT_EQ(db->Size(), 1u);
-}
-
-TEST_P(AllBackendsTest, DeletesAreAbsoluteEverywhere) {
-  auto db = MakeStateDb(GetParam());
-  for (int i = 0; i < 8; ++i) {
-    db->ApplyWrite(WriteItem{"k" + std::to_string(i), "v", false}, {1, 0});
-  }
-  ASSERT_TRUE(db->ApplyWrite(WriteItem{"k3", "", true}, {2, 0}).ok());
-  // The deleted key must be invisible to every read path alike.
-  EXPECT_FALSE(db->Get("k3").has_value());
-  EXPECT_FALSE(db->GetVersion("k3").has_value());
-  EXPECT_EQ(db->Size(), 7u);
-  for (const StateEntry& entry : db->GetRange("k0", "k9")) {
-    EXPECT_NE(entry.key, "k3");
-  }
-  for (const StateEntry& entry : db->Scan()) {
-    EXPECT_NE(entry.key, "k3");
-  }
-  db->ForEachEntry([](const std::string& key, const VersionedValue&) {
-    EXPECT_NE(key, "k3");
-  });
-  db->ForEachVersionInRange("", "", [](const std::string& key, Version) {
-    EXPECT_NE(key, "k3");
-  });
-  // Deleting a missing key is a no-op returning OK.
-  EXPECT_TRUE(db->ApplyWrite(WriteItem{"ghost", "", true}, {2, 1}).ok());
-  EXPECT_EQ(db->Size(), 7u);
-  // A deleted key can be re-inserted and becomes fully visible again.
-  ASSERT_TRUE(db->ApplyWrite(WriteItem{"k3", "back", false}, {3, 0}).ok());
-  EXPECT_EQ(db->Get("k3")->value, "back");
-  EXPECT_EQ(db->Size(), 8u);
-}
-
-TEST_P(AllBackendsTest, RangeSemantics) {
-  auto db = MakeStateDb(GetParam());
-  for (int i = 0; i < 10; ++i) {
-    db->ApplyWrite(WriteItem{"k" + std::to_string(i), "v", false}, {1, 0});
-  }
-  auto range = db->GetRange("k2", "k5");  // half-open
-  ASSERT_EQ(range.size(), 3u);
-  EXPECT_EQ(range[0].key, "k2");
-  EXPECT_EQ(range[2].key, "k4");
-  EXPECT_EQ(db->GetRange("k7", "").size(), 3u);   // empty end = to end
-  EXPECT_EQ(db->GetRange("", "k2").size(), 2u);   // empty start = from front
-  EXPECT_EQ(db->GetRange("", "").size(), 10u);    // the whole key space
-  EXPECT_TRUE(db->GetRange("k5", "k5").empty());  // degenerate interval
-  EXPECT_TRUE(db->GetRange("x", "y").empty());    // past the last key
-  // Strictly ascending enumeration everywhere.
-  auto all = db->Scan();
-  ASSERT_EQ(all.size(), 10u);
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LT(all[i - 1].key, all[i].key);
-  }
-}
-
-TEST_P(AllBackendsTest, SurvivesGrowthAndTombstoneChurn) {
-  // Enough keys to force several hash-table doublings and B+-tree leaf
-  // splits; then delete-heavy churn to pile up tombstones and trigger
-  // the same-size rehash purge, then re-insert over the graves.
-  auto db = MakeStateDb(GetParam());
-  std::map<std::string, VersionedValue> reference;
-  auto put = [&](uint64_t i, uint32_t tx) {
-    std::string key = YcsbDriver::Key(i);
-    db->ApplyWrite(WriteItem{key, "v" + std::to_string(tx), false}, {1, tx});
-    reference[key] = VersionedValue{"v" + std::to_string(tx), {1, tx}};
-  };
-  auto del = [&](uint64_t i) {
-    std::string key = YcsbDriver::Key(i);
-    db->ApplyWrite(WriteItem{key, "", true}, {2, 0});
-    reference.erase(key);
-  };
-  for (uint64_t i = 0; i < 5000; ++i) put(i, 0);
-  for (uint64_t i = 0; i < 5000; i += 2) del(i);
-  for (uint64_t i = 1; i < 5000; i += 4) del(i);
-  for (uint64_t i = 0; i < 5000; i += 8) put(i, 7);
-  ASSERT_EQ(db->Size(), reference.size());
-  auto all = db->Scan();
-  ASSERT_EQ(all.size(), reference.size());
-  auto it = reference.begin();
-  for (const StateEntry& entry : all) {
-    EXPECT_EQ(entry.key, it->first);
-    EXPECT_EQ(entry.vv.value, it->second.value);
-    EXPECT_EQ(entry.vv.version, it->second.version);
-    ++it;
-  }
-}
-
 // ------------------------------------------- randomized differential
 
-// Drives identical seeded op sequences through every backend and an
-// ordered-map reference, comparing full observable state at interval
-// checkpoints. Key space is kept small so deletes, re-inserts and
-// ranges collide constantly.
+// Drives seeded op sequences through the store and an ordered-map
+// reference, comparing the full observable state and Size at interval
+// checkpoints, and every range probe's GetRange and
+// ForEachVersionInRange with the reference's keys in range. Key space
+// is kept small so deletes, re-inserts and ranges collide constantly.
 void RunDifferential(uint64_t seed, double delete_frac, double range_frac) {
   constexpr uint64_t kKeySpace = 160;
   constexpr int kOps = 4000;
-  std::vector<std::unique_ptr<StateDatabase>> dbs;
-  for (StateBackendType backend : AllStateBackends()) {
-    dbs.push_back(MakeStateDb(backend));
-  }
+  MemoryStateDb db;
   std::map<std::string, VersionedValue> reference;
   Rng rng(seed, /*stream=*/55);
 
   auto check = [&](int op) {
-    const auto golden = dbs[0]->Scan();
-    ASSERT_EQ(golden.size(), reference.size()) << "op " << op;
+    SCOPED_TRACE(StrFormat("op=%d", op));
+    ASSERT_EQ(db.Size(), reference.size());
+    const auto scan = db.Scan();
+    ASSERT_EQ(scan.size(), reference.size());
     auto it = reference.begin();
-    for (const StateEntry& entry : golden) {
-      ASSERT_EQ(entry.key, it->first) << "op " << op;
-      ASSERT_EQ(entry.vv.value, it->second.value) << "op " << op;
-      ASSERT_EQ(entry.vv.version, it->second.version) << "op " << op;
+    for (const StateEntry& entry : scan) {
+      ASSERT_EQ(entry.key, it->first);
+      ASSERT_EQ(entry.vv.value, it->second.value);
+      ASSERT_EQ(entry.vv.version, it->second.version);
       ++it;
-    }
-    for (size_t b = 1; b < dbs.size(); ++b) {
-      SCOPED_TRACE(StrFormat("backend=%s op=%d",
-                             StateBackendTypeToString(AllStateBackends()[b]),
-                             op));
-      ASSERT_EQ(dbs[b]->Size(), dbs[0]->Size());
-      const auto scan = dbs[b]->Scan();
-      ASSERT_EQ(scan.size(), golden.size());
-      for (size_t i = 0; i < scan.size(); ++i) {
-        ASSERT_EQ(scan[i].key, golden[i].key);
-        ASSERT_EQ(scan[i].vv.value, golden[i].vv.value);
-        ASSERT_EQ(scan[i].vv.version, golden[i].vv.version);
-      }
     }
   };
 
   for (int op = 0; op < kOps; ++op) {
     double p = rng.UniformDouble();
     if (p < range_frac) {
-      // Range probe (including empty start/end forms) — compared
-      // directly across backends.
+      // Range probe, including the empty start/end forms.
       uint64_t a = rng.UniformU64(kKeySpace), b = rng.UniformU64(kKeySpace);
-      std::string lo = rng.Bernoulli(0.1) ? "" : YcsbDriver::Key(std::min(a, b));
-      std::string hi = rng.Bernoulli(0.1) ? "" : YcsbDriver::Key(std::max(a, b));
-      const auto golden = dbs[0]->GetRange(lo, hi);
-      for (size_t b2 = 1; b2 < dbs.size(); ++b2) {
-        const auto got = dbs[b2]->GetRange(lo, hi);
-        ASSERT_EQ(got.size(), golden.size())
-            << StateBackendTypeToString(AllStateBackends()[b2]) << " ["
-            << lo << ", " << hi << ") op " << op;
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i].key, golden[i].key);
-          ASSERT_EQ(got[i].vv.version, golden[i].vv.version);
-        }
+      std::string lo = rng.Bernoulli(0.1) ? "" : Key(std::min(a, b));
+      std::string hi = rng.Bernoulli(0.1) ? "" : Key(std::max(a, b));
+      SCOPED_TRACE(StrFormat("[%s, %s) op=%d", lo.c_str(), hi.c_str(), op));
+      std::vector<StateEntry> expected;
+      for (const auto& [key, vv] : reference) {
+        if (KeyInRange(key, lo, hi)) expected.push_back(StateEntry{key, vv});
       }
+      const auto got = db.GetRange(lo, hi);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].key, expected[i].key);
+        ASSERT_EQ(got[i].vv.value, expected[i].vv.value);
+        ASSERT_EQ(got[i].vv.version, expected[i].vv.version);
+      }
+      size_t visited = 0;
+      db.ForEachVersionInRange(lo, hi, [&](const std::string& key,
+                                           Version version) {
+        ASSERT_LT(visited, expected.size());
+        EXPECT_EQ(key, expected[visited].key);
+        EXPECT_EQ(version, expected[visited].vv.version);
+        ++visited;
+      });
+      ASSERT_EQ(visited, expected.size());
     } else if (p < range_frac + delete_frac) {
-      std::string key = YcsbDriver::Key(rng.UniformU64(kKeySpace));
-      for (auto& db : dbs) {
-        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, "", true},
-                                   {3, static_cast<uint32_t>(op)})
-                        .ok());
-      }
+      std::string key = Key(rng.UniformU64(kKeySpace));
+      ASSERT_TRUE(db.ApplyWrite(WriteItem{key, "", true},
+                                {3, static_cast<uint32_t>(op)})
+                      .ok());
       reference.erase(key);
     } else {
-      std::string key = YcsbDriver::Key(rng.UniformU64(kKeySpace));
+      std::string key = Key(rng.UniformU64(kKeySpace));
       std::string value = "v" + std::to_string(op);
       Version version{2, static_cast<uint32_t>(op)};
-      for (auto& db : dbs) {
-        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, value, false}, version).ok());
-      }
+      ASSERT_TRUE(db.ApplyWrite(WriteItem{key, value, false}, version).ok());
       reference[key] = VersionedValue{value, version};
     }
-    if (op % 97 == 0) check(op);
+    if (op % 97 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check(op));
+    }
   }
   check(kOps);
 }
@@ -391,12 +326,12 @@ TEST_P(DifferentialTest, RangeHeavyMix) {
 // ------------------------------------ rich-query index differential
 
 // Drives seeded JSON-document writes (upserts that move indexed
-// fields, deletes, re-inserts) through every backend and an
-// ordered-map reference, interleaved with rich-query probes. Each
-// probe must return what brute-force Matches over the reference
-// returns — keys, values, versions, order — and each term's posting
-// list must hold exactly the matching keys, so a stale index entry
-// fails here even where the query's re-check would hide it.
+// fields, deletes, re-inserts) through the store and an ordered-map
+// reference, interleaved with rich-query probes. Each probe must
+// return what brute-force Matches over the reference returns — keys,
+// values, versions, order — and each term's posting list must hold
+// exactly the matching keys, so a stale index entry fails here even
+// where the query's re-check would hide it.
 void RunRichQueryDifferential(uint64_t seed) {
   constexpr uint64_t kKeySpace = 48;
   constexpr int kOps = 3000;
@@ -404,10 +339,7 @@ void RunRichQueryDifferential(uint64_t seed) {
   const std::vector<std::string> kDocTypes = {"unit", "art", "owner"};
   const std::vector<std::string> kOwners = {"o0", "o1", "o2"};
   const std::vector<std::string> kRegions = {"r0", "r1"};
-  std::vector<std::unique_ptr<StateDatabase>> dbs;
-  for (StateBackendType backend : AllStateBackends()) {
-    dbs.push_back(MakeStateDb(backend));
-  }
+  MemoryStateDb db;
   std::map<std::string, VersionedValue> reference;
   Rng rng(seed, /*stream=*/56);
 
@@ -440,23 +372,19 @@ void RunRichQueryDifferential(uint64_t seed) {
     for (const auto& [key, vv] : reference) {
       if (sel.Matches(vv.value)) expected.push_back(StateEntry{key, vv});
     }
-    for (size_t b = 0; b < dbs.size(); ++b) {
-      SCOPED_TRACE(StateBackendTypeToString(AllStateBackends()[b]));
-      const std::vector<StateEntry> got = ExecuteRichQuery(*dbs[b], sel);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].key, expected[i].key);
-        ASSERT_EQ(got[i].vv.value, expected[i].vv.value);
-        ASSERT_EQ(got[i].vv.version, expected[i].vv.version);
+    const std::vector<StateEntry> got = ExecuteRichQuery(db, sel);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].key, expected[i].key);
+      ASSERT_EQ(got[i].vv.value, expected[i].vv.value);
+      ASSERT_EQ(got[i].vv.version, expected[i].vv.version);
+    }
+    for (const auto& [field, value] : sel.terms()) {
+      std::set<std::string> keys;
+      for (const auto& [key, vv] : reference) {
+        if (JsonFieldView(vv.value, field) == value) keys.insert(key);
       }
-      for (const auto& [field, value] : sel.terms()) {
-        std::set<std::string> keys;
-        for (const auto& [key, vv] : reference) {
-          if (JsonFieldView(vv.value, field) == value) keys.insert(key);
-        }
-        ASSERT_EQ(dbs[b]->KeysWhere(field, value), keys)
-            << field << "==" << value;
-      }
+      ASSERT_EQ(db.KeysWhere(field, value), keys) << field << "==" << value;
     }
   };
 
@@ -466,24 +394,20 @@ void RunRichQueryDifferential(uint64_t seed) {
   ASSERT_NO_FATAL_FAILURE(probe("docType==unit", -1));
   for (int op = 0; op < kOps; ++op) {
     double p = rng.UniformDouble();
-    std::string key = YcsbDriver::Key(rng.UniformU64(kKeySpace));
+    std::string key = Key(rng.UniformU64(kKeySpace));
     if (p < 0.2) {
       std::string text = random_term();
       if (rng.Bernoulli(0.5)) text += "&" + random_term();
       ASSERT_NO_FATAL_FAILURE(probe(text, op));
     } else if (p < 0.4) {
-      for (auto& db : dbs) {
-        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, "", true},
-                                   {3, static_cast<uint32_t>(op)})
-                        .ok());
-      }
+      ASSERT_TRUE(db.ApplyWrite(WriteItem{key, "", true},
+                                {3, static_cast<uint32_t>(op)})
+                      .ok());
       reference.erase(key);
     } else {
       std::string value = random_doc();
       Version version{2, static_cast<uint32_t>(op)};
-      for (auto& db : dbs) {
-        ASSERT_TRUE(db->ApplyWrite(WriteItem{key, value, false}, version).ok());
-      }
+      ASSERT_TRUE(db.ApplyWrite(WriteItem{key, value, false}, version).ok());
       reference[key] = VersionedValue{value, version};
     }
   }
@@ -496,137 +420,6 @@ INSTANTIATE_TEST_SUITE_P(StateDbSeeds, RichQueryDifferentialTest,
 
 TEST_P(RichQueryDifferentialTest, IndexedQueriesMatchBruteForce) {
   RunRichQueryDifferential(GetParam());
-}
-
-// ------------------------------------------------------- YCSB driver
-
-TEST(YcsbTest, WorkloadNamesRoundTrip) {
-  for (YcsbWorkload workload :
-       {YcsbWorkload::kA, YcsbWorkload::kB, YcsbWorkload::kC, YcsbWorkload::kD,
-        YcsbWorkload::kE, YcsbWorkload::kF}) {
-    auto parsed = YcsbWorkloadFromString(YcsbWorkloadToString(workload));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, workload);
-  }
-  EXPECT_FALSE(YcsbWorkloadFromString("G").has_value());
-  EXPECT_FALSE(YcsbWorkloadFromString("").has_value());
-}
-
-TEST(YcsbTest, KeysAreOrderedAndFixedWidth) {
-  EXPECT_EQ(YcsbDriver::Key(0), "user0000000000");
-  EXPECT_EQ(YcsbDriver::Key(1234), "user0000001234");
-  EXPECT_LT(YcsbDriver::Key(9), YcsbDriver::Key(10));  // lexicographic==numeric
-}
-
-TEST(YcsbTest, LoadPopulatesRecordCount) {
-  YcsbConfig config;
-  config.record_count = 500;
-  config.value_size = 16;
-  YcsbDriver driver(config);
-  auto db = MakeStateDb(StateBackendType::kHashIndex);
-  ASSERT_TRUE(driver.Load(*db).ok());
-  EXPECT_EQ(db->Size(), 500u);
-  auto got = db->Get(YcsbDriver::Key(123));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->value.size(), 16u);
-  EXPECT_EQ(got->version, (Version{0, 123}));
-}
-
-TEST(YcsbTest, MixesExecuteTheConfiguredOpCounts) {
-  for (YcsbWorkload workload :
-       {YcsbWorkload::kA, YcsbWorkload::kB, YcsbWorkload::kC, YcsbWorkload::kD,
-        YcsbWorkload::kE, YcsbWorkload::kF}) {
-    YcsbConfig config;
-    config.workload = workload;
-    config.record_count = 400;
-    config.operation_count = 2000;
-    config.value_size = 8;
-    YcsbDriver driver(config);
-    auto db = MakeStateDb(StateBackendType::kOrderedMap);
-    ASSERT_TRUE(driver.Load(*db).ok());
-    YcsbCounts counts = driver.Run(*db);
-    uint64_t total = counts.reads + counts.updates + counts.inserts +
-                     counts.scans + counts.read_modify_writes;
-    EXPECT_EQ(total, 2000u) << YcsbWorkloadToString(workload);
-    // Every keyed read targets a loaded (or just-inserted) key.
-    EXPECT_EQ(counts.read_hits, counts.reads);
-    switch (workload) {
-      case YcsbWorkload::kC:
-        EXPECT_EQ(counts.reads, 2000u);
-        break;
-      case YcsbWorkload::kE:
-        EXPECT_GT(counts.scans, 1700u);
-        EXPECT_GT(counts.scanned_entries, counts.scans);
-        break;
-      case YcsbWorkload::kF:
-        EXPECT_GT(counts.read_modify_writes, 0u);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-TEST(YcsbTest, ChecksumIsDeterministicAndBackendInvariant) {
-  for (YcsbWorkload workload :
-       {YcsbWorkload::kA, YcsbWorkload::kD, YcsbWorkload::kE}) {
-    YcsbConfig config;
-    config.workload = workload;
-    config.record_count = 300;
-    config.operation_count = 1500;
-    config.value_size = 8;
-    std::vector<uint64_t> checksums;
-    for (StateBackendType backend : AllStateBackends()) {
-      YcsbDriver driver(config);
-      auto db = MakeStateDb(backend);
-      ASSERT_TRUE(driver.Load(*db).ok());
-      checksums.push_back(driver.Run(*db).checksum);
-    }
-    for (uint64_t checksum : checksums) {
-      EXPECT_EQ(checksum, checksums[0]) << YcsbWorkloadToString(workload);
-    }
-    // And re-running the reference backend reproduces the checksum.
-    YcsbDriver again(config);
-    auto db = MakeStateDb(StateBackendType::kOrderedMap);
-    ASSERT_TRUE(again.Load(*db).ok());
-    EXPECT_EQ(again.Run(*db).checksum, checksums[0]);
-  }
-}
-
-// ------------------------------------------- full-network regression
-
-TEST(StateBackendNetworkTest, Fig07StyleRunIsBitIdenticalUnderEveryBackend) {
-  // The backend is a data-structure swap below the simulation: a full
-  // E-O-V run (fig07-style MVCC-conflict config, range queries and
-  // deletes included via the scm chaincode) must produce the same
-  // FailureReport to the last bit whichever backend holds the state.
-  ExperimentConfig config = ExperimentConfig::Defaults();
-  config.duration = 10 * kSecond;
-  config.arrival_rate_tps = 100;
-  config.fabric.block_size = 100;
-  config.workload.chaincode = "scm";
-  std::vector<std::string> fingerprints;
-  for (StateBackendType backend : AllStateBackends()) {
-    config.fabric.state_backend = backend;
-    Result<FailureReport> r = RunOnce(config, 42);
-    ASSERT_TRUE(r.ok()) << StateBackendTypeToString(backend);
-    fingerprints.push_back(Fingerprint(r.value()));
-  }
-  for (size_t i = 1; i < fingerprints.size(); ++i) {
-    EXPECT_EQ(fingerprints[i], fingerprints[0])
-        << StateBackendTypeToString(AllStateBackends()[i]);
-  }
-  // A run must actually have happened (guard against vacuous identity).
-  Result<FailureReport> sanity = RunOnce(config, 42);
-  ASSERT_TRUE(sanity.ok());
-  EXPECT_GT(sanity.value().ledger_txs, 0u);
-}
-
-TEST(StateBackendNetworkTest, DescribeOnlyMentionsNonDefaultBackends) {
-  ExperimentConfig config = ExperimentConfig::Defaults();
-  EXPECT_EQ(config.Describe().find("backend="), std::string::npos);
-  config.fabric.state_backend = StateBackendType::kHashIndex;
-  EXPECT_NE(config.Describe().find("backend=hash"), std::string::npos);
 }
 
 // ----------------------------------------------------- LatencyProfile
