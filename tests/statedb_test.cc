@@ -27,22 +27,55 @@ std::string Key(uint64_t index) {
 TEST(MemoryStateDbTest, PutGetDelete) {
   MemoryStateDb db;
   EXPECT_FALSE(db.Get("k").has_value());
-  EXPECT_FALSE(db.GetVersion("k").has_value());
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v1", false}, {1, 0}).ok());
   auto got = db.Get("k");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->value, "v1");
   EXPECT_EQ(got->version, (Version{1, 0}));
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v2", false}, {2, 3}).ok());
+  EXPECT_EQ(db.Get("k")->version, (Version{2, 3}));
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "", true}, {3, 0}).ok());
+  EXPECT_FALSE(db.Get("k").has_value());
+  EXPECT_EQ(db.Size(), 0u);
+}
+
+TEST(MemoryStateDbTest, PointOps) {
+  MemoryStateDb db;
+  EXPECT_FALSE(db.Get("k").has_value());
+  EXPECT_FALSE(db.GetVersion("k").has_value());
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v1", false}, {1, 0}).ok());
+  ASSERT_TRUE(db.Get("k").has_value());
+  EXPECT_EQ(db.Get("k")->value, "v1");
   EXPECT_EQ(*db.GetVersion("k"), (Version{1, 0}));
   // In-place update: value and version replaced, size unchanged.
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v2", false}, {2, 3}).ok());
   EXPECT_EQ(db.Get("k")->value, "v2");
-  EXPECT_EQ(db.Get("k")->version, (Version{2, 3}));
   EXPECT_EQ(*db.GetVersion("k"), (Version{2, 3}));
   EXPECT_EQ(db.Size(), 1u);
-  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "", true}, {3, 0}).ok());
-  EXPECT_FALSE(db.Get("k").has_value());
-  EXPECT_EQ(db.Size(), 0u);
+}
+
+TEST(MemoryStateDbTest, DeleteMissingIsNoop) {
+  MemoryStateDb db;
+  EXPECT_TRUE(db.ApplyWrite(WriteItem{"ghost", "", true}, {1, 0}).ok());
+}
+
+TEST(MemoryStateDbTest, RangeScanHalfOpen) {
+  MemoryStateDb db;
+  for (int i = 0; i < 10; ++i) {
+    db.ApplyWrite(WriteItem{"k" + std::to_string(i), "v", false}, {1, 0});
+  }
+  auto range = db.GetRange("k2", "k5");
+  ASSERT_EQ(range.size(), 3u);
+  EXPECT_EQ(range[0].key, "k2");
+  EXPECT_EQ(range[2].key, "k4");
+}
+
+TEST(MemoryStateDbTest, RangeScanOpenEnd) {
+  MemoryStateDb db;
+  db.ApplyWrite(WriteItem{"a", "1", false}, {1, 0});
+  db.ApplyWrite(WriteItem{"b", "2", false}, {1, 1});
+  auto range = db.GetRange("a", "");
+  EXPECT_EQ(range.size(), 2u);
 }
 
 TEST(MemoryStateDbTest, DeletesAreAbsoluteEverywhere) {
