@@ -353,6 +353,54 @@ ExperimentConfig ShardedConfig(int channels, double skew) {
       .Build();
 }
 
+// Multi-channel goldens: the per-channel routing of submissions, the
+// per-channel leader hints and the ordering faults that hit every
+// channel's service at once, pinned row by row.
+constexpr char kGoldenShardedCompatPause[] =
+    "ledger=983 valid=453 endorse=8 mvcc_intra=431 mvcc_inter=91 "
+    "phantom=0 submitted=983 app=0\n"
+    "pct=53.916581892166839/0.81383519837232965/53.102746693794501/0/0\n"
+    "lat=1.6047953326551372/1.5642240237587932/4.6993609830996128 "
+    "tput=85.700000000000003/45.299999999999997\n"
+    "ch0=494/211/4/214/65/0 57.287449392712553/56.477732793522264/40\n"
+    "ch1=298/144/2/139/13/0 51.677852348993291/51.006711409395976/"
+    "28.300000000000001\n"
+    "ch2=191/98/2/78/13/0 48.691099476439788/47.643979057591622/"
+    "17.399999999999999\n";
+constexpr char kGoldenShardedReplicatedCrash[] =
+    "ledger=1007 valid=354 endorse=4 mvcc_intra=339 mvcc_inter=310 "
+    "phantom=0 submitted=1007 app=0\n"
+    "pct=64.846077457795431/0.39721946375372391/64.448857994041703/0/0\n"
+    "lat=3.3969963753723915/4.4256826524875468/6.0947954715864725 "
+    "tput=69.700000000000003/35.399999999999999\n"
+    "ch0=497/171/1/163/162/0 65.593561368209251/65.392354124748493/"
+    "29.699999999999999\n"
+    "ch1=510/183/3/176/148/0 64.117647058823536/63.529411764705884/40\n";
+
+TEST(ChannelGoldenTest, ShardedCompatOrdererPauseReproducesFingerprint) {
+  // Three channels on one compat orderer node: every channel's Orderer
+  // pauses and resumes together.
+  ExperimentConfig config = ShardedConfig(3, /*skew=*/0.9);
+  config.fabric.faults.PauseOrderer(3 * kSecond, 5 * kSecond);
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(FingerprintWithChannels(r.value()), kGoldenShardedCompatPause);
+}
+
+TEST(ChannelGoldenTest, ShardedReplicatedLeaderCrashReproducesFingerprint) {
+  // Two channels, each with its own Raft group over the shared replica
+  // nodes; the leader-targeted crash resolves on channel 0's group and
+  // takes that replica down in both. Clients fail over per channel.
+  ExperimentConfig config = ShardedConfig(2, /*skew=*/0);
+  config.fabric.ordering.replicated = true;
+  config.fabric.faults.CrashOrderer(-1, 3 * kSecond, 6 * kSecond);
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(FingerprintWithChannels(r.value()), kGoldenShardedReplicatedCrash);
+  EXPECT_EQ(r.value().orderer_elections, 2u);
+  EXPECT_EQ(r.value().orderer_rebroadcasts, 609u);
+}
+
 TEST(MultiChannelTest, ShardsCarryLoadAndReportBreaksDownPerChannel) {
   Result<FailureReport> r = RunOnce(ShardedConfig(4, /*skew=*/0), 42);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
