@@ -17,9 +17,9 @@ int main() {
     for (bool delayed : {false, true}) {
       ExperimentConfig config = BaseC1(rate);
       if (delayed) {
-        // Whole-run delay window on org 1 via the fault subsystem; this
-        // is the generalized form of the legacy delayed_org knob and
-        // produces bitwise-identical results (fault_test pins it).
+        // Whole-run delay window on org 1 via the fault subsystem
+        // (FaultGoldenTest pins it to the golden recorded before the
+        // fault subsystem existed).
         DelayWindow window;
         window.org = 1;
         window.extra = 100 * kMillisecond;

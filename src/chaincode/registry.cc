@@ -1,7 +1,8 @@
 #include "src/chaincode/registry.h"
 
-#include <algorithm>
+#include <map>
 #include <mutex>
+#include <utility>
 
 #include "src/chaincode/asset_transfer.h"
 #include "src/chaincode/digital_voting.h"
@@ -10,7 +11,6 @@
 #include "src/chaincode/genchain.h"
 #include "src/chaincode/supply_chain.h"
 #include "src/chaincode/tpcc/tpcc_chaincode.h"
-#include "src/common/strings.h"
 #include "src/workload/tpcc_workload.h"
 
 namespace fabricsim {
@@ -131,71 +131,6 @@ std::string UnknownChaincodeError(const std::string& name) {
     first = false;
   }
   return message + ")";
-}
-
-Status ChaincodeRegistry::Register(std::shared_ptr<Chaincode> chaincode) {
-  return Register(kDefaultChannel, std::move(chaincode));
-}
-
-Status ChaincodeRegistry::Register(ChannelId channel,
-                                   std::shared_ptr<Chaincode> chaincode) {
-  if (chaincode == nullptr) {
-    return Status::InvalidArgument("null chaincode");
-  }
-  std::string name = chaincode->name();
-  if (!chaincodes_.emplace(std::make_pair(channel, name), std::move(chaincode))
-           .second) {
-    return Status::AlreadyExists(
-        StrFormat("chaincode already installed on channel %d: %s", channel,
-                  name.c_str()));
-  }
-  return Status::OK();
-}
-
-Chaincode* ChaincodeRegistry::Get(const std::string& name) const {
-  return Get(kDefaultChannel, name);
-}
-
-Chaincode* ChaincodeRegistry::Get(ChannelId channel,
-                                  const std::string& name) const {
-  auto it = chaincodes_.find(std::make_pair(channel, name));
-  if (it != chaincodes_.end()) return it->second.get();
-  if (channel != kDefaultChannel) {
-    it = chaincodes_.find(std::make_pair(kDefaultChannel, name));
-    if (it != chaincodes_.end()) return it->second.get();
-  }
-  return nullptr;
-}
-
-std::vector<std::string> ChaincodeRegistry::InstalledNames() const {
-  return InstalledNames(kDefaultChannel);
-}
-
-std::vector<std::string> ChaincodeRegistry::InstalledNames(
-    ChannelId channel) const {
-  std::vector<std::string> names;
-  for (const auto& [key, cc] : chaincodes_) {
-    if (key.first != channel && key.first != kDefaultChannel) continue;
-    names.push_back(key.second);
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
-ChaincodeRegistry ChaincodeRegistry::CreateDefault() {
-  ChaincodeRegistry registry;
-  // Every catalogued factory, built from a default WorkloadConfig.
-  // Installed under the chaincode's own name() (which is why genchain
-  // appears as "genChain" here).
-  WorkloadConfig defaults;
-  for (const std::string& name : RegisteredChaincodeNames()) {
-    std::optional<ChaincodeFactory> factory = FindChaincodeFactory(name);
-    if (factory.has_value()) {
-      registry.Register(factory->make_chaincode(defaults));
-    }
-  }
-  return registry;
 }
 
 }  // namespace fabricsim

@@ -2,14 +2,11 @@
 #define FABRICSIM_CHAINCODE_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/channels/channel_types.h"
 #include "src/chaincode/chaincode.h"
 #include "src/common/status.h"
 #include "src/workload/workload_spec.h"
@@ -20,9 +17,9 @@ class WorkloadGenerator;
 
 /// How a named chaincode — and optionally its canned workload — is
 /// built from a WorkloadConfig. Registered factories are first-class
-/// citizens of the name-based plumbing: CreateDefault() installs them,
-/// MakeChaincodeFor() / MakeWorkload() resolve them, and the unknown-
-/// name diagnostic lists them. Adding a chaincode therefore means one
+/// citizens of the name-based plumbing: MakeChaincodeFor() /
+/// MakeWorkload() resolve them, and the unknown-name diagnostic lists
+/// them. Adding a chaincode therefore means one
 /// RegisterChaincodeFactory() call, not edits to every factory switch.
 struct ChaincodeFactory {
   /// Builds the contract (required).
@@ -58,53 +55,6 @@ std::optional<ChaincodeFactory> FindChaincodeFactory(
 /// Diagnostic for an unknown chaincode name, listing what is
 /// available: "unknown chaincode: x (available: asset, dv, ...)".
 std::string UnknownChaincodeError(const std::string& name);
-
-/// Maps installed chaincode names to implementations. Chaincodes are
-/// stateless (all state flows through the stub), so one shared
-/// instance serves every peer.
-///
-/// Installations are keyed by (channel, name), mirroring Fabric where
-/// chaincode is instantiated per channel: the same name may bind to
-/// different implementations on different channels. Lookups fall back
-/// to the default channel's installation when the channel has no
-/// channel-specific one, so a chaincode registered the legacy way
-/// (channel-less) serves every channel.
-class ChaincodeRegistry {
- public:
-  /// Registers a chaincode under its name() on the default channel.
-  /// Fails on duplicates.
-  Status Register(std::shared_ptr<Chaincode> chaincode);
-
-  /// Registers a chaincode on one channel. Fails when that (channel,
-  /// name) pair is already taken.
-  Status Register(ChannelId channel, std::shared_ptr<Chaincode> chaincode);
-
-  /// Looks up a chaincode on the default channel; nullptr when not
-  /// installed.
-  Chaincode* Get(const std::string& name) const;
-
-  /// Looks up a chaincode as seen from `channel`: the channel-specific
-  /// installation if there is one, else the default channel's.
-  Chaincode* Get(ChannelId channel, const std::string& name) const;
-
-  /// Names installed on the default channel.
-  std::vector<std::string> InstalledNames() const;
-
-  /// Names visible from `channel` (channel-specific plus inherited
-  /// default-channel installations), sorted, deduplicated.
-  std::vector<std::string> InstalledNames(ChannelId channel) const;
-
-  /// Registry with every catalogued chaincode built from default
-  /// configs: the paper's four use-case chaincodes, the default
-  /// genChain, and whatever RegisterChaincodeFactory() added (tpcc and
-  /// asset ride in this way).
-  static ChaincodeRegistry CreateDefault();
-
- private:
-  /// Ordered map so InstalledNames() is deterministic.
-  std::map<std::pair<ChannelId, std::string>, std::shared_ptr<Chaincode>>
-      chaincodes_;
-};
 
 }  // namespace fabricsim
 

@@ -5,9 +5,8 @@
 
 namespace fabricsim {
 
-/// The channel every single-channel deployment runs on, and the
-/// namespace chaincode registrations fall back to when a channel has
-/// no channel-specific installation.
+/// The channel every single-channel deployment runs on, and the one
+/// the per-channel accessors read when no channel is named.
 constexpr ChannelId kDefaultChannel = 0;
 
 /// How clients spread their transactions across channels. A real

@@ -28,9 +28,7 @@ void ChannelWorkPool::TryDispatch(Environment& env) {
     size_t ch = static_cast<size_t>(task.channel);
     channel_busy_[ch] = 1;
     ++in_service_;
-    double delay_ms = ToMillis(env.now() - task.submitted);
-    queue_delay_stats_.Add(delay_ms);
-    channel_delay_stats_[ch].Add(delay_ms);
+    queue_delay_stats_.Add(ToMillis(env.now() - task.submitted));
     SimTime service = 0;
     if (task.at_start) service = task.at_start();
     if (service < 0) service = 0;
@@ -53,7 +51,6 @@ void ChannelWorkPool::EnsureChannel(ChannelId channel) {
   channel_busy_.resize(need, 0);
   channel_service_.resize(need, 0);
   channel_completed_.resize(need, 0);
-  channel_delay_stats_.resize(need);
 }
 
 SimTime ChannelWorkPool::channel_service(ChannelId channel) const {
@@ -64,13 +61,6 @@ SimTime ChannelWorkPool::channel_service(ChannelId channel) const {
 uint64_t ChannelWorkPool::channel_tasks_completed(ChannelId channel) const {
   size_t ch = static_cast<size_t>(channel);
   return ch < channel_completed_.size() ? channel_completed_[ch] : 0;
-}
-
-const SummaryStats& ChannelWorkPool::channel_queue_delay_stats(
-    ChannelId channel) const {
-  static const SummaryStats kEmpty;
-  size_t ch = static_cast<size_t>(channel);
-  return ch < channel_delay_stats_.size() ? channel_delay_stats_[ch] : kEmpty;
 }
 
 }  // namespace fabricsim

@@ -66,9 +66,6 @@ class ChannelWorkPool {
   /// Distribution of queueing delays (submit -> start), milliseconds.
   const SummaryStats& queue_delay_stats() const { return queue_delay_stats_; }
 
-  /// Queueing delays experienced by one channel's tasks.
-  const SummaryStats& channel_queue_delay_stats(ChannelId channel) const;
-
   const std::string& name() const { return name_; }
 
  private:
@@ -96,7 +93,6 @@ class ChannelWorkPool {
   std::vector<char> channel_busy_;
   std::vector<SimTime> channel_service_;
   std::vector<uint64_t> channel_completed_;
-  std::vector<SummaryStats> channel_delay_stats_;
 };
 
 }  // namespace fabricsim

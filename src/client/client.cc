@@ -10,7 +10,8 @@
 
 namespace fabricsim {
 
-Client::Client(Params params) : p_(std::move(params)) {
+Client::Client(Params params)
+    : p_(std::move(params)), leader_hints_(p_.orderer_endpoints.size(), 0) {
   // A disabled config is treated as absent, so harnesses may plumb the
   // pointer unconditionally without engaging any protection path.
   if (p_.admission != nullptr && !p_.admission->enabled()) {
@@ -414,21 +415,19 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
   uint64_t bytes = tx.ByteSize();
   ChannelId channel = pending.channel;
   auto shared_tx = std::make_shared<Transaction>(std::move(tx));
-  const std::vector<Params::OrdererEndpoint>& endpoints =
-      EndpointsFor(channel);
-  if (!endpoints.empty()) {
+  if (!p_.orderer_endpoints.empty()) {
     // Replicated ordering: keep the envelope around until a replica
     // acks it, starting at the channel's last known leader.
-    int replica = LeaderHintFor(channel) % static_cast<int>(endpoints.size());
+    size_t index = static_cast<size_t>(channel);
+    int replica = leader_hints_[index] %
+                  static_cast<int>(p_.orderer_endpoints[index].size());
     awaiting_order_ack_[tx_id] = PendingOrder{shared_tx, replica, 0, channel};
     p_.env->Schedule(collect_cost, [this, tx_id, replica]() {
       BroadcastToOrderer(tx_id, replica, /*attempt=*/0);
     });
     return;
   }
-  Orderer* orderer = p_.channel_orderers.empty()
-                         ? p_.orderer
-                         : p_.channel_orderers[static_cast<size_t>(channel)];
+  Orderer* orderer = p_.orderers[static_cast<size_t>(channel)];
   if (p_.admission != nullptr && p_.admission->orderer_bounded()) {
     // Backpressure-aware handoff: a rejected envelope produces an
     // explicit throttle signal that rides back over the network.
@@ -454,25 +453,12 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
   });
 }
 
-const std::vector<Client::Params::OrdererEndpoint>& Client::EndpointsFor(
-    ChannelId channel) const {
-  if (!p_.channel_orderer_endpoints.empty()) {
-    return p_.channel_orderer_endpoints[static_cast<size_t>(channel)];
-  }
-  return p_.orderer_endpoints;
-}
-
-int& Client::LeaderHintFor(ChannelId channel) {
-  size_t index = static_cast<size_t>(channel);
-  if (index >= leader_hints_.size()) leader_hints_.resize(index + 1, 0);
-  return leader_hints_[index];
-}
-
 void Client::BroadcastToOrderer(TxId tx_id, int replica, int attempt) {
   auto it = awaiting_order_ack_.find(tx_id);
   if (it == awaiting_order_ack_.end()) return;
   const Params::OrdererEndpoint& endpoint =
-      EndpointsFor(it->second.channel)[static_cast<size_t>(replica)];
+      p_.orderer_endpoints[static_cast<size_t>(it->second.channel)]
+                          [static_cast<size_t>(replica)];
   std::shared_ptr<Transaction> tx = it->second.tx;
   NodeId endpoint_node = endpoint.node;
   // The ack travels back over the network like a Fabric broadcast
@@ -497,7 +483,7 @@ void Client::OnOrdererAck(TxId tx_id, bool accepted, int replica) {
   if (it == awaiting_order_ack_.end()) return;  // duplicate/stale ack
   ChannelId channel = it->second.channel;
   awaiting_order_ack_.erase(it);
-  LeaderHintFor(channel) = replica;
+  leader_hints_[static_cast<size_t>(channel)] = replica;
   if (accepted && p_.acked_txs_by_channel != nullptr) {
     (*p_.acked_txs_by_channel)[static_cast<size_t>(channel)].push_back(tx_id);
   }
@@ -520,9 +506,10 @@ void Client::OnOrdererAckTimeout(TxId tx_id, int attempt) {
   // Silence from the current replica: assume it is down or deposed and
   // walk to the next one. The walk revisits every replica, so the new
   // leader is found wherever it landed.
+  size_t num_replicas =
+      p_.orderer_endpoints[static_cast<size_t>(pending.channel)].size();
   pending.attempt = attempt + 1;
-  pending.replica = (pending.replica + 1) %
-                    static_cast<int>(EndpointsFor(pending.channel).size());
+  pending.replica = (pending.replica + 1) % static_cast<int>(num_replicas);
   ++p_.stats->orderer_rebroadcasts;
   BroadcastToOrderer(tx_id, pending.replica, pending.attempt);
 }

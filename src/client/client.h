@@ -77,17 +77,11 @@ class Client {
     /// peers_by_org[org] lists the endorsing peers of that org; the
     /// client round-robins within each org.
     std::vector<std::vector<Peer*>> peers_by_org;
-    Orderer* orderer = nullptr;
+    /// Compat ordering: one Orderer per channel (index = channel), all
+    /// on the orderer node. Unused under replicated ordering.
+    std::vector<Orderer*> orderers;
     NodeId orderer_node = 0;
-    /// Multi-channel compat ordering: one Orderer per channel (all
-    /// sharing the orderer node). When non-empty, submissions for
-    /// channel c go to channel_orderers[c]; when empty, `orderer`
-    /// serves the single-channel path unchanged.
-    std::vector<Orderer*> channel_orderers;
-    /// Replicated ordering: one endpoint per orderer replica. When
-    /// non-empty the client broadcasts envelopes here (with ack-timeout
-    /// failover) instead of through `orderer`; the legacy single-
-    /// orderer path above stays byte-identical when this is empty.
+    /// One orderer replica as the client reaches it.
     struct OrdererEndpoint {
       NodeId node = 0;
       /// Hands the envelope to the replica together with the client's
@@ -95,12 +89,12 @@ class Client {
       std::function<void(Transaction, std::function<void(TxId, bool)>)>
           submit;
     };
-    std::vector<OrdererEndpoint> orderer_endpoints;
-    /// Multi-channel replicated ordering: per-channel endpoint sets
-    /// (index = channel). When non-empty it replaces
-    /// `orderer_endpoints`, and each channel tracks its own leader
-    /// hint — a failover on a hot channel never misroutes a cold one.
-    std::vector<std::vector<OrdererEndpoint>> channel_orderer_endpoints;
+    /// Replicated ordering: each channel's replica endpoints (index =
+    /// channel). When non-empty the client broadcasts envelopes here,
+    /// with ack-timeout failover, instead of through `orderers`, and
+    /// each channel tracks its own leader hint — a failover on a hot
+    /// channel never misroutes a cold one.
+    std::vector<std::vector<OrdererEndpoint>> orderer_endpoints;
     /// How long to wait for the ordering ack before re-broadcasting to
     /// the next replica (replicated mode only).
     SimTime orderer_ack_timeout = 0;
@@ -229,11 +223,6 @@ class Client {
   void BroadcastToOrderer(TxId tx_id, int replica, int attempt);
   void OnOrdererAck(TxId tx_id, bool accepted, int replica);
   void OnOrdererAckTimeout(TxId tx_id, int attempt);
-  /// Replica endpoints serving `channel` (the shared single-channel
-  /// set unless per-channel sets are configured).
-  const std::vector<Params::OrdererEndpoint>& EndpointsFor(
-      ChannelId channel) const;
-  int& LeaderHintFor(ChannelId channel);
 
   Params p_;
   /// Overload protection state (engaged only when Params::admission is
@@ -245,7 +234,7 @@ class Client {
   std::unordered_map<TxId, PendingOrder> awaiting_order_ack_;
   /// Last endpoint that acked, per channel — new envelopes start there
   /// instead of rediscovering the leader.
-  std::vector<int> leader_hints_ = std::vector<int>(1, 0);
+  std::vector<int> leader_hints_;
   uint64_t round_robin_ = 0;
 };
 

@@ -47,9 +47,6 @@ class DependencyTracker {
   void OnBlockCut(const Block& block,
                   const std::vector<Transaction>& aborted_at_cut = {});
 
-  /// Number of distinct keys currently tracked.
-  size_t tracked_keys() const { return keys_.size(); }
-
  private:
   struct KeyState {
     Version committed;

@@ -18,29 +18,6 @@ FabricNetwork::FabricNetwork(FabricConfig config, Environment* env,
 
 FabricNetwork::~FabricNetwork() = default;
 
-Status FabricNetwork::InstallChaincode(ChannelId channel,
-                                       std::shared_ptr<Chaincode> chaincode) {
-  if (initialized_) {
-    return Status::FailedPrecondition("InstallChaincode must precede Init()");
-  }
-  if (chaincode == nullptr) {
-    return Status::InvalidArgument("chaincode is required");
-  }
-  if (channel < 0 || channel >= num_channels()) {
-    return Status::InvalidArgument("channel out of range");
-  }
-  // Shadows the default only when it shares the default chaincode's
-  // name (Fabric's per-channel instantiation of one chaincode);
-  // differently-named installations coexist in the registry.
-  return chaincode_registry_.Register(channel, std::move(chaincode));
-}
-
-Chaincode* FabricNetwork::chaincode_for(ChannelId channel) const {
-  Chaincode* chaincode =
-      chaincode_registry_.Get(channel, chaincode_->name());
-  return chaincode != nullptr ? chaincode : chaincode_.get();
-}
-
 Status FabricNetwork::Init() {
   if (initialized_) {
     return Status::FailedPrecondition("Init() called twice");
@@ -58,14 +35,6 @@ Status FabricNetwork::Init() {
   }
   const int num_channels = this->num_channels();
   ledger_stats_ = std::make_unique<StreamingLedgerStats>(num_channels);
-
-  // Every channel inherits the constructor's chaincode unless a
-  // channel-specific installation shadows it.
-  if (chaincode_registry_.Get(kDefaultChannel, chaincode_->name()) ==
-      nullptr) {
-    FABRICSIM_RETURN_NOT_OK(
-        chaincode_registry_.Register(kDefaultChannel, chaincode_));
-  }
 
   // --- Lifecycle tracing ---------------------------------------------
   if (config_.tracing || config_.streaming_obs) {
@@ -138,37 +107,29 @@ Status FabricNetwork::Init() {
       config_.variant == FabricVariant::kStreamchain
           ? StreamchainModel::kValidationCostFactor
           : 1.0;
-  // --- World state: one per channel, bootstrapped once ----------------
+  // --- World state: one per channel, from one bootstrap write set ----
+  // Every channel runs the network's chaincode, so every channel starts
+  // from the same writes.
+  const std::vector<WriteItem> bootstrap = chaincode_->BootstrapState();
   channels_.resize(static_cast<size_t>(num_channels));
   std::vector<ChannelState*> channel_states;
-  for (int c = 0; c < num_channels; ++c) {
-    ChannelRuntime& runtime = channels_[static_cast<size_t>(c)];
+  for (ChannelRuntime& runtime : channels_) {
     runtime.state = std::make_unique<ChannelState>();
-    FABRICSIM_RETURN_NOT_OK(
-        runtime.state->Bootstrap(chaincode_for(c)->BootstrapState()));
+    FABRICSIM_RETURN_NOT_OK(runtime.state->Bootstrap(bootstrap));
     channel_states.push_back(runtime.state.get());
-  }
-  std::vector<Chaincode*> channel_chaincodes;
-  if (num_channels > 1) {
-    channel_chaincodes.reserve(static_cast<size_t>(num_channels));
-    for (int c = 0; c < num_channels; ++c) {
-      channel_chaincodes.push_back(chaincode_for(c));
-    }
   }
   peers_by_org_.assign(static_cast<size_t>(cluster.num_orgs), {});
   for (int org = 0; org < cluster.num_orgs; ++org) {
     for (int i = 0; i < cluster.peers_per_org; ++i) {
       PeerId peer_id = static_cast<PeerId>(peers_.size());
-      NodeId node = next_node++;
       Peer::Params params;
       params.id = peer_id;
       params.org = org;
-      params.node = node;
+      params.node = next_node++;
       params.env = env_;
       params.net = net_.get();
       params.channel_states = channel_states;
       params.chaincode = chaincode_.get();
-      params.channel_chaincodes = channel_chaincodes;
       params.policy = *policy_;
       params.db_profile = db_profile;
       params.timing = config_.timing;
@@ -190,10 +151,6 @@ Status FabricNetwork::Init() {
         };
       }
       auto peer = std::make_unique<Peer>(std::move(params));
-      if (org == config_.delayed_org) {
-        net_->InjectDelay(node, InjectedDelay{config_.injected_delay,
-                                              config_.injected_delay_jitter});
-      }
       peers_by_org_[static_cast<size_t>(org)].push_back(peer.get());
       peers_.push_back(std::move(peer));
     }
@@ -317,8 +274,6 @@ Status FabricNetwork::Init() {
     FaultInjector::Actors actors;
     actors.env = env_;
     actors.net = net_.get();
-    actors.orderer = channels_[0].orderer.get();
-    actors.raft = channels_[0].raft.get();
     for (ChannelRuntime& runtime : channels_) {
       if (runtime.orderer != nullptr) {
         actors.orderers.push_back(runtime.orderer.get());
@@ -382,6 +337,29 @@ Status FabricNetwork::StartLoad(
   NodeId client_node_base =
       static_cast<NodeId>(num_orderer_nodes + static_cast<int>(peers_.size()));
 
+  // Each client reaches channel c's ordering service through entry c of
+  // one of these lists: the compat orderers, or the replicated service's
+  // replica endpoints (the client then broadcasts with ack-timeout
+  // failover instead of the fire-and-forget submit).
+  std::vector<Orderer*> orderers;
+  std::vector<std::vector<Client::Params::OrdererEndpoint>> orderer_endpoints;
+  for (ChannelRuntime& runtime : channels_) {
+    if (runtime.orderer != nullptr) orderers.push_back(runtime.orderer.get());
+    if (runtime.raft == nullptr) continue;
+    std::vector<Client::Params::OrdererEndpoint>& endpoints =
+        orderer_endpoints.emplace_back();
+    for (int r = 0; r < runtime.raft->size(); ++r) {
+      OrdererReplica* replica = runtime.raft->replica(r);
+      Client::Params::OrdererEndpoint endpoint;
+      endpoint.node = replica->node();
+      endpoint.submit = [replica](Transaction tx,
+                                  std::function<void(TxId, bool)> ack) {
+        replica->SubmitTransaction(std::move(tx), std::move(ack));
+      };
+      endpoints.push_back(std::move(endpoint));
+    }
+  }
+
   // Shared parameter assembly for both per-user clients and aggregated
   // population actors. `actor_index` numbers every created actor in
   // order (node ids stay dense); when every class expands it equals
@@ -399,7 +377,7 @@ Status FabricNetwork::StartLoad(
     params.workload = workload;
     params.policy = policy_.get();
     params.peers_by_org = peers_by_org_;
-    params.orderer = channels_[0].orderer.get();
+    params.orderers = orderers;
     params.orderer_node = 0;
     params.timing = config_.timing;
     params.rng = std::move(rng);
@@ -409,15 +387,8 @@ Status FabricNetwork::StartLoad(
     params.stats = &stats_;
     params.tx_id_counter = &tx_id_counter_;
     params.retry = retry;
-    if (num_channels > 1) {
-      params.affinity =
-          ChannelAffinity(affinity_config, num_channels, actor_index);
-      if (channels_[0].raft == nullptr) {
-        for (ChannelRuntime& runtime : channels_) {
-          params.channel_orderers.push_back(runtime.orderer.get());
-        }
-      }
-    }
+    params.affinity =
+        ChannelAffinity(affinity_config, num_channels, actor_index);
     if (retry.resubmit_on_mvcc) {
       params.resubmit_registry = &resubmit_registry_;
     }
@@ -425,31 +396,8 @@ Status FabricNetwork::StartLoad(
       params.admission = &config_.admission;
       params.admission_stats = admission_stats_.get();
     }
-    if (channels_[0].raft != nullptr) {
-      // Replicated ordering: the client broadcasts to replicas with
-      // ack-timeout failover instead of the fire-and-forget submit.
-      auto endpoints_for = [](RaftGroup* raft) {
-        std::vector<Client::Params::OrdererEndpoint> endpoints;
-        for (int r = 0; r < raft->size(); ++r) {
-          OrdererReplica* replica = raft->replica(r);
-          Client::Params::OrdererEndpoint endpoint;
-          endpoint.node = replica->node();
-          endpoint.submit = [replica](Transaction tx,
-                                      std::function<void(TxId, bool)> ack) {
-            replica->SubmitTransaction(std::move(tx), std::move(ack));
-          };
-          endpoints.push_back(std::move(endpoint));
-        }
-        return endpoints;
-      };
-      if (num_channels > 1) {
-        for (ChannelRuntime& runtime : channels_) {
-          params.channel_orderer_endpoints.push_back(
-              endpoints_for(runtime.raft.get()));
-        }
-      } else {
-        params.orderer_endpoints = endpoints_for(channels_[0].raft.get());
-      }
+    if (!orderer_endpoints.empty()) {
+      params.orderer_endpoints = orderer_endpoints;
       params.acked_txs_by_channel = &acked_txs_by_channel_;
       params.orderer_ack_timeout = config_.ordering.client_ack_timeout;
       params.max_orderer_rebroadcasts = config_.ordering.max_client_rebroadcasts;

@@ -8,7 +8,6 @@
 
 #include "src/admission/admission.h"
 #include "src/chaincode/chaincode.h"
-#include "src/chaincode/registry.h"
 #include "src/channels/channel_types.h"
 #include "src/client/client.h"
 #include "src/common/status.h"
@@ -61,12 +60,6 @@ class FabricNetwork {
   FabricNetwork(const FabricNetwork&) = delete;
   FabricNetwork& operator=(const FabricNetwork&) = delete;
 
-  /// Instantiates `chaincode` on one channel (Fabric's per-channel
-  /// chaincode namespace). Must be called before Init(); channels
-  /// without an installation run the constructor's chaincode.
-  Status InstallChaincode(ChannelId channel,
-                          std::shared_ptr<Chaincode> chaincode);
-
   /// Channel-popularity / client-pinning model applied when the load
   /// starts. Must be set before StartLoad(); ignored with one channel.
   void set_channel_affinity(const ChannelAffinityConfig& affinity) {
@@ -100,12 +93,10 @@ class FabricNetwork {
     return config_.num_channels < 1 ? 1 : config_.num_channels;
   }
 
-  /// Canonical ledger of the default channel (from the reference
-  /// peer), including failed transactions. Empty when
-  /// config.streaming_ledger is set.
-  const BlockStore& ledger() const { return channels_[0].ledger; }
-  /// Canonical ledger of one channel.
-  const BlockStore& ledger(ChannelId channel) const {
+  /// Canonical ledger of one channel (from the reference peer),
+  /// including failed transactions. Empty when config.streaming_ledger
+  /// is set.
+  const BlockStore& ledger(ChannelId channel = kDefaultChannel) const {
     return channels_[static_cast<size_t>(channel)].ledger;
   }
 
@@ -128,17 +119,17 @@ class FabricNetwork {
 
   const EndorsementPolicy& policy() const { return *policy_; }
   const Network& net() const { return *net_; }
-  /// Legacy single-leader orderer of the default channel. Only valid
-  /// in compat mode (config.ordering.replicated == false).
-  Orderer& orderer() { return *channels_[0].orderer; }
-  Orderer& orderer(ChannelId channel) {
+  /// Single-leader orderer of one channel. Only valid in compat mode
+  /// (config.ordering.replicated == false).
+  Orderer& orderer(ChannelId channel = kDefaultChannel) {
     return *channels_[static_cast<size_t>(channel)].orderer;
   }
-  /// Replicated ordering service of the default channel; nullptr in
-  /// compat mode.
-  const RaftGroup* raft() const { return channels_[0].raft.get(); }
-  RaftGroup* raft() { return channels_[0].raft.get(); }
-  RaftGroup* raft(ChannelId channel) {
+  /// Replicated ordering service of one channel; nullptr in compat
+  /// mode.
+  const RaftGroup* raft(ChannelId channel = kDefaultChannel) const {
+    return channels_[static_cast<size_t>(channel)].raft.get();
+  }
+  RaftGroup* raft(ChannelId channel = kDefaultChannel) {
     return channels_[static_cast<size_t>(channel)].raft.get();
   }
   /// Transaction ids whose ordering ack reached a client (replicated
@@ -152,10 +143,6 @@ class FabricNetwork {
   const ChannelState& channel_state(ChannelId channel) const {
     return *channels_[static_cast<size_t>(channel)].state;
   }
-
-  /// Chaincode serving `channel` (the channel's installation, or the
-  /// constructor's default).
-  Chaincode* chaincode_for(ChannelId channel) const;
 
   /// Variant processor stats (null when the variant is not active).
   const FabricPlusPlusProcessor* fabricpp() const { return fabricpp_.get(); }
@@ -200,10 +187,6 @@ class FabricNetwork {
   Environment* env_;
   std::shared_ptr<Chaincode> chaincode_;
   std::shared_ptr<WorkloadGenerator> workload_;
-  /// Per-channel chaincode installations, keyed (channel, name); the
-  /// constructor's chaincode is registered on the default channel so
-  /// every channel inherits it unless overridden.
-  ChaincodeRegistry chaincode_registry_;
   ChannelAffinityConfig channel_affinity_;
 
   std::unique_ptr<EndorsementPolicy> policy_;

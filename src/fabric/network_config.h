@@ -89,8 +89,6 @@ struct ClusterConfig {
   int num_orderers = 3;
   int num_clients = 5;
 
-  int total_peers() const { return num_orgs * peers_per_org; }
-
   static ClusterConfig C1() { return ClusterConfig{2, 2, 3, 5}; }
   static ClusterConfig C2() { return ClusterConfig{8, 4, 3, 25}; }
 };
@@ -196,18 +194,11 @@ struct FabricConfig {
   /// Replicated-ordering mode (off = legacy single-leader compat path).
   OrderingConfig ordering;
 
-  /// Pumba-style chaos injection: extra one-way delay applied to every
-  /// peer of `delayed_org` (< 0 disables). Paper Fig. 16 uses
-  /// 100 ± 10 ms on one organization. Kept as the legacy shorthand for
-  /// a whole-run DelayWindow on one org; `faults` below is the general
-  /// mechanism.
-  int delayed_org = -1;
-  SimTime injected_delay = 0;
-  SimTime injected_delay_jitter = 0;
-
   /// Deterministic fault schedule (crashes, pauses, partitions, delay
-  /// and loss windows). Empty by default; an empty plan leaves the run
-  /// bitwise identical to a build without the fault subsystem.
+  /// and loss windows; paper Fig. 16's 100 ± 10 ms on one organization
+  /// is a whole-run DelayWindow). Empty by default; an empty plan
+  /// leaves the run bitwise identical to a build without the fault
+  /// subsystem.
   FaultPlan faults;
 
   /// Client endorsement timeout/retry + MVCC resubmission. All off by

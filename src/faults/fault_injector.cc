@@ -61,10 +61,11 @@ void FaultInjector::Fire(FaultEventRecord::Kind kind, int32_t subject) {
 
 int FaultInjector::ResolveOrdererReplica(int requested) const {
   if (requested >= 0) return requested;
-  // Leader-targeted: whichever replica leads right now; during an
-  // election, fall back to the last known leader.
-  int leader = actors_.raft->leader_index();
-  if (leader < 0) leader = actors_.raft->last_known_leader();
+  // Leader-targeted: whichever replica leads channel 0's group right
+  // now; during an election, fall back to the last known leader.
+  const RaftGroup& raft = *actors_.rafts.front();
+  int leader = raft.leader_index();
+  if (leader < 0) leader = raft.last_known_leader();
   return leader < 0 ? 0 : leader;
 }
 
@@ -73,23 +74,6 @@ Status FaultInjector::Install() {
     return Status::FailedPrecondition("fault plan already installed");
   }
   installed_ = true;
-
-  // Normalize the two ways of handing over the ordering service: the
-  // legacy singleton fields and the per-channel vectors each imply the
-  // other, so rule validation can use the singletons and rule firing
-  // can loop over the vectors.
-  if (actors_.orderers.empty() && actors_.orderer != nullptr) {
-    actors_.orderers.push_back(actors_.orderer);
-  }
-  if (actors_.rafts.empty() && actors_.raft != nullptr) {
-    actors_.rafts.push_back(actors_.raft);
-  }
-  if (actors_.orderer == nullptr && !actors_.orderers.empty()) {
-    actors_.orderer = actors_.orderers.front();
-  }
-  if (actors_.raft == nullptr && !actors_.rafts.empty()) {
-    actors_.raft = actors_.rafts.front();
-  }
 
   for (size_t i = 0; i < plan_.delay_windows.size(); ++i) {
     const DelayWindow& window = plan_.delay_windows[i];
@@ -168,8 +152,9 @@ Status FaultInjector::Install() {
     if (pause.resume_at != kSimTimeNever && pause.resume_at <= pause.at) {
       return Status::InvalidArgument(ref + ": resume precedes the pause");
     }
-    if (actors_.raft != nullptr) {
-      if (pause.replica < -1 || pause.replica >= actors_.raft->size()) {
+    if (!actors_.rafts.empty()) {
+      if (pause.replica < -1 ||
+          pause.replica >= actors_.rafts.front()->size()) {
         return Status::OutOfRange(ref + ": targets an unknown replica");
       }
       int requested = pause.replica;
@@ -208,7 +193,7 @@ Status FaultInjector::Install() {
       return Status::FailedPrecondition(
           ref + ": replica-targeted pause requires replicated ordering");
     }
-    if (actors_.orderer == nullptr) {
+    if (actors_.orderers.empty()) {
       return Status::FailedPrecondition(ref + ": scheduled without an orderer");
     }
     actors_.env->Schedule(
@@ -232,11 +217,12 @@ Status FaultInjector::Install() {
   for (size_t i = 0; i < plan_.orderer_crashes.size(); ++i) {
     const OrdererCrashFault& crash = plan_.orderer_crashes[i];
     std::string ref = RuleRef("orderer_crash", i, crash.at, crash.restart_at);
-    if (actors_.raft == nullptr) {
+    if (actors_.rafts.empty()) {
       return Status::FailedPrecondition(
           ref + ": orderer crash requires replicated ordering");
     }
-    if (crash.replica < -1 || crash.replica >= actors_.raft->size()) {
+    if (crash.replica < -1 ||
+        crash.replica >= actors_.rafts.front()->size()) {
       return Status::OutOfRange(ref + ": targets an unknown replica");
     }
     if (crash.restart_at != kSimTimeNever && crash.restart_at <= crash.at) {

@@ -47,15 +47,12 @@ class FaultInjector {
     std::vector<Peer*> peers;
     /// Peers grouped by organization (for org-targeted delay windows).
     std::vector<std::vector<Peer*>> peers_by_org;
-    Orderer* orderer = nullptr;
-    /// Replicated ordering service; nullptr in compat mode. Orderer
-    /// crash faults and replica-targeted pauses require it.
-    RaftGroup* raft = nullptr;
-    /// Multi-channel networks: every channel's ordering service
-    /// (index = channel; exactly one of the two vectors is populated,
-    /// matching the mode). An ordering fault hits the shared orderer
-    /// *process*, so it fires against every channel's service at once.
-    /// When empty, the singleton fields above are used.
+    /// Every channel's ordering service (index = channel): the compat
+    /// orderers or the replicated Raft groups, whichever the mode
+    /// builds. An ordering fault hits the shared orderer *process*, so
+    /// it fires against every channel's service at once. Orderer crash
+    /// faults and replica-targeted pauses require `rafts`; a
+    /// leader-targeted rule follows channel 0's group.
     std::vector<Orderer*> orderers;
     std::vector<RaftGroup*> rafts;
   };

@@ -8,7 +8,6 @@ StreamingLedgerStats::StreamingLedgerStats(int num_channels)
 void StreamingLedgerStats::OnBlockCommitted(ChannelId channel,
                                             const Block& block) {
   ChannelAgg& agg = channels_[static_cast<size_t>(channel)];
-  ++blocks_committed_;
   // Gap between consecutive cut times on one channel's chain.
   if (agg.prev_cut != kSimTimeNever && block.cut_time > agg.prev_cut) {
     double gap = ToSeconds(block.cut_time - agg.prev_cut);

@@ -54,8 +54,6 @@ class StreamingLedgerStats {
   /// seconds (the report's ordering-availability proxy).
   double max_interblock_gap_s() const { return max_interblock_gap_s_; }
 
-  uint64_t blocks_committed() const { return blocks_committed_; }
-
   size_t ApproxMemoryBytes() const;
 
  private:
@@ -69,7 +67,6 @@ class StreamingLedgerStats {
   LedgerSummary total_;
   QuantileSketch latency_ms_;
   double max_interblock_gap_s_ = 0.0;
-  uint64_t blocks_committed_ = 0;
   SimTime window_end_ = kSimTimeNever;
 };
 

@@ -205,36 +205,22 @@ class Tracer {
   const std::map<TxValidationCode, uint64_t>& failure_counts() const {
     return failure_counts_;
   }
-  /// Per-peer commit time of each block, in (channel, block, peer)
-  /// order. Single-channel runs use channel 0, preserving the legacy
-  /// (block, peer) iteration order. Always empty in streaming mode.
-  const std::map<std::tuple<ChannelId, uint64_t, PeerId>, SimTime>&
-  peer_commits() const {
-    return peer_commits_;
-  }
   /// Failure exemplars retained by the streaming reservoir (empty in
   /// dense mode — there, every trace is already stored).
   const std::vector<TxTrace>& exemplars() const { return exemplars_.items(); }
-  uint64_t failures_offered_to_reservoir() const { return exemplars_.seen(); }
-  /// Fault transitions observed, in simulated-time order.
+  /// One fault transition observed.
   struct FaultEventRow {
     const char* kind;
     int32_t subject;
     SimTime at;
   };
-  const std::vector<FaultEventRow>& fault_events() const {
-    return fault_events_;
-  }
-  /// Consensus transitions observed, in simulated-time order.
+  /// One consensus transition observed.
   struct RaftEventRow {
     const char* kind;
     int32_t replica;
     uint64_t term;
     SimTime at;
   };
-  const std::vector<RaftEventRow>& raft_events() const {
-    return raft_events_;
-  }
   /// The keys most often named in MVCC/phantom failure attributions,
   /// most-conflicting first (ties broken by key for determinism).
   std::vector<std::pair<std::string, uint64_t>> TopConflictingKeys(
@@ -295,6 +281,9 @@ class Tracer {
   std::vector<TxTrace> traces_;           ///< dense mode storage
   std::unordered_map<TxId, TxTrace> live_;  ///< streaming in-flight window
   size_t size_ = 0;  ///< number of transactions ever observed
+  /// Event logs for ExportJsonl: each block's per-peer commit time in
+  /// (channel, block, peer) order (empty in streaming mode), then the
+  /// fault and consensus transitions in simulated-time order.
   std::map<std::tuple<ChannelId, uint64_t, PeerId>, SimTime> peer_commits_;
   std::vector<FaultEventRow> fault_events_;
   std::vector<RaftEventRow> raft_events_;

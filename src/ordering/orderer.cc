@@ -51,7 +51,6 @@ void Orderer::SubmitTransaction(Transaction tx,
       !paused_ &&
       queue_.depth() >= static_cast<size_t>(
                             admission_->max_orderer_queue_depth)) {
-    ++txs_throttled_;
     if (admission_stats_ != nullptr) ++admission_stats_->orderer_throttled;
     if (on_throttle) on_throttle();
     return;
@@ -81,7 +80,6 @@ void Orderer::Ingest(Transaction tx) {
           // The client stopped caring while the envelope queued at
           // ingress: drop it before it occupies a block slot and a
           // validation pass on every peer.
-          ++txs_deadline_dropped_;
           if (admission_stats_ != nullptr) {
             ++admission_stats_->deadline_expired_order;
           }

@@ -112,11 +112,6 @@ class Orderer {
   /// exactly SubmitTransaction.
   void SubmitTransaction(Transaction tx, const std::function<void()>& on_throttle);
 
-  /// Envelopes rejected by the bounded ingress.
-  uint64_t txs_throttled() const { return txs_throttled_; }
-  /// Envelopes dropped at ingress because their deadline had passed.
-  uint64_t txs_deadline_dropped() const { return txs_deadline_dropped_; }
-
   /// Fault injection: the ordering service stops processing. Arriving
   /// envelopes are buffered at ingress (clients see no error, only
   /// latency — a Raft leader election or Kafka hiccup); block cutting
@@ -171,8 +166,6 @@ class Orderer {
   bool paused_ = false;
   std::vector<Transaction> paused_backlog_;
   uint64_t txs_deferred_while_paused_ = 0;
-  uint64_t txs_throttled_ = 0;
-  uint64_t txs_deadline_dropped_ = 0;
 };
 
 }  // namespace fabricsim

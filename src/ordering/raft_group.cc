@@ -63,7 +63,6 @@ void OrdererReplica::SubmitTransaction(Transaction tx, AckFn ack) {
     // A dead process or a follower: the envelope vanishes, exactly as
     // silent as gRPC against a stopped orderer. The client's ack
     // timeout drives it to the next replica.
-    ++txs_dropped_not_leader_;
     return;
   }
   ++txs_received_;

@@ -141,9 +141,6 @@ class OrdererReplica {
   uint64_t blocks_cut() const { return blocks_cut_; }
   uint64_t txs_received() const { return txs_received_; }
   uint64_t txs_early_aborted() const { return txs_early_aborted_; }
-  /// Envelopes dropped because this replica was not the leader (or was
-  /// down) when they arrived — the client's rebroadcast signal.
-  uint64_t txs_dropped_not_leader() const { return txs_dropped_not_leader_; }
   uint64_t txs_deferred_while_paused() const {
     return txs_deferred_while_paused_;
   }
@@ -247,7 +244,6 @@ class OrdererReplica {
   // --- counters -------------------------------------------------------
   uint64_t txs_received_ = 0;
   uint64_t txs_early_aborted_ = 0;
-  uint64_t txs_dropped_not_leader_ = 0;
   uint64_t txs_deferred_while_paused_ = 0;
   uint64_t blocks_cut_ = 0;
 };

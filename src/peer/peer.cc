@@ -15,6 +15,7 @@ Peer::Peer(Params params)
       node_(params.node),
       env_(params.env),
       net_(params.net),
+      chaincode_(params.chaincode),
       validator_(std::move(params.policy)),
       db_profile_(params.db_profile),
       timing_(params.timing),
@@ -48,10 +49,6 @@ Peer::Peer(Params params)
       // snapshot height, which lags behind the committed height.
       ch.endorse_view = ch.world->AddReader();
     }
-    ch.chaincode = c < params.channel_chaincodes.size() &&
-                           params.channel_chaincodes[c] != nullptr
-                       ? params.channel_chaincodes[c]
-                       : params.chaincode;
   }
 }
 
@@ -94,7 +91,7 @@ std::shared_ptr<const EndorsementResult> Peer::Endorse(
   // simulation, but each pays for its own.
   std::shared_ptr<const EndorsementResult> result = ch.world->Endorse(
       ch.endorse_view, request.tx_id, [&](const StateDatabase& view) {
-        return SimulateProposal(view, *ch.chaincode, request.invocation,
+        return SimulateProposal(view, *chaincode_, request.invocation,
                                 db_profile_.supports_rich_queries);
       });
   SimTime cost = timing_.proposal_overhead +

@@ -89,11 +89,8 @@ class Peer {
     /// (ids 0..size-1); each must outlive the peer. The peer validates
     /// and commits each channel's blocks in order on its own.
     std::vector<ChannelState*> channel_states;
-    /// Chaincode every channel falls back to.
-    Chaincode* chaincode = nullptr;
-    /// Optional per-channel chaincode overrides, indexed by channel;
-    /// a null (or missing) entry falls back to `chaincode`.
-    std::vector<Chaincode*> channel_chaincodes;
+    /// Chaincode every channel runs.
+    const Chaincode* chaincode = nullptr;
     EndorsementPolicy policy;
     DbLatencyProfile db_profile;
     TimingConfig timing;
@@ -169,26 +166,21 @@ class Peer {
 
   int num_channels() const { return static_cast<int>(channels_.size()); }
 
-  /// The default channel's world state as of this peer's committed
-  /// height: a read-only view of the shared ChannelState, and what the
-  /// validator reads.
-  const StateView& state() const { return *channels_[0].state; }
-  const StateView& state(ChannelId channel) const {
+  /// One channel's world state as of this peer's committed height: a
+  /// read-only view of the shared ChannelState, and what the validator
+  /// reads.
+  const StateView& state(ChannelId channel = kDefaultChannel) const {
     return *channels_[static_cast<size_t>(channel)].state;
   }
 
   /// The view the endorser executes against. Same object as state()
   /// except under FabricSharp, whose view reads at the endorsement
   /// snapshot's height, which lags the committed height.
-  const StateView& endorse_view() const {
-    return *channels_[0].endorse_view;
-  }
-  const StateView& endorse_view(ChannelId channel) const {
+  const StateView& endorse_view(ChannelId channel = kDefaultChannel) const {
     return *channels_[static_cast<size_t>(channel)].endorse_view;
   }
 
-  uint64_t committed_height() const { return channels_[0].state->height(); }
-  uint64_t committed_height(ChannelId channel) const {
+  uint64_t committed_height(ChannelId channel = kDefaultChannel) const {
     return channels_[static_cast<size_t>(channel)].state->height();
   }
 
@@ -220,7 +212,6 @@ class Peer {
     StateView* state = nullptr;
     /// `state`, or under FabricSharp the snapshot's own view.
     StateView* endorse_view = nullptr;
-    Chaincode* chaincode = nullptr;
     uint64_t next_to_enqueue = 1;
     std::vector<PeerChainRecord> chain_records;
     std::map<uint64_t, std::shared_ptr<const Block>> reorder_buffer;
@@ -272,6 +263,7 @@ class Peer {
   NodeId node_;
   Environment* env_;
   Network* net_;
+  const Chaincode* chaincode_;
   Validator validator_;
   DbLatencyProfile db_profile_;
   TimingConfig timing_;

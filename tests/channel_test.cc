@@ -2,10 +2,10 @@
 // against pre-channel golden fingerprints (compat and replicated
 // ordering, report and trace export, FABRICSIM_JOBS=1 vs 4),
 // ChannelWorkPool semantics (WorkQueue degeneration, per-channel
-// serialization, worker budget, FIFO interference), per-channel
-// chaincode namespaces, channel affinity (pinning, skew, the no-draw
-// contract), fault composition across channels, per-channel failure
-// breakdowns, the commit-time report fold against the retained
+// serialization, worker budget, FIFO interference), multi-channel
+// goldens under ordering faults, channel affinity (pinning, skew, the
+// no-draw contract), fault composition across channels, per-channel
+// failure breakdowns, the commit-time report fold against the retained
 // ledgers, and the versioned artifact schema.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/chaincode/genchain.h"
-#include "src/chaincode/registry.h"
 #include "src/channels/channel_affinity.h"
 #include "src/channels/channel_work_pool.h"
 #include "src/common/parallel.h"
@@ -244,45 +242,6 @@ TEST(ChannelWorkPoolTest, IdleChannelOvertakesBusyChannelsBacklog) {
   EXPECT_EQ(pool.channel_tasks_completed(0), 3u);
   EXPECT_EQ(pool.channel_tasks_completed(1), 1u);
   EXPECT_GT(pool.channel_service(0), pool.channel_service(1));
-}
-
-// ----------------------------------------------- chaincode namespaces
-
-TEST(ChannelRegistryTest, ChannelInstallationOverridesDefault) {
-  ChaincodeRegistry registry;
-  auto base = std::make_shared<GenChaincode>(GenChaincodeSpec::PaperDefault());
-  auto override_cc =
-      std::make_shared<GenChaincode>(GenChaincodeSpec::PaperDefault());
-  ASSERT_TRUE(registry.Register(base).ok());
-  ASSERT_TRUE(registry.Register(/*channel=*/2, override_cc).ok());
-  // Channel 2 sees its own installation; channel 1 falls back to the
-  // default channel's.
-  EXPECT_EQ(registry.Get(2, base->name()), override_cc.get());
-  EXPECT_EQ(registry.Get(1, base->name()), base.get());
-  EXPECT_EQ(registry.Get(base->name()), base.get());
-  EXPECT_EQ(registry.Get(1, "missing"), nullptr);
-}
-
-TEST(ChannelRegistryTest, DuplicatePerChannelInstallationRejected) {
-  ChaincodeRegistry registry;
-  auto a = std::make_shared<GenChaincode>(GenChaincodeSpec::PaperDefault());
-  auto b = std::make_shared<GenChaincode>(GenChaincodeSpec::PaperDefault());
-  ASSERT_TRUE(registry.Register(/*channel=*/1, a).ok());
-  EXPECT_FALSE(registry.Register(/*channel=*/1, b).ok());
-  // The same name on another channel is a distinct namespace.
-  EXPECT_TRUE(registry.Register(/*channel=*/3, b).ok());
-}
-
-TEST(ChannelRegistryTest, InstalledNamesMergeChannelAndDefault) {
-  ChaincodeRegistry registry = ChaincodeRegistry::CreateDefault();
-  size_t default_count = registry.InstalledNames().size();
-  ASSERT_GT(default_count, 0u);
-  // A channel with no installations inherits everything.
-  EXPECT_EQ(registry.InstalledNames(5).size(), default_count);
-  // A channel-specific override of an existing name adds nothing new.
-  auto cc = std::make_shared<GenChaincode>(GenChaincodeSpec::PaperDefault());
-  ASSERT_TRUE(registry.Register(/*channel=*/5, cc).ok());
-  EXPECT_EQ(registry.InstalledNames(5).size(), default_count);
 }
 
 // --------------------------------------------------- channel affinity

@@ -80,7 +80,7 @@ class ClientTest : public ::testing::Test {
     cparams.workload = workload_.get();
     cparams.policy = policy_.get();
     cparams.peers_by_org = peers_by_org_;
-    cparams.orderer = orderer_.get();
+    cparams.orderers = {orderer_.get()};
     cparams.orderer_node = 0;
     cparams.rng = Rng(77);
     cparams.arrival_rate_tps = arrival_rate_tps_;

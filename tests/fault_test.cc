@@ -1,8 +1,9 @@
 // Fault-injection subsystem tests: empty-plan bitwise identity against
-// pre-PR golden fingerprints, DelayWindow equivalence with the legacy
-// delayed_org knob, determinism across FABRICSIM_JOBS under an active
-// fault mix, crash/restart catch-up correctness, orderer pause/resume,
-// plan validation, and the retry-amplification experiment.
+// pre-PR golden fingerprints, the Fig. 16 DelayWindow against the
+// golden of the per-org delay it replaced, determinism across
+// FABRICSIM_JOBS under an active fault mix, crash/restart catch-up
+// correctness, orderer pause/resume, plan validation, and the
+// retry-amplification experiment.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,8 +35,9 @@ constexpr char kGoldenDefault[] =
     "tput=95/44.450000000000003\n";
 
 // Same config with the paper's Fig. 16 chaos: 100 ± 10 ms injected on
-// org 1, recorded through the legacy delayed_org knob pre-PR. Both the
-// legacy knob and the DelayWindow rewiring must reproduce it exactly.
+// org 1, recorded before the fault subsystem existed, through a
+// per-org delay setting that a whole-run DelayWindow has since
+// replaced. The window must reproduce it exactly.
 constexpr char kGoldenDelayedOrg[] =
     "ledger=1998 valid=794 endorse=134 mvcc_intra=556 mvcc_inter=514 "
     "phantom=0 submitted=1998 app=0\n"
@@ -56,18 +58,9 @@ TEST(FaultGoldenTest, EmptyPlanReproducesPrePrFingerprint) {
   EXPECT_EQ(Fingerprint(r.value()), kGoldenDefault);
 }
 
-TEST(FaultGoldenTest, LegacyDelayedOrgKnobStillReproducesFingerprint) {
-  ExperimentConfig config = GoldenConfig();
-  config.fabric.delayed_org = 1;
-  config.fabric.injected_delay = 100 * kMillisecond;
-  config.fabric.injected_delay_jitter = 10 * kMillisecond;
-  Result<FailureReport> r = RunOnce(config, 42);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Fingerprint(r.value()), kGoldenDelayedOrg);
-}
-
-// The Fig. 16 rewiring: a whole-run DelayWindow over org 1 must be
-// draw-for-draw identical to the legacy delayed_org construction path.
+// The Fig. 16 setup: a whole-run DelayWindow over org 1 must be
+// draw-for-draw identical to the per-org delay the golden was
+// recorded with.
 TEST(FaultGoldenTest, DelayWindowMatchesLegacyDelayedOrg) {
   ExperimentConfig config = GoldenConfig();
   DelayWindow window;

@@ -171,9 +171,11 @@ TEST(IntegrationTest, InjectedDelayIncreasesEndorsementFailures) {
   ExperimentConfig config = SmallConfig();
   config.duration = 15 * kSecond;
   RunOutput clean = RunNetwork(config, 19);
-  config.fabric.delayed_org = 1;
-  config.fabric.injected_delay = 100 * kMillisecond;
-  config.fabric.injected_delay_jitter = 10 * kMillisecond;
+  DelayWindow window;
+  window.org = 1;
+  window.extra = 100 * kMillisecond;
+  window.jitter = 10 * kMillisecond;
+  config.fabric.faults.Delay(window);
   RunOutput delayed = RunNetwork(config, 19);
   EXPECT_GE(delayed.report.endorsement_failures,
             clean.report.endorsement_failures);
