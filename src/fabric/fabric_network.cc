@@ -109,14 +109,16 @@ Status FabricNetwork::Init() {
           : 1.0;
   // --- World state: one per channel, from one bootstrap write set ----
   // Every channel runs the network's chaincode, so every channel starts
-  // from the same writes.
-  const std::vector<WriteItem> bootstrap = chaincode_->BootstrapState();
+  // from the same writes; they are freed before the peers are built.
   channels_.resize(static_cast<size_t>(num_channels));
   std::vector<ChannelState*> channel_states;
-  for (ChannelRuntime& runtime : channels_) {
-    runtime.state = std::make_unique<ChannelState>();
-    FABRICSIM_RETURN_NOT_OK(runtime.state->Bootstrap(bootstrap));
-    channel_states.push_back(runtime.state.get());
+  {
+    const std::vector<WriteItem> bootstrap = chaincode_->BootstrapState();
+    for (ChannelRuntime& runtime : channels_) {
+      runtime.state = std::make_unique<ChannelState>();
+      FABRICSIM_RETURN_NOT_OK(runtime.state->Bootstrap(bootstrap));
+      channel_states.push_back(runtime.state.get());
+    }
   }
   peers_by_org_.assign(static_cast<size_t>(cluster.num_orgs), {});
   for (int org = 0; org < cluster.num_orgs; ++org) {
