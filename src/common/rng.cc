@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fabricsim {
@@ -108,6 +109,15 @@ ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
   alpha_ = 1.0 / (1.0 - theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
          (1.0 - zeta2theta_ / zetan_);
+  if (theta_ == 1.0) {
+    // alpha_ is infinite: NextRank inverts the CDF by search instead.
+    cdf_.reserve(n_);
+    double cum = 0.0;
+    for (uint64_t i = 1; i <= n_; ++i) {
+      cum += 1.0 / (static_cast<double>(i) * zetan_);
+      cdf_.push_back(cum);
+    }
+  }
 }
 
 uint64_t ZipfianGenerator::NextRank(Rng& rng) {
@@ -116,14 +126,12 @@ uint64_t ZipfianGenerator::NextRank(Rng& rng) {
   double uz = u * zetan_;
   if (uz < 1.0) return 0;
   if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  // theta == 1 makes alpha_ infinite; fall back to inverse-CDF search.
-  if (!std::isfinite(alpha_)) {
-    double cum = 0.0;
-    for (uint64_t i = 1; i <= n_; ++i) {
-      cum += 1.0 / (static_cast<double>(i) * zetan_);
-      if (u <= cum) return i - 1;
-    }
-    return n_ - 1;
+  if (!cdf_.empty()) {
+    // The first rank whose running sum reaches u; the sums never
+    // decrease, so this is the rank a linear scan would stop at.
+    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    if (it == cdf_.end()) return n_ - 1;
+    return static_cast<uint64_t>(it - cdf_.begin());
   }
   uint64_t rank = static_cast<uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));

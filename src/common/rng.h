@@ -54,6 +54,8 @@ class Rng {
 /// degenerates to the uniform distribution. Ranks are scattered over
 /// the key space via a multiplicative hash so that "popular" keys are
 /// not clustered at one end, matching the paper's workload generator.
+/// theta == 1 has no closed-form inverse; the generator then keeps the
+/// CDF as a table of n doubles and binary-searches it.
 class ZipfianGenerator {
  public:
   /// Builds a generator over `n` items (n >= 1) with skew `theta >= 0`.
@@ -76,6 +78,9 @@ class ZipfianGenerator {
   double alpha_;
   double eta_;
   double zeta2theta_;
+  /// theta == 1 only: cdf_[i] is the running sum of the first i + 1
+  /// probabilities, added in rank order.
+  std::vector<double> cdf_;
 };
 
 }  // namespace fabricsim

@@ -57,22 +57,9 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 }  // namespace
 
 uint64_t Fnv1a(const std::string& data) {
-  return Fnv1aCombine(kFnvOffset, data);
-}
-
-uint64_t Fnv1aCombine(uint64_t seed, const std::string& data) {
-  uint64_t h = seed;
+  uint64_t h = kFnvOffset;
   for (unsigned char c : data) {
     h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t Fnv1aCombine(uint64_t seed, uint64_t value) {
-  uint64_t h = seed;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
     h *= kFnvPrime;
   }
   return h;

@@ -168,7 +168,11 @@ FailureReport BuildFailureReport(const std::vector<const BlockStore*>& ledgers,
   ledger_stats.set_window_end(load_duration);
   for (size_t c = 0; c < ledgers.size(); ++c) {
     for (const Block& block : ledgers[c]->blocks()) {
-      ledger_stats.OnBlockCommitted(static_cast<ChannelId>(c), block);
+      // Every transaction of a stored block shares its commit time.
+      SimTime commit_time =
+          block.txs.empty() ? 0 : block.txs.front().committed_time;
+      ledger_stats.OnBlockCommitted(static_cast<ChannelId>(c), block,
+                                    block.results, commit_time);
     }
   }
   return BuildFailureReport(ledger_stats, stats, load_duration, tracer,

@@ -460,16 +460,14 @@ void FabricNetwork::RecordCommit(ChannelId channel, uint64_t block_number,
   ChannelRuntime& runtime = channels_[static_cast<size_t>(channel)];
   auto it = runtime.canonical_blocks.find(block_number);
   if (it == runtime.canonical_blocks.end()) return;
-  Block block = *it->second;  // copy: the canonical block stays shared
+  std::shared_ptr<const Block> shared = std::move(it->second);
   runtime.canonical_blocks.erase(it);
-  block.results = outcome.results;
-  for (Transaction& tx : block.txs) {
-    tx.committed_time = env_->now();
-  }
+  const Block& block = *shared;
+  const std::vector<TxValidationResult>& results = outcome.results;
+  const SimTime now = env_->now();
   if (tracer_ != nullptr) {
     for (size_t i = 0; i < block.txs.size(); ++i) {
-      tracer_->OnCommit(block.txs[i].id, block_number, i, block.results[i],
-                        env_->now());
+      tracer_->OnCommit(block.txs[i].id, block_number, i, results[i], now);
     }
   }
   if (!resubmit_registry_.empty()) {
@@ -480,12 +478,16 @@ void FabricNetwork::RecordCommit(ChannelId channel, uint64_t block_number,
       if (rit == resubmit_registry_.end()) continue;
       Client* client = rit->second;
       resubmit_registry_.erase(rit);
-      client->OnCommittedResult(block.txs[i].id, block.results[i].code);
+      client->OnCommittedResult(block.txs[i].id, results[i].code);
     }
   }
-  ledger_stats_->OnBlockCommitted(channel, block);
-  // A streaming run drops the block here; its BlockStore stays empty.
-  if (!config_.streaming_ledger) runtime.ledger.Append(std::move(block));
+  ledger_stats_->OnBlockCommitted(channel, block, results, now);
+  // A streaming run keeps no block; its BlockStore stays empty.
+  if (config_.streaming_ledger) return;
+  Block stored = block;  // copy: the canonical block stays shared
+  stored.results = results;
+  for (Transaction& tx : stored.txs) tx.committed_time = now;
+  runtime.ledger.Append(std::move(stored));
 }
 
 }  // namespace fabricsim

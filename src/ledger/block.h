@@ -81,12 +81,13 @@ struct Block {
   }
 };
 
-/// FNV offset basis — the hash of the empty chain (block 0's "previous
-/// hash" in every channel's hash chain).
+/// The hash of the empty chain (block 0's "previous hash" in every
+/// channel's hash chain).
 constexpr uint64_t kChainHashSeed = 14695981039346656037ull;
 
 /// Content digest of a committed block: number, cut reason, each
-/// transaction's identity/read-write set, and each validation verdict.
+/// transaction's identity/read-write set, and each validation verdict,
+/// folded one word per MixWord step.
 /// Deliberately excludes every timestamp (cut/ordered/committed times
 /// differ between the orderer's copy and a peer's committed copy), so
 /// the canonical ledger block and a peer's local commit of the same

@@ -30,10 +30,14 @@ class StreamingLedgerStats {
   /// StartLoad before the first block can commit.
   void set_window_end(SimTime window_end) { window_end_ = window_end; }
 
-  /// Folds one reference-peer-committed block (results + committed
-  /// times filled in) into slot `channel`. Blocks of one slot must
-  /// arrive in chain order.
-  void OnBlockCommitted(ChannelId channel, const Block& block);
+  /// Folds one reference-peer-committed block into slot `channel`:
+  /// `results` holds its verdicts in block order and `commit_time` is
+  /// when every transaction in it committed. `block` itself is only
+  /// read, so the orderer's shared copy can be passed. Blocks of one
+  /// slot must arrive in chain order.
+  void OnBlockCommitted(ChannelId channel, const Block& block,
+                        const std::vector<TxValidationResult>& results,
+                        SimTime commit_time);
 
   /// Aggregate failure counts across all channels.
   const LedgerSummary& summary() const { return total_; }

@@ -174,6 +174,35 @@ TEST(ZipfianTest, SkewOneSupported) {
   EXPECT_GT(counts[0], counts[50]);
 }
 
+TEST(ZipfianTest, SkewOneTableMatchesLinearScan) {
+  // The linear inverse-CDF scan the theta = 1 table replaced, kept as
+  // the reference: the table must return its rank for every draw.
+  for (uint64_t n : {uint64_t{100}, uint64_t{12500}}) {
+    double zetan = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      zetan += 1.0 / std::pow(static_cast<double>(i), 1.0);
+    }
+    auto scan_rank = [n, zetan](Rng& rng) -> uint64_t {
+      double u = rng.UniformDouble();
+      double uz = u * zetan;
+      if (uz < 1.0) return 0;
+      if (uz < 1.0 + std::pow(0.5, 1.0)) return 1;
+      double cum = 0.0;
+      for (uint64_t i = 1; i <= n; ++i) {
+        cum += 1.0 / (static_cast<double>(i) * zetan);
+        if (u <= cum) return i - 1;
+      }
+      return n - 1;
+    };
+    Rng table_rng(43), scan_rng(43);
+    ZipfianGenerator zipf(n, 1.0);
+    for (int i = 0; i < 200000; ++i) {
+      ASSERT_EQ(zipf.NextRank(table_rng), scan_rank(scan_rng))
+          << "n=" << n << " draw " << i;
+    }
+  }
+}
+
 TEST(ZipfianTest, HigherSkewConcentratesMore) {
   Rng rng1(37), rng2(37);
   ZipfianGenerator mild(1000, 0.5), heavy(1000, 2.0);
@@ -251,8 +280,9 @@ TEST(StringsTest, PadKeyLexicographicOrder) {
 TEST(StringsTest, FnvDeterministicAndSensitive) {
   EXPECT_EQ(Fnv1a("abc"), Fnv1a("abc"));
   EXPECT_NE(Fnv1a("abc"), Fnv1a("abd"));
-  EXPECT_NE(Fnv1aCombine(Fnv1a("a"), "b"), Fnv1aCombine(Fnv1a("b"), "a"));
-  EXPECT_NE(Fnv1aCombine(1ull, uint64_t{2}), Fnv1aCombine(1ull, uint64_t{3}));
+  EXPECT_NE(MixString(MixString(1ull, "a"), "b"),
+            MixString(MixString(1ull, "b"), "a"));
+  EXPECT_NE(MixWord(1ull, uint64_t{2}), MixWord(1ull, uint64_t{3}));
 }
 
 // --------------------------------------------------------- SimTime

@@ -65,6 +65,25 @@ TEST(RwSetTest, DigestCoversWritesAndRanges) {
   EXPECT_NE(a.Digest(), c.Digest());
 }
 
+TEST(RwSetTest, DigestSeparatesAdjacentStrings) {
+  // Moving a boundary between two adjacent strings must change the
+  // digest: each string is hashed with its length.
+  ReadWriteSet ab_c, a_bc;
+  ab_c.writes.push_back(WriteItem{"ab", "c", false});
+  a_bc.writes.push_back(WriteItem{"a", "bc", false});
+  EXPECT_NE(ab_c.Digest(), a_bc.Digest());
+
+  ReadWriteSet k1_k9, k_1k9;
+  RangeQueryInfo rq;
+  rq.start_key = "k1";
+  rq.end_key = "k9";
+  k1_k9.range_queries.push_back(rq);
+  rq.start_key = "k";
+  rq.end_key = "1k9";
+  k_1k9.range_queries.push_back(rq);
+  EXPECT_NE(k1_k9.Digest(), k_1k9.Digest());
+}
+
 TEST(RwSetTest, ReadOnlyAndCounts) {
   ReadWriteSet s;
   s.reads.push_back(ReadItem{"k", {0, 0}, true});
@@ -195,13 +214,14 @@ TEST(LedgerParserTest, SummarizesFailureTypes) {
   // LedgerSummary::Count classifies each verdict; the commit-time fold
   // applies it to the aggregate and to the block's channel slot.
   StreamingLedgerStats stats(1);
-  stats.OnBlockCommitted(
-      0, MakeBlock(1, {TxValidationCode::kValid,
-                       TxValidationCode::kEndorsementPolicyFailure,
-                       TxValidationCode::kMvccReadConflict,  // intra (i=2)
-                       TxValidationCode::kMvccReadConflict,  // inter (i=3)
-                       TxValidationCode::kPhantomReadConflict,
-                       TxValidationCode::kAbortedByReordering}));
+  const Block block =
+      MakeBlock(1, {TxValidationCode::kValid,
+                    TxValidationCode::kEndorsementPolicyFailure,
+                    TxValidationCode::kMvccReadConflict,  // intra (i=2)
+                    TxValidationCode::kMvccReadConflict,  // inter (i=3)
+                    TxValidationCode::kPhantomReadConflict,
+                    TxValidationCode::kAbortedByReordering});
+  stats.OnBlockCommitted(0, block, block.results, 110);
   for (const LedgerSummary* summary :
        {&stats.summary(), &stats.channel_summary(0)}) {
     EXPECT_EQ(summary->total, 6u);
