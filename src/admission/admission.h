@@ -82,6 +82,9 @@ struct AdmissionConfig {
   /// Orderer broadcast-ingress bound: envelopes arriving while the
   /// ordering queue holds this many entries are rejected with a
   /// throttle signal back to the client. 0 = unbounded (legacy).
+  /// Compat ordering only: replicated replicas have no ingress bound,
+  /// so FabricNetwork::Init refuses a nonzero value with
+  /// `ordering.replicated` (InvalidArgument).
   uint32_t max_orderer_queue_depth = 0;
 
   CircuitBreakerConfig breaker;

@@ -427,29 +427,20 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
     });
     return;
   }
+  // Backpressure-aware handoff: an envelope the bounded ingress rejects
+  // produces an explicit throttle signal that rides back over the
+  // network. An unbounded orderer accepts every envelope.
   Orderer* orderer = p_.orderers[static_cast<size_t>(channel)];
-  if (p_.admission != nullptr && p_.admission->orderer_bounded()) {
-    // Backpressure-aware handoff: a rejected envelope produces an
-    // explicit throttle signal that rides back over the network.
-    p_.env->Schedule(collect_cost, [this, shared_tx, bytes, orderer]() {
-      TxId id = shared_tx->id;
-      p_.net->Send(
-          *p_.env, p_.node, p_.orderer_node, bytes,
-          [this, orderer, shared_tx, id]() {
-            orderer->SubmitTransaction(
-                std::move(*shared_tx), [this, id]() {
-                  p_.net->Send(*p_.env, p_.orderer_node, p_.node, 48,
-                               [this, id]() { OnOrdererThrottle(id); });
-                });
-          });
-    });
-    return;
-  }
   p_.env->Schedule(collect_cost, [this, shared_tx, bytes, orderer]() {
-    p_.net->Send(*p_.env, p_.node, p_.orderer_node, bytes,
-                 [orderer, shared_tx]() {
-                   orderer->SubmitTransaction(std::move(*shared_tx));
-                 });
+    TxId id = shared_tx->id;
+    p_.net->Send(
+        *p_.env, p_.node, p_.orderer_node, bytes,
+        [this, orderer, shared_tx, id]() {
+          orderer->SubmitTransaction(std::move(*shared_tx), [this, id]() {
+            p_.net->Send(*p_.env, p_.orderer_node, p_.node, 48,
+                         [this, id]() { OnOrdererThrottle(id); });
+          });
+        });
   });
 }
 

@@ -4,7 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <utility>
+#include <thread>
+#include <vector>
 
 namespace fabricsim {
 
@@ -45,56 +46,6 @@ int ParallelJobsFromEnv() {
   return jobs;
 }
 
-ThreadPool::ThreadPool(int num_threads) {
-  num_threads = ClampJobs(num_threads);
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> job) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push(std::move(job));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutting down and drained
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    job();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   jobs = ClampJobs(jobs);
@@ -104,23 +55,24 @@ void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // One exception slot per index; no locking needed since each job
+  // One exception slot per index; no locking needed since each call
   // writes only its own slot.
   std::vector<std::exception_ptr> errors(n);
-  {
-    ThreadPool pool(static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(jobs), n)));
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit([&fn, &errors, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    pool.Wait();
-  }
+  };
+  std::vector<std::thread> threads;
+  size_t num_threads = std::min<size_t>(static_cast<size_t>(jobs), n);
+  threads.reserve(num_threads);
+  for (size_t t = 0; t < num_threads; ++t) threads.emplace_back(worker);
+  for (std::thread& thread : threads) thread.join();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }

@@ -33,6 +33,12 @@ Status FabricNetwork::Init() {
       cluster.num_clients < 1) {
     return Status::InvalidArgument("cluster must have orgs, peers, clients");
   }
+  if (config_.ordering.replicated && config_.admission.orderer_bounded()) {
+    // Replicated clients broadcast to replicas, which bound nothing; a
+    // bound here would be silently ignored.
+    return Status::InvalidArgument(
+        "admission.max_orderer_queue_depth needs compat ordering");
+  }
   const int num_channels = this->num_channels();
   ledger_stats_ = std::make_unique<StreamingLedgerStats>(num_channels);
 
@@ -195,6 +201,9 @@ Status FabricNetwork::Init() {
       ++stats_.early_aborts_by_reordering;
     }
   };
+  // Every channel's orderer, compat or replicated, cuts by one policy.
+  BlockCutter::Config cutter{config_.block_size, config_.block_max_bytes,
+                             config_.variant == FabricVariant::kStreamchain};
   // RNG stream layout: channel 0 keeps the legacy stream ids (3000
   // compat / 3000+i replicated), forked at the same point in Init as
   // before channels existed, so a single-channel network draws the
@@ -209,12 +218,10 @@ Status FabricNetwork::Init() {
       gparams.channel = c;
       gparams.num_replicas = num_orderer_nodes;
       gparams.node_base = 0;
-      gparams.cutter =
-          BlockCutter::Config{config_.block_size, config_.block_max_bytes};
+      gparams.cutter = cutter;
       gparams.block_timeout = config_.block_timeout;
       gparams.timing = config_.timing;
       gparams.ordering = config_.ordering;
-      gparams.streaming = config_.variant == FabricVariant::kStreamchain;
       gparams.processor = processor;
       for (int i = 0; i < num_orderer_nodes; ++i) {
         uint64_t stream =
@@ -235,15 +242,13 @@ Status FabricNetwork::Init() {
       oparams.channel = c;
       oparams.env = env_;
       oparams.net = net_.get();
-      oparams.cutter =
-          BlockCutter::Config{config_.block_size, config_.block_max_bytes};
+      oparams.cutter = cutter;
       oparams.block_timeout = config_.block_timeout;
       oparams.timing = config_.timing;
       oparams.consensus = ConsensusModel(config_.cluster.num_orderers,
                                          config_.timing.consensus_latency);
       oparams.rng = env_->rng().Fork(
           c == 0 ? 3000 : 30000 + static_cast<uint64_t>(c) * 64);
-      oparams.streaming = config_.variant == FabricVariant::kStreamchain;
       oparams.processor = processor;
       oparams.peers = delivery_endpoints;
       oparams.on_block_cut = on_block_cut;

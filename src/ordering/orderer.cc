@@ -17,19 +17,29 @@ Orderer::Orderer(Params params)
       timing_(params.timing),
       consensus_(params.consensus),
       rng_(std::move(params.rng)),
-      streaming_(params.streaming),
       processor_(params.processor),
       peers_(std::move(params.peers)),
       on_block_cut_(std::move(params.on_block_cut)),
-      on_early_abort_(std::move(params.on_early_abort)),
-      queue_("orderer") {
+      on_early_abort_(std::move(params.on_early_abort)) {
   if (params.admission != nullptr && params.admission->enabled()) {
     admission_ = params.admission;
     admission_stats_ = params.admission_stats;
   }
 }
 
-void Orderer::SubmitTransaction(Transaction tx) {
+void Orderer::SubmitTransaction(Transaction tx,
+                                const std::function<void()>& on_throttle) {
+  // Backpressure applies at the broadcast boundary only: a paused
+  // orderer still buffers silently (the client sees latency, not an
+  // error).
+  if (admission_ != nullptr && admission_->max_orderer_queue_depth > 0 &&
+      !paused_ &&
+      queue_.depth() >= static_cast<size_t>(
+                            admission_->max_orderer_queue_depth)) {
+    if (admission_stats_ != nullptr) ++admission_stats_->orderer_throttled;
+    if (on_throttle) on_throttle();
+    return;
+  }
   ++txs_received_;
   if (Tracer* tracer = env_->tracer()) {
     tracer->OnOrdererEnqueue(tx.id, env_->now());
@@ -40,22 +50,6 @@ void Orderer::SubmitTransaction(Transaction tx) {
     return;
   }
   Ingest(std::move(tx));
-}
-
-void Orderer::SubmitTransaction(Transaction tx,
-                                const std::function<void()>& on_throttle) {
-  // Backpressure applies at the broadcast boundary only: a paused
-  // orderer still buffers silently (the client sees latency, not an
-  // error — exactly the legacy pause semantics).
-  if (admission_ != nullptr && admission_->max_orderer_queue_depth > 0 &&
-      !paused_ &&
-      queue_.depth() >= static_cast<size_t>(
-                            admission_->max_orderer_queue_depth)) {
-    if (admission_stats_ != nullptr) ++admission_stats_->orderer_throttled;
-    if (on_throttle) on_throttle();
-    return;
-  }
-  SubmitTransaction(std::move(tx));
 }
 
 void Orderer::Pause() { paused_ = true; }
@@ -74,7 +68,8 @@ void Orderer::Resume() {
 void Orderer::Ingest(Transaction tx) {
   auto shared_tx = std::make_shared<Transaction>(std::move(tx));
   queue_.Submit(
-      *env_, [this]() -> SimTime { return timing_.orderer_per_tx_cost; },
+      *env_, channel_,
+      [this]() -> SimTime { return timing_.orderer_per_tx_cost; },
       [this, shared_tx]() {
         if (shared_tx->deadline > 0 && env_->now() > shared_tx->deadline) {
           // The client stopped caring while the envelope queued at
@@ -106,22 +101,10 @@ void Orderer::Ingest(Transaction tx) {
 }
 
 void Orderer::HandleAdmitted(Transaction tx) {
-  if (streaming_) {
-    // Streamchain: no batching — every transaction streams through as
-    // its own unit.
-    std::vector<Transaction> single;
-    single.push_back(std::move(tx));
-    CutBlock(std::move(single), BlockCutReason::kStreaming);
-    return;
-  }
-  uint32_t max_count = cutter_.config().max_count;
-  for (std::vector<Transaction>& batch : cutter_.AddTransaction(std::move(tx))) {
-    BlockCutReason reason = batch.size() >= max_count
-                                ? BlockCutReason::kMaxCount
-                                : BlockCutReason::kMaxBytes;
+  for (BlockCutter::Batch& batch : cutter_.AddTransaction(std::move(tx))) {
     ++timeout_generation_;  // cancel any armed timeout
     timeout_armed_ = false;
-    CutBlock(std::move(batch), reason);
+    CutBlock(std::move(batch.txs), batch.reason);
   }
   if (cutter_.HasPending() && !timeout_armed_) ArmTimeout();
 }
@@ -190,7 +173,7 @@ void Orderer::CutBlock(std::vector<Transaction> txs, BlockCutReason reason) {
                          timing_.orderer_per_msg_cost;
   SimTime consensus_latency = consensus_.SampleLatency(rng_);
   queue_.Submit(
-      *env_, [assembly]() -> SimTime { return assembly; },
+      *env_, channel_, [assembly]() -> SimTime { return assembly; },
       [this, block, consensus_latency]() {
         env_->Schedule(consensus_latency, [this, block]() {
           for (const Params::PeerEndpoint& peer : peers_) {

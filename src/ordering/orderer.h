@@ -78,9 +78,6 @@ class Orderer {
     ConsensusModel consensus{ClusterConfig().num_orderers,
                              TimingConfig().consensus_latency};
     Rng rng{1, 1};
-    /// When true, every transaction is cut into its own block
-    /// immediately (Streamchain).
-    bool streaming = false;
     BlockProcessor* processor = nullptr;  // may be null
     /// Delivery targets: node ids + block handlers of all peers.
     struct PeerEndpoint {
@@ -102,15 +99,12 @@ class Orderer {
   explicit Orderer(Params params);
 
   /// Handles a transaction submitted by a client (already delivered
-  /// through the network).
-  void SubmitTransaction(Transaction tx);
-
-  /// Backpressure-aware submission: when the bounded broadcast ingress
-  /// is full, the envelope is rejected and `on_throttle` is invoked
-  /// (the client routes it back over the network as an explicit
-  /// throttle signal). With no admission bound configured this is
-  /// exactly SubmitTransaction.
-  void SubmitTransaction(Transaction tx, const std::function<void()>& on_throttle);
+  /// through the network). When the bounded broadcast ingress is full,
+  /// the envelope is rejected and `on_throttle` is invoked (the client
+  /// routes it back over the network as an explicit throttle signal).
+  /// With no admission bound configured every envelope is accepted.
+  void SubmitTransaction(Transaction tx,
+                         const std::function<void()>& on_throttle = nullptr);
 
   /// Fault injection: the ordering service stops processing. Arriving
   /// envelopes are buffered at ingress (clients see no error, only
@@ -132,7 +126,6 @@ class Orderer {
   uint64_t txs_deferred_while_paused() const {
     return txs_deferred_while_paused_;
   }
-  const WorkQueue& queue() const { return queue_; }
 
  private:
   void Ingest(Transaction tx);
@@ -149,7 +142,6 @@ class Orderer {
   TimingConfig timing_;
   ConsensusModel consensus_;
   Rng rng_;
-  bool streaming_;
   BlockProcessor* processor_;
   std::vector<Params::PeerEndpoint> peers_;
   std::function<void(std::shared_ptr<Block>)> on_block_cut_;

@@ -38,9 +38,7 @@ OrdererReplica::OrdererReplica(Params params)
       timing_(params.timing),
       ordering_(params.ordering),
       rng_(std::move(params.rng)),
-      streaming_(params.streaming),
-      processor_(params.processor),
-      queue_("orderer") {
+      processor_(params.processor) {
   // Bootstrap: the whole group starts agreeing that replica 0 leads
   // term 1, so a healthy run pays no startup election.
   voted_for_ = 0;
@@ -99,7 +97,7 @@ void OrdererReplica::Ingest(Transaction tx) {
   auto shared_tx = std::make_shared<Transaction>(std::move(tx));
   uint64_t generation = ingress_generation_;
   queue_.Submit(
-      *env_,
+      *env_, channel_,
       [this]() -> SimTime {
         return alive_ ? timing_.orderer_per_tx_cost : 0;
       },
@@ -129,21 +127,10 @@ void OrdererReplica::Ingest(Transaction tx) {
 }
 
 void OrdererReplica::HandleAdmitted(Transaction tx) {
-  if (streaming_) {
-    std::vector<Transaction> single;
-    single.push_back(std::move(tx));
-    CutBlock(std::move(single), BlockCutReason::kStreaming);
-    return;
-  }
-  uint32_t max_count = cutter_.config().max_count;
-  for (std::vector<Transaction>& batch :
-       cutter_.AddTransaction(std::move(tx))) {
-    BlockCutReason reason = batch.size() >= max_count
-                                ? BlockCutReason::kMaxCount
-                                : BlockCutReason::kMaxBytes;
+  for (BlockCutter::Batch& batch : cutter_.AddTransaction(std::move(tx))) {
     ++timeout_generation_;  // cancel any armed timeout
     timeout_armed_ = false;
-    CutBlock(std::move(batch), reason);
+    CutBlock(std::move(batch.txs), batch.reason);
   }
   if (cutter_.HasPending() && !timeout_armed_) ArmTimeout();
 }
@@ -216,7 +203,8 @@ void OrdererReplica::CutBlock(std::vector<Transaction> txs,
           timing_.orderer_per_msg_cost;
   uint64_t term_at_cut = current_term_;
   queue_.Submit(
-      *env_, [this, assembly]() -> SimTime { return alive_ ? assembly : 0; },
+      *env_, channel_,
+      [this, assembly]() -> SimTime { return alive_ ? assembly : 0; },
       [this, entry_index, term_at_cut]() {
         if (!alive_ || role_ != Role::kLeader ||
             current_term_ != term_at_cut) {
@@ -614,7 +602,6 @@ RaftGroup::RaftGroup(Params params)
     rp.block_timeout = params.block_timeout;
     rp.timing = params.timing;
     rp.ordering = params.ordering;
-    rp.streaming = params.streaming;
     rp.processor = params.processor;
     if (static_cast<size_t>(i) < params.replica_rngs.size()) {
       rp.rng = std::move(params.replica_rngs[static_cast<size_t>(i)]);

@@ -64,9 +64,10 @@ struct VoteReplyMsg {
   bool granted = false;
 };
 
-/// One ordering-service replica: the ingress/cutting half mirrors the
-/// legacy Orderer (serial work queue, BlockCutter, batch timeout with
-/// generation-guarded cancellation, pause/resume), the consensus half
+/// One ordering-service replica: the ingress/cutting half works like
+/// the compat Orderer (serial work queue, the same BlockCutter, batch
+/// timeout with generation-guarded cancellation, pause/resume), the
+/// consensus half
 /// is Raft — randomized election timeouts drawn from this replica's own
 /// seeded RNG stream, leader-based log replication, and quorum commit.
 /// Only the current leader ingests client envelopes and cuts blocks;
@@ -95,7 +96,6 @@ class OrdererReplica {
     TimingConfig timing;
     OrderingConfig ordering;
     Rng rng{1, 1};
-    bool streaming = false;
     BlockProcessor* processor = nullptr;  // shared; only the leader calls it
     /// Bootstrap role: replica 0 starts as the term-1 leader so a
     /// healthy run needs no startup election.
@@ -144,7 +144,6 @@ class OrdererReplica {
   uint64_t txs_deferred_while_paused() const {
     return txs_deferred_while_paused_;
   }
-  const WorkQueue& queue() const { return queue_; }
 
   /// 1-based log access for the group's delivery scan.
   const RaftLogEntry& EntryAt(uint64_t index) const {
@@ -197,7 +196,6 @@ class OrdererReplica {
   TimingConfig timing_;
   OrderingConfig ordering_;
   Rng rng_;
-  bool streaming_;
   BlockProcessor* processor_;
 
   WorkQueue queue_;
@@ -266,7 +264,6 @@ class RaftGroup {
     SimTime block_timeout = 2 * kSecond;
     TimingConfig timing;
     OrderingConfig ordering;
-    bool streaming = false;
     BlockProcessor* processor = nullptr;
     /// One pre-forked RNG per replica (harness forks streams 3000+i).
     std::vector<Rng> replica_rngs;

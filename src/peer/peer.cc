@@ -27,9 +27,7 @@ Peer::Peer(Params params)
                                : params.virtual_block_group),
       rng_(std::move(params.rng)),
       on_commit_(std::move(params.on_commit)),
-      endorse_queue_("endorse"),
-      validate_pool_("validate",
-                     std::max(params.timing.peer_commit_workers, 1)) {
+      validate_queue_(params.timing.peer_commit_workers) {
   // An AdmissionConfig with nothing enabled is treated as absent, so
   // harnesses can plumb the config unconditionally.
   if (params.admission != nullptr && params.admission->enabled()) {
@@ -50,36 +48,6 @@ Peer::Peer(Params params)
       ch.endorse_view = ch.world->AddReader();
     }
   }
-}
-
-void Peer::HandleProposal(ProposalRequest request) {
-  if (!alive_) {
-    // The endorsing gRPC endpoint is down: the proposal vanishes and
-    // the client only learns through its own timeout.
-    ++proposals_dropped_;
-    return;
-  }
-  if (admission_ != nullptr) {
-    HandleProposalAdmitted(std::move(request));
-    return;
-  }
-  auto result = std::make_shared<std::shared_ptr<const EndorsementResult>>();
-  auto req = std::make_shared<ProposalRequest>(std::move(request));
-  endorse_queue_.Submit(
-      *env_,
-      [this, result, req]() -> SimTime {
-        if (!alive_) return 0;  // crashed while queued: abandon silently
-        SimTime service = 0;
-        *result = Endorse(*req, &service);
-        return service;
-      },
-      [this, result, req]() {
-        if (*result == nullptr || !alive_) {
-          ++proposals_dropped_;
-          return;
-        }
-        SendEndorsement(*req, std::move(*result));
-      });
 }
 
 std::shared_ptr<const EndorsementResult> Peer::Endorse(
@@ -137,8 +105,13 @@ void Peer::SendRejectReply(const ProposalRequest& request,
   request.reply(std::move(response));
 }
 
-void Peer::HandleProposalAdmitted(ProposalRequest request) {
-  const AdmissionConfig& cfg = *admission_;
+void Peer::HandleProposal(ProposalRequest request) {
+  if (!alive_) {
+    // The endorsing gRPC endpoint is down: the proposal vanishes and
+    // the client only learns through its own timeout.
+    ++proposals_dropped_;
+    return;
+  }
   const SimTime now = env_->now();
   // Depth = live proposals waiting or in service. Cancelled husks are
   // excluded: they drain at zero cost, so counting them would make the
@@ -151,7 +124,8 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
   }
 
   // Already-expired proposals are refused at the door: one queue slot
-  // and a full chaincode simulation saved.
+  // and a full chaincode simulation saved. Without admission control
+  // the deadline is 0.
   if (request.deadline > 0 && now > request.deadline) {
     if (admission_stats_ != nullptr) {
       ++admission_stats_->deadline_expired_endorse;
@@ -160,8 +134,9 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
     return;
   }
 
-  if (cfg.max_endorse_queue_depth > 0 &&
-      depth >= cfg.max_endorse_queue_depth) {
+  if (admission_ != nullptr && admission_->max_endorse_queue_depth > 0 &&
+      depth >= admission_->max_endorse_queue_depth) {
+    const AdmissionConfig& cfg = *admission_;
     if (cfg.endorse_policy == AdmissionQueuePolicy::kRejectNew) {
       if (admission_stats_ != nullptr) admission_stats_->NoteShed(org_);
       SendRejectReply(request, ProposalReject::kShed);
@@ -195,7 +170,7 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
   admission_pending_.push_back(entry);
   ++admission_live_;
   endorse_queue_.Submit(
-      *env_,
+      *env_, entry->req.channel,
       [this, entry]() -> SimTime {
         if (!admission_pending_.empty() &&
             admission_pending_.front() == entry) {
@@ -220,7 +195,8 @@ void Peer::HandleProposalAdmitted(ProposalRequest request) {
           }
           return 0;
         }
-        if (admission_->endorse_policy == AdmissionQueuePolicy::kCoDel &&
+        if (admission_ != nullptr &&
+            admission_->endorse_policy == AdmissionQueuePolicy::kCoDel &&
             codel_.ShouldDrop(sojourn, now, admission_->codel_target,
                               admission_->codel_interval)) {
           entry->refusal = ProposalReject::kShed;
@@ -273,9 +249,9 @@ void Peer::Crash() {
     ch.reorder_buffer.clear();
   }
   // Queued proposals die with the process; their husks drain through
-  // the serial queue at zero cost (the at_start alive_ check), exactly
-  // like the legacy crash path. No shed replies: a dead endpoint
-  // cannot answer, the client learns via its own timeout.
+  // the serial queue at zero cost (the at_start alive_ check). No shed
+  // replies: a dead endpoint cannot answer, the client learns via its
+  // own timeout.
   admission_pending_.clear();
   admission_live_ = 0;
 }
@@ -355,7 +331,7 @@ SimTime Peer::ValidationServiceTime(const Block& block,
 
 void Peer::ProcessBlock(std::shared_ptr<const Block> block) {
   auto outcome = std::make_shared<std::shared_ptr<const ValidationOutcome>>();
-  validate_pool_.Submit(
+  validate_queue_.Submit(
       *env_, block->channel,
       [this, outcome, block]() -> SimTime {
         ChannelLedger& ch = Channel(block->channel);

@@ -10,7 +10,6 @@
 #include "src/admission/admission.h"
 #include "src/chaincode/chaincode.h"
 #include "src/channels/channel_types.h"
-#include "src/channels/channel_work_pool.h"
 #include "src/common/rng.h"
 #include "src/fabric/network_config.h"
 #include "src/peer/committer.h"
@@ -23,7 +22,7 @@
 namespace fabricsim {
 
 /// Why an endorser refused to execute a proposal (overload protection
-/// only; kNone on the legacy path).
+/// only; always kNone without an AdmissionConfig).
 enum class ProposalReject : uint8_t {
   kNone = 0,
   /// Shed by the bounded admission queue (reject-new / drop-oldest /
@@ -70,13 +69,14 @@ struct ProposalRequest {
 /// endorsement failures, needs. Two execution resources model a real
 /// peer process:
 ///  * the chaincode/endorsement path (chaincode container + endorser
-///    gRPC handlers), shared by every channel — a serial queue; and
+///    gRPC handlers), shared by every channel — a one-worker WorkQueue,
+///    so proposals of all channels run one at a time, FIFO; and
 ///  * the validation/commit resource (VSCC, MVCC, state DB commit): a
-///    ChannelWorkPool with `timing.peer_commit_workers` workers.
-///    Each channel's blocks validate strictly in order, but different
-///    channels' blocks may occupy different workers concurrently —
-///    channel-parallel commit speedup and cross-channel queueing
-///    interference both fall out of this pool.
+///    WorkQueue with `timing.peer_commit_workers` workers, one lane
+///    per channel. Each channel's blocks validate strictly in order,
+///    but different channels' blocks may occupy different workers
+///    concurrently — channel-parallel commit speedup and cross-channel
+///    queueing interference both fall out of this queue.
 class Peer {
  public:
   struct Params {
@@ -110,8 +110,8 @@ class Peer {
     std::function<void(ChannelId channel, uint64_t block_number,
                        const ValidationOutcome& outcome)>
         on_commit;
-    /// Overload protection (src/admission). Null = legacy unbounded
-    /// endorsement queue, byte-identical to the pre-admission peer.
+    /// Overload protection (src/admission). Null = unbounded
+    /// endorsement queue, no deadlines and no stats.
     const AdmissionConfig* admission = nullptr;
     AdmissionStats* admission_stats = nullptr;
   };
@@ -119,10 +119,13 @@ class Peer {
   explicit Peer(Params params);
 
   /// Handles an endorsement proposal (already delivered through the
-  /// network). Queues chaincode execution on the endorsement queue.
+  /// network). Queues chaincode execution on the endorsement queue;
+  /// with an AdmissionConfig, the queue bound, deadlines and CoDel may
+  /// refuse it instead.
   void HandleProposal(ProposalRequest request);
 
-  /// Cancellation propagation (admission path only): the client
+  /// Cancellation propagation (sent only by clients with admission
+  /// control): the client
   /// abandoned this transaction — another org shed or expired it — so
   /// any sibling proposal still queued here becomes a zero-cost husk
   /// instead of burning a full chaincode simulation on a transaction
@@ -187,7 +190,7 @@ class Peer {
   const WorkQueue& endorse_queue() const { return endorse_queue_; }
 
   /// The shared validation/commit resource all channels contend on.
-  const ChannelWorkPool& validate_queue() const { return validate_pool_; }
+  const WorkQueue& validate_queue() const { return validate_queue_; }
 
   /// One channel's committed hash chain, one link per block this peer
   /// committed, copied from the channel's commit record.
@@ -218,7 +221,7 @@ class Peer {
     SimTime last_snapshot_apply = 0;
   };
 
-  /// One proposal tracked by the admission machinery while it queues.
+  /// One proposal on the endorsement queue, from arrival to reply.
   struct PendingEndorse {
     ProposalRequest req;
     SimTime enqueue_time = 0;
@@ -231,8 +234,6 @@ class Peer {
     std::shared_ptr<const EndorsementResult> result;
   };
 
-  /// HandleProposal body when an AdmissionConfig is active.
-  void HandleProposalAdmitted(ProposalRequest request);
   /// The channel's endorsement of `request` at this peer's endorsement
   /// view (simulated there unless a peer at the same height already
   /// did), and this peer's jittered service time for it.
@@ -278,9 +279,9 @@ class Peer {
   std::vector<ChannelLedger> channels_;
 
   WorkQueue endorse_queue_;
-  ChannelWorkPool validate_pool_;
+  WorkQueue validate_queue_;
 
-  /// Overload protection (null/unused on the legacy path).
+  /// Overload protection (null when no AdmissionConfig is active).
   const AdmissionConfig* admission_ = nullptr;
   AdmissionStats* admission_stats_ = nullptr;
   CoDelState codel_;

@@ -526,6 +526,20 @@ TEST(AdmissionCompositionTest, DeadlinesAndShedingComposeWithRaftOrdering) {
   EXPECT_GT(protected_drops, 0u) << AdmissionFingerprint(r.value());
 }
 
+// Replicated clients broadcast straight to the replicas, which bound
+// nothing: an orderer ingress bound would be silently ignored (and the
+// report would still print an admission line with zero throttles), so
+// the network refuses the combination.
+TEST(AdmissionCompositionTest, OrdererBoundRefusedWithRaftOrdering) {
+  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
+  config.fabric.ordering.replicated = true;
+  config.fabric.admission.max_orderer_queue_depth = 4;
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+}
+
 TEST(AdmissionCompositionTest, PeerCrashDuringSaturationShedsAtSurvivors) {
   // A peer crashes mid-saturation while its org is the only endorsing
   // choice for some proposals; admission keeps the survivors' queues

@@ -19,7 +19,8 @@ TEST(BlockCutterTest, CutsAtMaxCount) {
   EXPECT_TRUE(cutter.AddTransaction(SmallTx(2)).empty());
   auto batches = cutter.AddTransaction(SmallTx(3));
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].size(), 3u);
+  EXPECT_EQ(batches[0].txs.size(), 3u);
+  EXPECT_EQ(batches[0].reason, BlockCutReason::kMaxCount);
   EXPECT_FALSE(cutter.HasPending());
 }
 
@@ -45,7 +46,8 @@ TEST(BlockCutterTest, CutsAtMaxBytes) {
   // go out first.
   auto batches = cutter.AddTransaction(SmallTx(4));
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].size(), 3u);
+  EXPECT_EQ(batches[0].txs.size(), 3u);
+  EXPECT_EQ(batches[0].reason, BlockCutReason::kMaxBytes);
   EXPECT_EQ(cutter.pending_count(), 1u);
 }
 
@@ -60,9 +62,21 @@ TEST(BlockCutterTest, OversizedTxGoesAlone) {
   cutter.AddTransaction(SmallTx(1));
   auto batches = cutter.AddTransaction(std::move(big));
   ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].size(), 1u);  // flushed pending
-  EXPECT_EQ(batches[1].size(), 1u);  // the oversized one alone
-  EXPECT_EQ(batches[1][0].id, 99u);
+  EXPECT_EQ(batches[0].txs.size(), 1u);  // flushed pending
+  EXPECT_EQ(batches[1].txs.size(), 1u);  // the oversized one alone
+  EXPECT_EQ(batches[1].txs[0].id, 99u);
+}
+
+TEST(BlockCutterTest, StreamingCutsEveryTransactionAlone) {
+  BlockCutter cutter(BlockCutter::Config{100, 1 << 20, /*streaming=*/true});
+  for (TxId id = 1; id <= 3; ++id) {
+    auto batches = cutter.AddTransaction(SmallTx(id));
+    ASSERT_EQ(batches.size(), 1u);
+    ASSERT_EQ(batches[0].txs.size(), 1u);
+    EXPECT_EQ(batches[0].txs[0].id, id);
+    EXPECT_EQ(batches[0].reason, BlockCutReason::kStreaming);
+    EXPECT_FALSE(cutter.HasPending());  // no timeout is ever needed
+  }
 }
 
 TEST(BlockCutterTest, PendingBytesTracked) {

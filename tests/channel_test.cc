@@ -1,12 +1,11 @@
 // Multi-channel subsystem tests: single-channel bitwise identity
 // against pre-channel golden fingerprints (compat and replicated
 // ordering, report and trace export, FABRICSIM_JOBS=1 vs 4),
-// ChannelWorkPool semantics (WorkQueue degeneration, per-channel
-// serialization, worker budget, FIFO interference), multi-channel
-// goldens under ordering faults, channel affinity (pinning, skew, the
-// no-draw contract), fault composition across channels, per-channel
-// failure breakdowns, the commit-time report fold against the retained
-// ledgers, and the versioned artifact schema.
+// multi-channel goldens under ordering faults, channel affinity
+// (pinning, skew, the no-draw contract), fault composition across
+// channels, per-channel failure breakdowns, the commit-time report
+// fold against the retained ledgers, and the versioned artifact
+// schema. The lane rules of the shared WorkQueue are in sim_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "src/channels/channel_affinity.h"
-#include "src/channels/channel_work_pool.h"
 #include "src/common/parallel.h"
 #include "src/common/stats.h"
 #include "src/common/strings.h"
@@ -26,7 +24,6 @@
 #include "src/fabric/fabric_network.h"
 #include "src/ledger/ledger_parser.h"
 #include "src/obs/json_writer.h"
-#include "src/sim/work_queue.h"
 #include "src/workload/paper_workloads.h"
 #include "tests/test_fingerprint.h"
 
@@ -117,131 +114,6 @@ TEST(ChannelGoldenTest, TraceExportsMatchPreChannelBytes) {
     }
     ParallelJobsFromEnv();  // restore the ambient setting
   }
-}
-
-// ---------------------------------------------------- ChannelWorkPool
-
-// With one channel the pool must degenerate to WorkQueue exactly:
-// same completion order, same timestamps, same counters — this is the
-// mechanism behind the byte-identity goldens above.
-TEST(ChannelWorkPoolTest, SingleChannelMatchesWorkQueue) {
-  Environment env_q(1);
-  Environment env_p(1);
-  WorkQueue queue("validate");
-  ChannelWorkPool pool("validate", /*workers=*/3);  // spare workers idle
-  std::vector<std::pair<SimTime, int>> done_q;
-  std::vector<std::pair<SimTime, int>> done_p;
-  for (int i = 0; i < 6; ++i) {
-    SimTime at = i * 3 * kMillisecond;
-    SimTime service = (7 + 2 * i) * kMillisecond;
-    env_q.Schedule(
-        at,
-        [&, i, service] {
-          queue.Submit(
-              env_q, [service] { return service; },
-              [&, i] { done_q.push_back({env_q.now(), i}); });
-        },
-        ScheduleOpts{.absolute = true});
-    env_p.Schedule(
-        at,
-        [&, i, service] {
-          pool.Submit(
-              env_p, kDefaultChannel, [service] { return service; },
-              [&, i] { done_p.push_back({env_p.now(), i}); });
-        },
-        ScheduleOpts{.absolute = true});
-  }
-  env_q.RunAll();
-  env_p.RunAll();
-  EXPECT_EQ(done_q, done_p);
-  EXPECT_EQ(queue.total_service(), pool.total_service());
-  EXPECT_EQ(queue.tasks_completed(), pool.tasks_completed());
-  EXPECT_EQ(pool.channel_tasks_completed(0), queue.tasks_completed());
-}
-
-// One channel's blocks commit strictly in order even when workers are
-// free: the second task of a channel waits for the first.
-TEST(ChannelWorkPoolTest, TasksOfOneChannelSerialize) {
-  Environment env(1);
-  ChannelWorkPool pool("validate", /*workers=*/4);
-  std::vector<std::pair<SimTime, int>> starts;
-  for (int i = 0; i < 3; ++i) {
-    pool.Submit(
-        env, /*channel=*/0,
-        [&, i] {
-          starts.push_back({env.now(), i});
-          return 10 * kMillisecond;
-        },
-        {});
-  }
-  env.RunAll();
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[0], (std::pair<SimTime, int>{0, 0}));
-  EXPECT_EQ(starts[1], (std::pair<SimTime, int>{10 * kMillisecond, 1}));
-  EXPECT_EQ(starts[2], (std::pair<SimTime, int>{20 * kMillisecond, 2}));
-}
-
-// Different channels validate concurrently, but never more than the
-// worker budget at once.
-TEST(ChannelWorkPoolTest, WorkerBudgetCapsCrossChannelParallelism) {
-  Environment env(1);
-  ChannelWorkPool pool("validate", /*workers=*/2);
-  std::vector<std::pair<SimTime, int>> starts;
-  size_t peak_in_service = 0;
-  for (int c = 0; c < 3; ++c) {
-    pool.Submit(
-        env, c,
-        [&, c] {
-          starts.push_back({env.now(), c});
-          peak_in_service = std::max(peak_in_service, pool.in_service());
-          return 10 * kMillisecond;
-        },
-        {});
-  }
-  env.RunAll();
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[0], (std::pair<SimTime, int>{0, 0}));
-  EXPECT_EQ(starts[1], (std::pair<SimTime, int>{0, 1}));
-  // Channel 2 had to wait for a worker despite being idle itself.
-  EXPECT_EQ(starts[2], (std::pair<SimTime, int>{10 * kMillisecond, 2}));
-  EXPECT_LE(peak_in_service, 2u);
-}
-
-// A busy channel's queued backlog does not block a later-submitted
-// idle channel (eligibility skips the FIFO head), but the shared
-// workers still make the hot channel's backlog delay everyone once
-// the budget is exhausted — the cross-channel interference the bench
-// measures.
-TEST(ChannelWorkPoolTest, IdleChannelOvertakesBusyChannelsBacklog) {
-  Environment env(1);
-  ChannelWorkPool pool("validate", /*workers=*/2);
-  std::vector<std::pair<SimTime, std::string>> starts;
-  auto task = [&](ChannelId channel, const std::string& label) {
-    pool.Submit(
-        env, channel,
-        [&, label] {
-          starts.push_back({env.now(), label});
-          return 10 * kMillisecond;
-        },
-        {});
-  };
-  task(0, "hot0");
-  task(0, "hot1");  // queued: channel 0 busy
-  task(0, "hot2");  // queued behind hot1
-  task(1, "cold0");  // submitted last, starts immediately on worker 2
-  env.RunAll();
-  ASSERT_EQ(starts.size(), 4u);
-  EXPECT_EQ(starts[0],
-            (std::pair<SimTime, std::string>{0, "hot0"}));
-  EXPECT_EQ(starts[1],
-            (std::pair<SimTime, std::string>{0, "cold0"}));
-  EXPECT_EQ(starts[2],
-            (std::pair<SimTime, std::string>{10 * kMillisecond, "hot1"}));
-  EXPECT_EQ(starts[3],
-            (std::pair<SimTime, std::string>{20 * kMillisecond, "hot2"}));
-  EXPECT_EQ(pool.channel_tasks_completed(0), 3u);
-  EXPECT_EQ(pool.channel_tasks_completed(1), 1u);
-  EXPECT_GT(pool.channel_service(0), pool.channel_service(1));
 }
 
 // --------------------------------------------------- channel affinity

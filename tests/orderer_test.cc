@@ -82,7 +82,7 @@ TEST_F(OrdererTest, OrderedTimeStamped) {
 
 TEST_F(OrdererTest, StreamingCutsEveryTransaction) {
   Orderer::Params params = BaseParams(100);
-  params.streaming = true;
+  params.cutter.streaming = true;
   Orderer orderer(std::move(params));
   for (TxId id = 1; id <= 5; ++id) orderer.SubmitTransaction(SimpleTx(id));
   env_->RunAll();

@@ -22,51 +22,6 @@ class JobsGuard {
   int saved_;
 };
 
-// ------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsEverySubmittedJob) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.num_threads(), 4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.Submit([&count] { count.fetch_add(1); });
-    // No Wait(): the destructor must drain before joining.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, WaitIsReusableBetweenBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  for (int i = 0; i < 10; ++i) pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 11);
-}
-
 // ------------------------------------------------------ ParallelFor
 
 TEST(ParallelForTest, EmptyJobListIsANoOp) {
@@ -77,10 +32,15 @@ TEST(ParallelForTest, EmptyJobListIsANoOp) {
 }
 
 TEST(ParallelForTest, CoversEveryIndexOnceWithMoreJobsThanThreads) {
-  constexpr size_t kN = 257;  // deliberately not a multiple of the pool size
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(kN, 4, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  constexpr size_t kN = 257;  // deliberately not a multiple of 4
+  // jobs = 0 is clamped to the serial path.
+  for (int jobs : {0, 4}) {
+    std::vector<std::atomic<int>> hits(kN);
+    ParallelFor(kN, jobs, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "jobs=" << jobs << " index=" << i;
+    }
+  }
 }
 
 TEST(ParallelForTest, PropagatesExceptionFromJob) {

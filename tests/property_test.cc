@@ -33,7 +33,7 @@ TEST_P(BlockCutterPropertyTest, EveryTxCutExactlyOnceInOrder) {
     tx.id = next_id++;
     tx.rwset.writes.push_back(WriteItem{"k", "v", false});
     for (auto& batch : cutter.AddTransaction(std::move(tx))) {
-      for (Transaction& t : batch) cut_order.push_back(t.id);
+      for (Transaction& t : batch.txs) cut_order.push_back(t.id);
     }
     if (rng.Bernoulli(0.05)) {  // random timeout fires
       for (Transaction& t : cutter.CutPending()) cut_order.push_back(t.id);

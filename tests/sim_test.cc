@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/environment.h"
@@ -119,11 +122,11 @@ TEST(EnvironmentTest, DaemonOptDoesNotKeepTheRunAlive) {
 
 TEST(WorkQueueTest, SerializesTasks) {
   Environment env(1);
-  WorkQueue q("test");
+  WorkQueue q;
   std::vector<SimTime> completions;
   for (int i = 0; i < 3; ++i) {
     q.Submit(
-        env, [] { return SimTime{100}; },
+        env, 0, [] { return SimTime{100}; },
         [&] { completions.push_back(env.now()); });
   }
   env.RunAll();
@@ -136,11 +139,11 @@ TEST(WorkQueueTest, WorkRunsAtStartTime) {
   // The at_start phase must observe the simulation state at the moment
   // the server picks the task up, not at submission.
   Environment env(1);
-  WorkQueue q("test");
+  WorkQueue q;
   SimTime start_time_second_task = -1;
-  q.Submit(env, [] { return SimTime{500}; }, {});
+  q.Submit(env, 0, [] { return SimTime{500}; }, {});
   q.Submit(
-      env,
+      env, 0,
       [&] {
         start_time_second_task = env.now();
         return SimTime{10};
@@ -152,10 +155,10 @@ TEST(WorkQueueTest, WorkRunsAtStartTime) {
 
 TEST(WorkQueueTest, IdleServerStartsImmediately) {
   Environment env(1);
-  WorkQueue q("test");
+  WorkQueue q;
   SimTime done_at = -1;
   env.Schedule(50, [&] {
-    q.Submit(env, [] { return SimTime{25}; }, [&] { done_at = env.now(); });
+    q.Submit(env, 0, [] { return SimTime{25}; }, [&] { done_at = env.now(); });
   });
   env.RunAll();
   EXPECT_EQ(done_at, 75);
@@ -163,9 +166,9 @@ TEST(WorkQueueTest, IdleServerStartsImmediately) {
 
 TEST(WorkQueueTest, QueueDelayTracked) {
   Environment env(1);
-  WorkQueue q("test");
-  q.Submit(env, [] { return SimTime{1000}; }, {});
-  q.Submit(env, [] { return SimTime{0}; }, {});
+  WorkQueue q;
+  q.Submit(env, 0, [] { return SimTime{1000}; }, {});
+  q.Submit(env, 0, [] { return SimTime{0}; }, {});
   env.RunAll();
   // Second task waited 1 ms behind the first.
   EXPECT_NEAR(q.queue_delay_stats().max(), 1.0, 1e-9);
@@ -173,13 +176,160 @@ TEST(WorkQueueTest, QueueDelayTracked) {
 
 TEST(WorkQueueTest, DepthReflectsBacklog) {
   Environment env(1);
-  WorkQueue q("test");
-  q.Submit(env, [] { return SimTime{10}; }, {});
-  q.Submit(env, [] { return SimTime{10}; }, {});
+  WorkQueue q;
+  q.Submit(env, 0, [] { return SimTime{10}; }, {});
+  q.Submit(env, 0, [] { return SimTime{10}; }, {});
   EXPECT_EQ(q.depth(), 2u);
   env.RunAll();
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_FALSE(q.busy());
+}
+
+// One worker serves every lane in submission order: the endorsement
+// queue relies on this to stay FIFO across channels.
+TEST(WorkQueueTest, OneWorkerIsFifoAcrossLanes) {
+  Environment env(1);
+  WorkQueue q;
+  std::vector<std::pair<SimTime, int>> starts;
+  const int lanes[] = {0, 1, 0, 2};
+  for (int i = 0; i < 4; ++i) {
+    q.Submit(
+        env, lanes[i],
+        [&, i] {
+          starts.push_back({env.now(), i});
+          return SimTime{10};
+        },
+        {});
+  }
+  env.RunAll();
+  EXPECT_EQ(starts, (std::vector<std::pair<SimTime, int>>{
+                        {0, 0}, {10, 1}, {20, 2}, {30, 3}}));
+  EXPECT_EQ(q.lane_tasks_completed(0), 2u);
+  EXPECT_EQ(q.lane_tasks_completed(1), 1u);
+  EXPECT_EQ(q.lane_tasks_completed(2), 1u);
+}
+
+// With one lane the spare workers stay idle: a 3-worker queue must
+// match a 1-worker queue exactly — same completion order, same
+// timestamps, same counters. This is what keeps single-channel runs
+// bitwise identical to the pre-channel pipeline.
+TEST(WorkQueueTest, SingleChannelMatchesWorkQueue) {
+  Environment env_q(1);
+  Environment env_p(1);
+  WorkQueue queue;
+  WorkQueue pool(/*workers=*/3);
+  std::vector<std::pair<SimTime, int>> done_q;
+  std::vector<std::pair<SimTime, int>> done_p;
+  for (int i = 0; i < 6; ++i) {
+    SimTime at = i * 3 * kMillisecond;
+    SimTime service = (7 + 2 * i) * kMillisecond;
+    env_q.Schedule(
+        at,
+        [&, i, service] {
+          queue.Submit(
+              env_q, 0, [service] { return service; },
+              [&, i] { done_q.push_back({env_q.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
+    env_p.Schedule(
+        at,
+        [&, i, service] {
+          pool.Submit(
+              env_p, 0, [service] { return service; },
+              [&, i] { done_p.push_back({env_p.now(), i}); });
+        },
+        ScheduleOpts{.absolute = true});
+  }
+  env_q.RunAll();
+  env_p.RunAll();
+  EXPECT_EQ(done_q, done_p);
+  EXPECT_EQ(queue.total_service(), pool.total_service());
+  EXPECT_EQ(queue.tasks_completed(), pool.tasks_completed());
+  EXPECT_EQ(pool.lane_tasks_completed(0), queue.tasks_completed());
+}
+
+// One lane's tasks run strictly in order even when workers are free:
+// the second task of a channel waits for the first.
+TEST(WorkQueueTest, TasksOfOneChannelSerialize) {
+  Environment env(1);
+  WorkQueue pool(/*workers=*/4);
+  std::vector<std::pair<SimTime, int>> starts;
+  for (int i = 0; i < 3; ++i) {
+    pool.Submit(
+        env, /*lane=*/0,
+        [&, i] {
+          starts.push_back({env.now(), i});
+          return 10 * kMillisecond;
+        },
+        {});
+  }
+  env.RunAll();
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_EQ(starts[0], (std::pair<SimTime, int>{0, 0}));
+  EXPECT_EQ(starts[1], (std::pair<SimTime, int>{10 * kMillisecond, 1}));
+  EXPECT_EQ(starts[2], (std::pair<SimTime, int>{20 * kMillisecond, 2}));
+}
+
+// Different lanes run concurrently, but never more than the worker
+// budget at once.
+TEST(WorkQueueTest, WorkerBudgetCapsCrossChannelParallelism) {
+  Environment env(1);
+  WorkQueue pool(/*workers=*/2);
+  std::vector<std::pair<SimTime, int>> starts;
+  size_t peak_in_service = 0;
+  for (int c = 0; c < 3; ++c) {
+    pool.Submit(
+        env, c,
+        [&, c] {
+          starts.push_back({env.now(), c});
+          peak_in_service = std::max(peak_in_service, pool.in_service());
+          return 10 * kMillisecond;
+        },
+        {});
+  }
+  env.RunAll();
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_EQ(starts[0], (std::pair<SimTime, int>{0, 0}));
+  EXPECT_EQ(starts[1], (std::pair<SimTime, int>{0, 1}));
+  // Lane 2 had to wait for a worker despite being idle itself.
+  EXPECT_EQ(starts[2], (std::pair<SimTime, int>{10 * kMillisecond, 2}));
+  EXPECT_LE(peak_in_service, 2u);
+}
+
+// A busy lane's queued backlog does not block a later-submitted idle
+// lane (eligibility skips the FIFO head), but the shared workers still
+// make the hot lane's backlog delay everyone once the budget is
+// exhausted — the cross-channel interference the bench measures.
+TEST(WorkQueueTest, IdleChannelOvertakesBusyChannelsBacklog) {
+  Environment env(1);
+  WorkQueue pool(/*workers=*/2);
+  std::vector<std::pair<SimTime, std::string>> starts;
+  auto task = [&](int lane, const std::string& label) {
+    pool.Submit(
+        env, lane,
+        [&, label] {
+          starts.push_back({env.now(), label});
+          return 10 * kMillisecond;
+        },
+        {});
+  };
+  task(0, "hot0");
+  task(0, "hot1");  // queued: lane 0 busy
+  task(0, "hot2");  // queued behind hot1
+  task(1, "cold0");  // submitted last, starts immediately on worker 2
+  env.RunAll();
+  ASSERT_EQ(starts.size(), 4u);
+  EXPECT_EQ(starts[0],
+            (std::pair<SimTime, std::string>{0, "hot0"}));
+  EXPECT_EQ(starts[1],
+            (std::pair<SimTime, std::string>{0, "cold0"}));
+  EXPECT_EQ(starts[2],
+            (std::pair<SimTime, std::string>{10 * kMillisecond, "hot1"}));
+  EXPECT_EQ(starts[3],
+            (std::pair<SimTime, std::string>{20 * kMillisecond, "hot2"}));
+  EXPECT_EQ(pool.lane_tasks_completed(0), 3u);
+  EXPECT_EQ(pool.lane_tasks_completed(1), 1u);
+  EXPECT_GT(pool.lane_service(0), pool.lane_service(1));
 }
 
 // --------------------------------------------------------- Network
