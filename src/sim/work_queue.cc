@@ -39,14 +39,15 @@ void WorkQueue::TryDispatch(Environment& env) {
     if (service < 0) service = 0;
     total_service_ += service;
     lane_service_[lane] += service;
-    env.Schedule(service, [this, &env, lane, at_end = std::move(task.at_end)]() {
-      ++tasks_completed_;
-      ++lane_completed_[lane];
-      if (at_end) at_end();
-      lane_busy_[lane] = 0;
-      --in_service_;
-      TryDispatch(env);
-    });
+    env.Schedule(service,
+                 [this, &env, lane, at_end = std::move(task.at_end)]() {
+                   ++tasks_completed_;
+                   ++lane_completed_[lane];
+                   if (at_end) at_end();
+                   lane_busy_[lane] = 0;
+                   --in_service_;
+                   TryDispatch(env);
+                 });
   }
 }
 

@@ -41,6 +41,10 @@ class WorkQueue {
  public:
   explicit WorkQueue(int workers = 1) : workers_(workers < 1 ? 1 : workers) {}
 
+  // Scheduled completions hold this queue's address.
+  WorkQueue(const WorkQueue&) = delete;
+  WorkQueue& operator=(const WorkQueue&) = delete;
+
   /// Enqueues a task on `lane` (>= 0). See class comment for phase
   /// semantics. Either callback may be empty.
   void Submit(Environment& env, int lane, std::function<SimTime()> at_start,
