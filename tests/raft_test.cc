@@ -2,8 +2,9 @@
 // leader crash -> election -> takeover with no lost/duplicated/
 // renumbered blocks, restarted-replica catch-up, follower crashes,
 // single-replica groups, client failover accounting, bitwise
-// determinism across FABRICSIM_JOBS and repeated seeds, and the
-// fault-plan validation added for orderer crashes.
+// determinism across FABRICSIM_JOBS and repeated seeds, the
+// fault-plan validation added for orderer crashes, and goldens for the
+// variant and pause paths of the replicated ordering node.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -352,6 +353,84 @@ TEST(RaftPauseTest, ReplicaTargetedPauseBuffersWithoutElection) {
   ExpectDenseLedger(net.ledger());
   ChainIntegrityReport report = CheckChainIntegrity(net);
   EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// ----------------------------------------------------------- goldens
+//
+// Replicated runs of the variant and pause paths every replica shares
+// with the compat orderer: Fabric++ aborts at the cut, FabricSharp at
+// admission and at the cut, Streamchain cuts one transaction per
+// block, and a leader-targeted pause buffers ingress and re-arms the
+// batch timeout. Default C1 config, 20 s at 100 tps, seed 42.
+
+ExperimentConfig GoldenConfig() {
+  return ReplicatedConfig(/*tps=*/100, /*duration_s=*/20);
+}
+
+std::string GoldenFingerprint(const FailureReport& r) {
+  return Fingerprint(r) +
+         StrFormat("aborts=%llu/%llu\n",
+                   static_cast<unsigned long long>(r.reorder_aborts),
+                   static_cast<unsigned long long>(r.early_aborts));
+}
+
+constexpr char kGoldenFabricPlusPlus[] =
+    "ledger=1354 valid=1218 endorse=6 mvcc_intra=0 mvcc_inter=130 "
+    "phantom=0 submitted=1992 app=0\n"
+    "ordering=0/0/0/0 gap=2.006748\n"
+    "lat=0.71872768906942375/0.67527306301220713/2.0287067818024185 "
+    "tput=65.099999999999994/60.899999999999999\n"
+    "aborts=638/0\n";
+constexpr char kGoldenFabricSharp[] =
+    "ledger=1159 valid=1093 endorse=66 mvcc_intra=0 mvcc_inter=0 "
+    "phantom=0 submitted=1992 app=0\n"
+    "ordering=0/0/0/0 gap=2.0098769999999999\n"
+    "lat=0.7867359499568588/0.74629463879487412/1.7992943072637748 "
+    "tput=55.25/54.649999999999999\n"
+    "aborts=0/833\n";
+constexpr char kGoldenStreamchain[] =
+    "ledger=1992 valid=1798 endorse=6 mvcc_intra=0 mvcc_inter=188 "
+    "phantom=0 submitted=1992 app=0\n"
+    "ordering=0/0/0/0 gap=0.085069000000000006\n"
+    "lat=0.041611433734939723/0.03790265419265041/0.093228283147708549 "
+    "tput=99.049999999999997/89.900000000000006\n"
+    "aborts=0/0\n";
+constexpr char kGoldenLeaderPause[] =
+    "ledger=1992 valid=852 endorse=14 mvcc_intra=729 mvcc_inter=397 "
+    "phantom=0 submitted=1992 app=0\n"
+    "ordering=0/0/0/0 gap=2.9625300000000001\n"
+    "lat=0.96771664457831363/0.84144822157990351/2.9665842422608586 "
+    "tput=95/42.600000000000001\n"
+    "aborts=0/0\n";
+
+std::string RunGolden(const ExperimentConfig& config) {
+  Result<FailureReport> r = RunOnce(config, 42);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? GoldenFingerprint(r.value()) : std::string();
+}
+
+TEST(RaftGoldenTest, FabricPlusPlusReproducesFingerprint) {
+  ExperimentConfig config = GoldenConfig();
+  config.fabric.variant = FabricVariant::kFabricPlusPlus;
+  EXPECT_EQ(RunGolden(config), kGoldenFabricPlusPlus);
+}
+
+TEST(RaftGoldenTest, FabricSharpReproducesFingerprint) {
+  ExperimentConfig config = GoldenConfig();
+  config.fabric.variant = FabricVariant::kFabricSharp;
+  EXPECT_EQ(RunGolden(config), kGoldenFabricSharp);
+}
+
+TEST(RaftGoldenTest, StreamchainReproducesFingerprint) {
+  ExperimentConfig config = GoldenConfig();
+  config.fabric.variant = FabricVariant::kStreamchain;
+  EXPECT_EQ(RunGolden(config), kGoldenStreamchain);
+}
+
+TEST(RaftGoldenTest, LeaderPauseReproducesFingerprint) {
+  ExperimentConfig config = GoldenConfig();
+  config.fabric.faults.PauseOrderer(3 * kSecond, 5 * kSecond);
+  EXPECT_EQ(RunGolden(config), kGoldenLeaderPause);
 }
 
 }  // namespace
