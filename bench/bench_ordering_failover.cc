@@ -4,8 +4,10 @@
 // log. The unavailability window is dominated by the election timeout
 // once client-side detection is tight, so sweeping the timeout down
 // must shrink the largest inter-block gap — the availability knob real
-// Fabric operators tune on etcdraft. Every point also re-audits the
-// chain-integrity invariants (RunExperiment fails the run otherwise).
+// Fabric operators tune on etcdraft. The bench exits 1 when the gap
+// grows from one timeout to the next; the gap is simulated time, so the
+// gate is deterministic. Every point also re-audits the chain-integrity
+// invariants (RunExperiment fails the run otherwise).
 #include "bench/bench_util.h"
 
 using namespace fabricsim;
@@ -58,11 +60,12 @@ int main() {
     }
     previous_gap = r.max_interblock_gap_s;
   }
-  std::printf("%s\n", monotone
-                          ? "unavailability window shrinks with the election "
-                            "timeout"
-                          : "unavailability window did NOT shrink with the "
-                            "election timeout (investigate before trusting "
-                            "the sweep)");
+  if (!monotone) {
+    std::fprintf(stderr,
+                 "FAIL: the unavailability window grew by more than 10 ms "
+                 "between two successive election timeouts\n");
+    return 1;
+  }
+  std::printf("unavailability window shrinks with the election timeout\n");
   return 0;
 }

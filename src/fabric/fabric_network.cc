@@ -165,6 +165,16 @@ Status FabricNetwork::Init() {
   }
 
   // --- Ordering service (one pipeline per channel) --------------------
+  // Every channel's ordering node, compat or replicated, shares these
+  // params, so all cut by one policy and deliver to the same peers.
+  OrderingNode::Params node_params;
+  node_params.env = env_;
+  node_params.net = net_.get();
+  node_params.cutter = {config_.block_size, config_.block_max_bytes,
+                        config_.variant == FabricVariant::kStreamchain};
+  node_params.block_timeout = config_.block_timeout;
+  node_params.timing = config_.timing;
+  node_params.processor = processor;
   // Block dissemination follows Fabric's gossip layout: the ordering
   // service delivers to one leader peer per organization; the leader
   // forwards to its org members. A chaos-delayed org therefore pays
@@ -172,14 +182,13 @@ Status FabricNetwork::Init() {
   // leader->member) but only once on the proposal path — its members
   // endorse on state that lags the healthy orgs. Every channel uses
   // the same gossip endpoints; the peer routes by block->channel.
-  std::vector<Orderer::Params::PeerEndpoint> delivery_endpoints;
   for (const std::vector<Peer*>& org_peers : peers_by_org_) {
     if (org_peers.empty()) continue;
     Peer* leader = org_peers.front();
     std::vector<Peer*> members(org_peers.begin() + 1, org_peers.end());
     Network* net = net_.get();
     Environment* env = env_;
-    delivery_endpoints.push_back(Orderer::Params::PeerEndpoint{
+    node_params.peers.push_back(OrderingNode::Params::PeerEndpoint{
         leader->node(),
         [leader, members, net, env](std::shared_ptr<const Block> block) {
           leader->HandleBlock(block);
@@ -190,20 +199,19 @@ Status FabricNetwork::Init() {
           }
         }});
   }
-  auto on_block_cut = [this](std::shared_ptr<Block> block) {
+  node_params.on_block_cut = [this](std::shared_ptr<Block> block) {
     ChannelRuntime& runtime = channels_[static_cast<size_t>(block->channel)];
     runtime.canonical_blocks[block->number] = std::move(block);
   };
-  auto on_early_abort = [this](const Transaction&, TxValidationCode code) {
+  node_params.on_early_abort = [this](const Transaction&,
+                                      TxValidationCode code) {
     if (code == TxValidationCode::kAbortedNotSerializable) {
       ++stats_.early_aborts_not_serializable;
     } else if (code == TxValidationCode::kAbortedByReordering) {
       ++stats_.early_aborts_by_reordering;
     }
   };
-  // Every channel's orderer, compat or replicated, cuts by one policy.
-  BlockCutter::Config cutter{config_.block_size, config_.block_max_bytes,
-                             config_.variant == FabricVariant::kStreamchain};
+  node_params.admission_stats = admission_stats_.get();
   // RNG stream layout: channel 0 keeps the legacy stream ids (3000
   // compat / 3000+i replicated), forked at the same point in Init as
   // before channels existed, so a single-channel network draws the
@@ -211,18 +219,13 @@ Status FabricNetwork::Init() {
   // range afterwards.
   for (int c = 0; c < num_channels; ++c) {
     ChannelRuntime& runtime = channels_[static_cast<size_t>(c)];
+    node_params.channel = c;
     if (config_.ordering.replicated) {
       RaftGroup::Params gparams;
-      gparams.env = env_;
-      gparams.net = net_.get();
-      gparams.channel = c;
+      static_cast<OrderingNode::Params&>(gparams) = node_params;
       gparams.num_replicas = num_orderer_nodes;
       gparams.node_base = 0;
-      gparams.cutter = cutter;
-      gparams.block_timeout = config_.block_timeout;
-      gparams.timing = config_.timing;
       gparams.ordering = config_.ordering;
-      gparams.processor = processor;
       for (int i = 0; i < num_orderer_nodes; ++i) {
         uint64_t stream =
             c == 0 ? 3000 + static_cast<uint64_t>(i)
@@ -230,33 +233,18 @@ Status FabricNetwork::Init() {
                          static_cast<uint64_t>(i);
         gparams.replica_rngs.push_back(env_->rng().Fork(stream));
       }
-      gparams.peers = delivery_endpoints;
-      gparams.on_block_cut = on_block_cut;
-      gparams.on_early_abort = on_early_abort;
       gparams.elections_sink = &stats_.orderer_elections;
       gparams.leader_changes_sink = &stats_.orderer_leader_changes;
       runtime.raft = std::make_unique<RaftGroup>(std::move(gparams));
     } else {
       Orderer::Params oparams;
+      static_cast<OrderingNode::Params&>(oparams) = node_params;
       oparams.node = orderer_node;
-      oparams.channel = c;
-      oparams.env = env_;
-      oparams.net = net_.get();
-      oparams.cutter = cutter;
-      oparams.block_timeout = config_.block_timeout;
-      oparams.timing = config_.timing;
       oparams.consensus = ConsensusModel(config_.cluster.num_orderers,
                                          config_.timing.consensus_latency);
       oparams.rng = env_->rng().Fork(
           c == 0 ? 3000 : 30000 + static_cast<uint64_t>(c) * 64);
-      oparams.processor = processor;
-      oparams.peers = delivery_endpoints;
-      oparams.on_block_cut = on_block_cut;
-      oparams.on_early_abort = on_early_abort;
-      if (admission_stats_ != nullptr) {
-        oparams.admission = &config_.admission;
-        oparams.admission_stats = admission_stats_.get();
-      }
+      if (admission_stats_ != nullptr) oparams.admission = &config_.admission;
       runtime.orderer = std::make_unique<Orderer>(std::move(oparams));
     }
   }

@@ -51,33 +51,28 @@ class BlockProcessor {
   }
 };
 
-/// The ordering service (flow steps 4–5), modelled as its Kafka/Raft
-/// leader: ingress per-transaction handling, block cutting by
-/// size/bytes/timeout, consensus latency, and per-peer delivery over
-/// the network. Ingress and block assembly/egress share one serial
-/// work queue, which is what saturates under Streamchain's
-/// one-transaction-per-block streaming.
-class Orderer {
+/// The half of an ordering-service node (flow steps 4–5) that every
+/// consensus mode shares: ingress (per-transaction cost, deadline drop,
+/// BlockProcessor::Admit), block cutting by size/bytes/timeout, pause
+/// buffering, and the cut itself. Ingress and block assembly share one
+/// serial work queue, which is what saturates under Streamchain's
+/// one-transaction-per-block streaming. A subclass decides when the
+/// node may cut and how a cut block ships: the compat Orderer samples a
+/// consensus latency and delivers, a Raft OrdererReplica appends to its
+/// log and replicates.
+class OrderingNode {
  public:
   struct Params {
-    NodeId node = 0;
-    /// Channel this ordering pipeline serves: stamped on every block
-    /// it cuts. One Orderer instance exists per channel, all sharing
-    /// the same orderer node id (one ordering *service*, one cutter
-    /// per channel — exactly Fabric's layout).
+    /// Channel this node orders: stamped on every block it cuts. One
+    /// node exists per channel (per replica under Raft), all sharing
+    /// the orderer node ids — one ordering *service*, one cutter per
+    /// channel, exactly Fabric's layout.
     ChannelId channel = 0;
     Environment* env = nullptr;
     Network* net = nullptr;
     BlockCutter::Config cutter;
     SimTime block_timeout = 2 * kSecond;
     TimingConfig timing;
-    /// Defaults derive from the cluster/timing presets (3 orderers,
-    /// 4 ms Kafka round trip) instead of repeating the literals here —
-    /// a changed ClusterConfig default can't silently diverge from the
-    /// consensus layer.
-    ConsensusModel consensus{ClusterConfig().num_orderers,
-                             TimingConfig().consensus_latency};
-    Rng rng{1, 1};
     BlockProcessor* processor = nullptr;  // may be null
     /// Delivery targets: node ids + block handlers of all peers.
     struct PeerEndpoint {
@@ -85,15 +80,128 @@ class Orderer {
       std::function<void(std::shared_ptr<const Block>)> deliver;
     };
     std::vector<PeerEndpoint> peers;
-    /// Invoked when the canonical block is cut (used by the harness to
-    /// retain block ownership for the global ledger).
+    /// Invoked when a block is published to the peers (used by the
+    /// harness to retain block ownership for the global ledger).
     std::function<void(std::shared_ptr<Block>)> on_block_cut;
     /// Invoked when a transaction is early-aborted at the orderer.
     std::function<void(const Transaction&, TxValidationCode)> on_early_abort;
-    /// Overload protection (src/admission): bounded broadcast ingress
-    /// and deadline drops. Null = legacy unbounded ingress.
-    const AdmissionConfig* admission = nullptr;
+    /// Counts envelopes whose deadline passed at ingress. Null = the
+    /// drops happen uncounted (no admission config).
     AdmissionStats* admission_stats = nullptr;
+  };
+
+  virtual ~OrderingNode() = default;
+  // Scheduled tasks hold this node's address.
+  OrderingNode(const OrderingNode&) = delete;
+  OrderingNode& operator=(const OrderingNode&) = delete;
+
+  /// Fault injection: the node stops processing. Arriving envelopes are
+  /// buffered at ingress (clients see no error, only latency — a Kafka
+  /// hiccup, or a paused Raft leader whose heartbeats keep flowing);
+  /// block cutting and timeouts are suspended. Work already on the
+  /// serial queue drains.
+  void Pause();
+
+  /// Ends a pause: buffered envelopes are flushed in arrival order and
+  /// the batch timeout is re-armed if the cutter holds transactions.
+  void Resume();
+
+  bool paused() const { return paused_; }
+  NodeId node() const { return node_; }
+  uint64_t txs_received() const { return txs_received_; }
+  uint64_t txs_early_aborted() const { return txs_early_aborted_; }
+  /// Envelopes that arrived during a pause and waited for the resume.
+  uint64_t txs_deferred_while_paused() const {
+    return txs_deferred_while_paused_;
+  }
+
+ protected:
+  OrderingNode(const Params& params, NodeId node);
+
+  /// False while the process is down: its queued work costs nothing.
+  virtual bool Alive() const { return true; }
+  /// Whether queued ingress, a batch timeout or a resume may cut now.
+  virtual bool MayCut() const { return true; }
+  /// Number of the next block that ships.
+  virtual uint64_t NextBlockNumber() const = 0;
+  /// `id` left ordering for good: its deadline passed at ingress or the
+  /// block processor aborted it.
+  virtual void OnDropped(TxId id) { (void)id; }
+  /// Takes a cut block that kept at least one transaction. The block
+  /// processor's extra service time is `processor_cost`.
+  virtual void Ship(std::shared_ptr<Block> block, SimTime processor_cost) = 0;
+
+  /// Counts and traces an envelope reaching ingress.
+  void NoteArrival(const Transaction& tx);
+  /// Buffers an accepted envelope while paused, else queues it for
+  /// ingress.
+  void Accept(Transaction tx);
+  /// Forgets everything a process loses on a crash: queued ingress
+  /// tasks, the armed timeout, the cutter's batch and the pause
+  /// backlog.
+  void ResetIngress();
+  /// Block assembly, signing and egress to every peer plus
+  /// `extra_receivers` occupy the serial queue; `done` runs after.
+  void Assemble(SimTime processor_cost, size_t extra_receivers,
+                std::function<void()> done);
+  /// Traces the block's transactions as cut and hands the block to
+  /// `on_block_cut`.
+  void Publish(const std::shared_ptr<Block>& block);
+  /// Sends the block from this node to every peer endpoint.
+  void Deliver(const std::shared_ptr<const Block>& block) const;
+
+  Environment* env_;
+  Network* net_;
+  WorkQueue queue_;
+  AdmissionStats* admission_stats_;
+  bool paused_ = false;
+
+ private:
+  void Ingest(Transaction tx);
+  void HandleAdmitted(Transaction tx);
+  void ArmTimeout();
+  void CutBlock(std::vector<Transaction> txs, BlockCutReason reason);
+  void EarlyAbort(const Transaction& tx, TxValidationCode code);
+
+  NodeId node_;
+  ChannelId channel_;
+  BlockCutter cutter_;
+  SimTime block_timeout_;
+  TimingConfig timing_;
+  BlockProcessor* processor_;
+  std::vector<Params::PeerEndpoint> peers_;
+  std::function<void(std::shared_ptr<Block>)> on_block_cut_;
+  std::function<void(const Transaction&, TxValidationCode)> on_early_abort_;
+
+  /// Bumped when the process loses its ingress, so queued ingress
+  /// tasks of the old incarnation die instead of cutting.
+  uint64_t ingress_generation_ = 0;
+  uint64_t timeout_generation_ = 0;
+  bool timeout_armed_ = false;
+  std::vector<Transaction> paused_backlog_;
+
+  uint64_t txs_received_ = 0;
+  uint64_t txs_early_aborted_ = 0;
+  uint64_t txs_deferred_while_paused_ = 0;
+};
+
+/// The compat ordering service, modelled as its Kafka/Raft leader: an
+/// OrderingNode whose cut blocks pay a sampled ConsensusModel latency
+/// and are then delivered to every peer.
+class Orderer : public OrderingNode {
+ public:
+  struct Params : OrderingNode::Params {
+    NodeId node = 0;
+    /// Defaults derive from the cluster/timing presets (3 orderers,
+    /// 4 ms Kafka round trip) instead of repeating the literals here —
+    /// a changed ClusterConfig default can't silently diverge from the
+    /// consensus layer.
+    ConsensusModel consensus{ClusterConfig().num_orderers,
+                             TimingConfig().consensus_latency};
+    Rng rng{1, 1};
+    /// Overload protection (src/admission): bounded broadcast ingress.
+    /// Null = unbounded ingress.
+    const AdmissionConfig* admission = nullptr;
   };
 
   explicit Orderer(Params params);
@@ -106,58 +214,17 @@ class Orderer {
   void SubmitTransaction(Transaction tx,
                          const std::function<void()>& on_throttle = nullptr);
 
-  /// Fault injection: the ordering service stops processing. Arriving
-  /// envelopes are buffered at ingress (clients see no error, only
-  /// latency — a Raft leader election or Kafka hiccup); block cutting
-  /// and timeouts are suspended. Work already on the serial queue
-  /// drains.
-  void Pause();
-
-  /// Ends a pause: buffered envelopes are flushed in arrival order and
-  /// the batch timeout is re-armed if the cutter holds transactions.
-  void Resume();
-
-  bool paused() const { return paused_; }
-
   uint64_t blocks_cut() const { return next_block_number_ - 1; }
-  uint64_t txs_received() const { return txs_received_; }
-  uint64_t txs_early_aborted() const { return txs_early_aborted_; }
-  /// Envelopes that arrived during a pause and waited for the resume.
-  uint64_t txs_deferred_while_paused() const {
-    return txs_deferred_while_paused_;
-  }
 
  private:
-  void Ingest(Transaction tx);
-  void HandleAdmitted(Transaction tx);
-  void CutBlock(std::vector<Transaction> txs, BlockCutReason reason);
-  void ArmTimeout();
+  uint64_t NextBlockNumber() const override { return next_block_number_; }
+  void Ship(std::shared_ptr<Block> block, SimTime processor_cost) override;
 
-  NodeId node_;
-  ChannelId channel_;
-  Environment* env_;
-  Network* net_;
-  BlockCutter cutter_;
-  SimTime block_timeout_;
-  TimingConfig timing_;
   ConsensusModel consensus_;
   Rng rng_;
-  BlockProcessor* processor_;
-  std::vector<Params::PeerEndpoint> peers_;
-  std::function<void(std::shared_ptr<Block>)> on_block_cut_;
-  std::function<void(const Transaction&, TxValidationCode)> on_early_abort_;
-  const AdmissionConfig* admission_ = nullptr;
-  AdmissionStats* admission_stats_ = nullptr;
-
-  WorkQueue queue_;
+  /// Bounded broadcast ingress depth; 0 = unbounded.
+  size_t max_queue_depth_;
   uint64_t next_block_number_ = 1;
-  uint64_t txs_received_ = 0;
-  uint64_t txs_early_aborted_ = 0;
-  uint64_t timeout_generation_ = 0;
-  bool timeout_armed_ = false;
-  bool paused_ = false;
-  std::vector<Transaction> paused_backlog_;
-  uint64_t txs_deferred_while_paused_ = 0;
 };
 
 }  // namespace fabricsim

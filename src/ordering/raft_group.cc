@@ -27,18 +27,10 @@ uint64_t AppendEntriesBytes(const AppendEntriesMsg& msg) {
 }  // namespace
 
 OrdererReplica::OrdererReplica(Params params)
-    : index_(params.index),
-      node_(params.node),
-      channel_(params.channel),
-      env_(params.env),
-      net_(params.net),
+    : OrderingNode(params, params.node),
+      index_(params.index),
       group_(params.group),
-      cutter_(params.cutter),
-      block_timeout_(params.block_timeout),
-      timing_(params.timing),
-      ordering_(params.ordering),
-      rng_(std::move(params.rng)),
-      processor_(params.processor) {
+      rng_(std::move(params.rng)) {
   // Bootstrap: the whole group starts agreeing that replica 0 leads
   // term 1, so a healthy run pays no startup election.
   voted_for_ = 0;
@@ -57,16 +49,13 @@ int OrdererReplica::Quorum() const { return group_->size() / 2 + 1; }
 // --- client ingress ---------------------------------------------------
 
 void OrdererReplica::SubmitTransaction(Transaction tx, AckFn ack) {
-  if (!alive_ || role_ != Role::kLeader) {
+  if (!MayCut()) {
     // A dead process or a follower: the envelope vanishes, exactly as
     // silent as gRPC against a stopped orderer. The client's ack
     // timeout drives it to the next replica.
     return;
   }
-  ++txs_received_;
-  if (Tracer* tracer = env_->tracer()) {
-    tracer->OnOrdererEnqueue(tx.id, env_->now());
-  }
+  NoteArrival(tx);
   // Rebroadcast deduplication: the same envelope may arrive again when
   // the first ack was slow or lost. An already-committed transaction is
   // re-acked; a logged or in-progress one just refreshes its ack.
@@ -85,105 +74,18 @@ void OrdererReplica::SubmitTransaction(Transaction tx, AckFn ack) {
   }
   pending_ingress_.insert(tx.id);
   if (ack) pending_acks_[tx.id] = std::move(ack);
-  if (paused_) {
-    ++txs_deferred_while_paused_;
-    paused_backlog_.push_back(std::move(tx));
-    return;
-  }
-  Ingest(std::move(tx));
+  Accept(std::move(tx));
 }
 
-void OrdererReplica::Ingest(Transaction tx) {
-  auto shared_tx = std::make_shared<Transaction>(std::move(tx));
-  uint64_t generation = ingress_generation_;
-  queue_.Submit(
-      *env_, channel_,
-      [this]() -> SimTime {
-        return alive_ ? timing_.orderer_per_tx_cost : 0;
-      },
-      [this, shared_tx, generation]() {
-        if (generation != ingress_generation_ || !alive_ ||
-            role_ != Role::kLeader) {
-          return;  // crashed or deposed since the envelope queued
-        }
-        TxValidationCode reject_code = TxValidationCode::kNotValidated;
-        if (processor_ != nullptr &&
-            !processor_->Admit(*shared_tx, &reject_code)) {
-          ++txs_early_aborted_;
-          pending_ingress_.erase(shared_tx->id);
-          if (Tracer* tracer = env_->tracer()) {
-            tracer->OnEarlyAbort(shared_tx->id, reject_code, env_->now());
-          }
-          if (group_->on_early_abort_) {
-            group_->on_early_abort_(*shared_tx, reject_code);
-          }
-          // Definitive verdict: tell the client so it stops
-          // re-broadcasting a transaction that can never commit.
-          ResolveAck(shared_tx->id, false);
-          return;
-        }
-        HandleAdmitted(std::move(*shared_tx));
-      });
+void OrdererReplica::OnDropped(TxId id) {
+  pending_ingress_.erase(id);
+  // Definitive verdict: tell the client so it stops re-broadcasting a
+  // transaction that can never commit.
+  ResolveAck(id, false);
 }
 
-void OrdererReplica::HandleAdmitted(Transaction tx) {
-  for (BlockCutter::Batch& batch : cutter_.AddTransaction(std::move(tx))) {
-    ++timeout_generation_;  // cancel any armed timeout
-    timeout_armed_ = false;
-    CutBlock(std::move(batch.txs), batch.reason);
-  }
-  if (cutter_.HasPending() && !timeout_armed_) ArmTimeout();
-}
-
-void OrdererReplica::ArmTimeout() {
-  timeout_armed_ = true;
-  uint64_t generation = timeout_generation_;
-  env_->Schedule(block_timeout_, [this, generation]() {
-    if (generation != timeout_generation_) return;  // cancelled by a cut
-    timeout_armed_ = false;
-    ++timeout_generation_;
-    if (!alive_ || paused_ || role_ != Role::kLeader) return;
-    if (cutter_.HasPending()) {
-      CutBlock(cutter_.CutPending(), BlockCutReason::kTimeout);
-    }
-  });
-}
-
-void OrdererReplica::CutBlock(std::vector<Transaction> txs,
-                              BlockCutReason reason) {
-  auto block = std::make_shared<Block>();
-  // Dense numbering over the block entries of this replica's log. A
-  // deposed leader's uncommitted entries are truncated before they can
-  // deliver, so a reused number never reaches a peer twice.
-  block->number = block_count_ + 1;
-  block->channel = channel_;
-  block->cut_time = env_->now();
-  block->cut_reason = reason;
-  block->txs = std::move(txs);
-  for (Transaction& tx : block->txs) tx.ordered_time = env_->now();
-  block->results.assign(block->txs.size(), TxValidationResult{});
-
-  SimTime processor_cost = 0;
-  if (processor_ != nullptr) {
-    std::vector<BlockProcessor::EarlyAbort> early_aborted;
-    processor_cost = processor_->OnBlockCut(block.get(), &early_aborted);
-    txs_early_aborted_ += early_aborted.size();
-    for (const BlockProcessor::EarlyAbort& abort : early_aborted) {
-      pending_ingress_.erase(abort.first.id);
-      if (Tracer* tracer = env_->tracer()) {
-        tracer->OnEarlyAbort(abort.first.id, abort.second, env_->now());
-      }
-      if (group_->on_early_abort_) {
-        group_->on_early_abort_(abort.first, abort.second);
-      }
-      ResolveAck(abort.first.id, false);
-    }
-    if (block->txs.empty()) {
-      return;  // everything aborted at the cut; no entry, no number
-    }
-  }
-  ++blocks_cut_;
-
+void OrdererReplica::Ship(std::shared_ptr<Block> block,
+                          SimTime processor_cost) {
   log_.push_back(RaftLogEntry{block, current_term_});
   ++block_count_;
   uint64_t entry_index = LastIndex();
@@ -192,69 +94,37 @@ void OrdererReplica::CutBlock(std::vector<Transaction> txs,
     tx_log_index_[tx.id] = entry_index;
   }
 
-  // Assembly/signing/egress occupies the serial queue as in the legacy
-  // Orderer; the entry only becomes replicatable (and thus commitable)
-  // once the work is done. Replication replaces the sampled
-  // ConsensusModel latency of compat mode.
-  SimTime assembly =
-      timing_.orderer_per_block_cost + processor_cost +
-      static_cast<SimTime>(group_->peers_.size() +
-                           static_cast<size_t>(group_->size() - 1)) *
-          timing_.orderer_per_msg_cost;
+  // The entry only becomes replicatable (and thus commitable) once its
+  // assembly, which includes one copy per follower, is done.
+  // Replication replaces the sampled ConsensusModel latency of compat
+  // mode.
   uint64_t term_at_cut = current_term_;
-  queue_.Submit(
-      *env_, channel_,
-      [this, assembly]() -> SimTime { return alive_ ? assembly : 0; },
-      [this, entry_index, term_at_cut]() {
-        if (!alive_ || role_ != Role::kLeader ||
-            current_term_ != term_at_cut) {
-          // Crashed or deposed mid-assembly: the entry stays in the
-          // log unshipped; if it survives leadership changes it ships
-          // later, otherwise it is truncated — either way it was never
-          // delivered.
-          return;
-        }
-        if (entry_index > replicatable_index_) {
-          replicatable_index_ = entry_index;
-        }
-        if (group_->size() == 1) {
-          TryAdvanceCommit();
-        } else {
-          BroadcastAppendEntries();
-        }
-      });
+  Assemble(processor_cost, static_cast<size_t>(group_->size() - 1),
+           [this, entry_index, term_at_cut]() {
+             if (!MayCut() || current_term_ != term_at_cut) {
+               // Crashed or deposed mid-assembly: the entry stays in the
+               // log unshipped; if it survives leadership changes it
+               // ships later, otherwise it is truncated — either way it
+               // was never delivered.
+               return;
+             }
+             if (entry_index > replicatable_index_) {
+               replicatable_index_ = entry_index;
+             }
+             if (group_->size() == 1) {
+               TryAdvanceCommit();
+             } else {
+               BroadcastAppendEntries();
+             }
+           });
 }
 
-// --- pause / crash ----------------------------------------------------
-
-void OrdererReplica::Pause() { paused_ = true; }
-
-void OrdererReplica::Resume() {
-  if (!paused_) return;
-  paused_ = false;
-  if (!alive_) return;
-  std::vector<Transaction> backlog = std::move(paused_backlog_);
-  paused_backlog_.clear();
-  if (role_ == Role::kLeader) {
-    for (Transaction& tx : backlog) Ingest(std::move(tx));
-    // A timeout that fired mid-pause was swallowed; transactions
-    // batched before the pause must not wait forever.
-    if (cutter_.HasPending() && !timeout_armed_) ArmTimeout();
-  } else {
-    // Deposed while paused: the buffered envelopes can no longer be
-    // ordered here; the clients' rebroadcasts find the new leader.
-    for (const Transaction& tx : backlog) pending_ingress_.erase(tx.id);
-  }
-}
+// --- crash ------------------------------------------------------------
 
 void OrdererReplica::ClearVolatileIngress() {
-  ++ingress_generation_;
-  ++timeout_generation_;
-  timeout_armed_ = false;
-  cutter_.CutPending();  // discard pending batch contents
+  ResetIngress();
   pending_ingress_.clear();
   pending_acks_.clear();
-  paused_backlog_.clear();
   last_acked_commit_ = commit_index_;
 }
 
@@ -284,9 +154,10 @@ void OrdererReplica::Restart() {
 void OrdererReplica::ArmElectionTimer() {
   ++election_generation_;
   uint64_t generation = election_generation_;
+  const OrderingConfig& ordering = group_->ordering_;
   SimTime delay = static_cast<SimTime>(rng_.UniformRange(
-      static_cast<double>(ordering_.election_timeout_min),
-      static_cast<double>(ordering_.election_timeout_max)));
+      static_cast<double>(ordering.election_timeout_min),
+      static_cast<double>(ordering.election_timeout_max)));
   if (delay < 1) delay = 1;
   // Daemon: the timeout matters only while the run still has work in
   // flight — it must not keep a finished simulation alive.
@@ -320,7 +191,7 @@ void OrdererReplica::StartElection() {
   for (int i = 0; i < group_->size(); ++i) {
     if (i == index_) continue;
     OrdererReplica* target = group_->replica(i);
-    net_->Send(*env_, node_, target->node(), kVoteBytes,
+    net_->Send(*env_, node(), target->node(), kVoteBytes,
                [target, shared]() { target->HandleRequestVote(*shared); });
   }
 }
@@ -361,7 +232,7 @@ void OrdererReplica::HandleRequestVote(const RequestVoteMsg& msg) {
   reply.granted = grant;
   OrdererReplica* target = group_->replica(msg.candidate);
   auto shared = std::make_shared<VoteReplyMsg>(reply);
-  net_->Send(*env_, node_, target->node(), kVoteReplyBytes,
+  net_->Send(*env_, node(), target->node(), kVoteReplyBytes,
              [target, shared]() { target->HandleVoteReply(*shared); });
 }
 
@@ -402,7 +273,7 @@ void OrdererReplica::ArmHeartbeat() {
   // Daemon: a leader heartbeats forever; the re-arming chain must not
   // block quiescence once the workload has drained.
   env_->Schedule(
-      ordering_.heartbeat_interval,
+      group_->ordering_.heartbeat_interval,
       [this, generation]() {
         if (generation != heartbeat_generation_) return;
         if (!alive_ || role_ != Role::kLeader) return;
@@ -431,7 +302,7 @@ void OrdererReplica::SendAppendEntries(int follower) {
   }
   msg->leader_commit = commit_index_;
   OrdererReplica* target = group_->replica(follower);
-  net_->Send(*env_, node_, target->node(), AppendEntriesBytes(*msg),
+  net_->Send(*env_, node(), target->node(), AppendEntriesBytes(*msg),
              [target, msg]() { target->HandleAppendEntries(*msg); });
 }
 
@@ -442,7 +313,7 @@ void OrdererReplica::SendAppendAck(int leader, bool success, uint64_t match) {
   msg->success = success;
   msg->match = match;
   OrdererReplica* target = group_->replica(leader);
-  net_->Send(*env_, node_, target->node(), kAckBytes,
+  net_->Send(*env_, node(), target->node(), kAckBytes,
              [target, msg]() { target->HandleAppendAck(*msg); });
 }
 
@@ -582,27 +453,17 @@ void OrdererReplica::ResolveAck(TxId id, bool accepted) {
 
 RaftGroup::RaftGroup(Params params)
     : env_(params.env),
-      net_(params.net),
-      peers_(std::move(params.peers)),
-      on_block_cut_(std::move(params.on_block_cut)),
-      on_early_abort_(std::move(params.on_early_abort)),
+      ordering_(params.ordering),
       elections_sink_(params.elections_sink),
       leader_changes_sink_(params.leader_changes_sink) {
   int n = params.num_replicas < 1 ? 1 : params.num_replicas;
   replicas_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     OrdererReplica::Params rp;
+    static_cast<OrderingNode::Params&>(rp) = params;
     rp.index = i;
     rp.node = params.node_base + i;
-    rp.channel = params.channel;
-    rp.env = params.env;
-    rp.net = params.net;
     rp.group = this;
-    rp.cutter = params.cutter;
-    rp.block_timeout = params.block_timeout;
-    rp.timing = params.timing;
-    rp.ordering = params.ordering;
-    rp.processor = params.processor;
     if (static_cast<size_t>(i) < params.replica_rngs.size()) {
       rp.rng = std::move(params.replica_rngs[static_cast<size_t>(i)]);
     }
@@ -616,38 +477,14 @@ RaftGroup::RaftGroup(Params params)
   boot->match_index_.assign(replicas_.size(), 0);
 }
 
-uint64_t RaftGroup::txs_received() const {
-  uint64_t total = 0;
-  for (const auto& replica : replicas_) total += replica->txs_received();
-  return total;
-}
-
-uint64_t RaftGroup::txs_early_aborted() const {
-  uint64_t total = 0;
-  for (const auto& replica : replicas_) total += replica->txs_early_aborted();
-  return total;
-}
-
 void RaftGroup::DeliverUpTo(OrdererReplica* leader, uint64_t commit_index) {
   while (delivered_index_ < commit_index) {
     ++delivered_index_;
-    const RaftLogEntry& entry = leader->EntryAt(delivered_index_);
-    if (entry.block == nullptr) continue;
-    std::shared_ptr<Block> block = entry.block;
+    std::shared_ptr<Block> block = leader->EntryAt(delivered_index_).block;
+    if (block == nullptr) continue;
     ++delivered_blocks_;
-    if (Tracer* tracer = env_->tracer()) {
-      for (uint32_t i = 0; i < block->txs.size(); ++i) {
-        tracer->OnBlockCut(block->txs[i].id, block->number, i, env_->now());
-      }
-    }
-    if (on_block_cut_) on_block_cut_(block);
-    std::shared_ptr<const Block> const_block = block;
-    for (const Orderer::Params::PeerEndpoint& peer : peers_) {
-      net_->Send(*env_, leader->node(), peer.node, block->ByteSize(),
-                 [deliver = peer.deliver, const_block]() {
-                   deliver(const_block);
-                 });
-    }
+    leader->Publish(block);
+    leader->Deliver(block);
   }
 }
 

@@ -10,10 +10,8 @@
 #include "src/common/rng.h"
 #include "src/fabric/network_config.h"
 #include "src/ledger/block.h"
-#include "src/ordering/block_cutter.h"
 #include "src/ordering/orderer.h"
 #include "src/sim/network.h"
-#include "src/sim/work_queue.h"
 
 namespace fabricsim {
 
@@ -64,39 +62,31 @@ struct VoteReplyMsg {
   bool granted = false;
 };
 
-/// One ordering-service replica: the ingress/cutting half works like
-/// the compat Orderer (serial work queue, the same BlockCutter, batch
-/// timeout with generation-guarded cancellation, pause/resume), the
-/// consensus half
-/// is Raft — randomized election timeouts drawn from this replica's own
-/// seeded RNG stream, leader-based log replication, and quorum commit.
-/// Only the current leader ingests client envelopes and cuts blocks;
-/// envelopes hitting a follower or a crashed replica vanish silently,
-/// exactly like gRPC against a dead orderer, and the client recovers
-/// through its ack-timeout rebroadcast.
-class OrdererReplica {
+/// One ordering-service replica: an OrderingNode (the compat
+/// Orderer's ingress, cutter, batch timeout and pause code) whose
+/// consensus half is Raft — randomized election timeouts drawn from
+/// this replica's own seeded RNG stream, leader-based log replication,
+/// and quorum commit. Only the current leader ingests client envelopes
+/// and cuts blocks; envelopes hitting a follower or a crashed replica
+/// vanish silently, exactly like gRPC against a dead orderer, and the
+/// client recovers through its ack-timeout rebroadcast. A pause is the
+/// legacy hiccup: ingress buffers and cutting suspends, but heartbeats
+/// keep flowing (the process is alive), so no election runs.
+class OrdererReplica : public OrderingNode {
  public:
   enum class Role { kFollower, kCandidate, kLeader };
 
   /// Client ack callback: invoked once the transaction's block is
-  /// quorum-committed (accepted=true) or the transaction was
-  /// early-aborted at ordering (accepted=false, it will never commit).
+  /// quorum-committed (accepted=true) or the transaction left ordering
+  /// for good — early-aborted or past its deadline at ingress
+  /// (accepted=false, it will never commit).
   using AckFn = std::function<void(TxId, bool accepted)>;
 
-  struct Params {
+  struct Params : OrderingNode::Params {
     int index = 0;
     NodeId node = 0;
-    /// Channel this replica's log orders; stamped on every cut block.
-    ChannelId channel = 0;
-    Environment* env = nullptr;
-    Network* net = nullptr;
     RaftGroup* group = nullptr;
-    BlockCutter::Config cutter;
-    SimTime block_timeout = 2 * kSecond;
-    TimingConfig timing;
-    OrderingConfig ordering;
     Rng rng{1, 1};
-    BlockProcessor* processor = nullptr;  // shared; only the leader calls it
     /// Bootstrap role: replica 0 starts as the term-1 leader so a
     /// healthy run needs no startup election.
     bool bootstrap_leader = false;
@@ -124,26 +114,14 @@ class OrdererReplica {
   /// Restarts a crashed replica as a follower; it catches up through
   /// the leader's regular AppendEntries probing.
   void Restart();
-  /// Legacy-compatible hiccup: ingress buffers, cutting suspends, but
-  /// heartbeats keep flowing (the process is alive), so no election.
-  void Pause();
-  void Resume();
 
   // --- queries --------------------------------------------------------
   bool alive() const { return alive_; }
-  bool paused() const { return paused_; }
   Role role() const { return role_; }
   int index() const { return index_; }
-  NodeId node() const { return node_; }
   uint64_t current_term() const { return current_term_; }
   uint64_t commit_index() const { return commit_index_; }
   uint64_t log_size() const { return log_.size(); }
-  uint64_t blocks_cut() const { return blocks_cut_; }
-  uint64_t txs_received() const { return txs_received_; }
-  uint64_t txs_early_aborted() const { return txs_early_aborted_; }
-  uint64_t txs_deferred_while_paused() const {
-    return txs_deferred_while_paused_;
-  }
 
   /// 1-based log access for the group's delivery scan.
   const RaftLogEntry& EntryAt(uint64_t index) const {
@@ -153,16 +131,21 @@ class OrdererReplica {
  private:
   friend class RaftGroup;
 
+  bool Alive() const override { return alive_; }
+  bool MayCut() const override { return alive_ && role_ == Role::kLeader; }
+  /// Dense numbering over the block entries of this replica's log. A
+  /// deposed leader's uncommitted entries are truncated before they can
+  /// deliver, so a reused number never reaches a peer twice.
+  uint64_t NextBlockNumber() const override { return block_count_ + 1; }
+  void OnDropped(TxId id) override;
+  void Ship(std::shared_ptr<Block> block, SimTime processor_cost) override;
+
   uint64_t LastIndex() const { return log_.size(); }
   uint64_t TermAt(uint64_t index) const {
     return index == 0 ? 0 : log_[index - 1].term;
   }
   int Quorum() const;
 
-  void Ingest(Transaction tx);
-  void HandleAdmitted(Transaction tx);
-  void CutBlock(std::vector<Transaction> txs, BlockCutReason reason);
-  void ArmTimeout();
   void ArmElectionTimer();
   void ArmHeartbeat();
   void StartElection();
@@ -186,19 +169,8 @@ class OrdererReplica {
   void ResolveAck(TxId id, bool accepted);
 
   int index_;
-  NodeId node_;
-  ChannelId channel_;
-  Environment* env_;
-  Network* net_;
   RaftGroup* group_;
-  BlockCutter cutter_;
-  SimTime block_timeout_;
-  TimingConfig timing_;
-  OrderingConfig ordering_;
   Rng rng_;
-  BlockProcessor* processor_;
-
-  WorkQueue queue_;
 
   // --- Raft state (survives Crash(), i.e. stable storage) -------------
   uint64_t current_term_ = 1;
@@ -229,48 +201,21 @@ class OrdererReplica {
   /// Transactions accepted at ingress but not yet in the log (queued on
   /// the work queue or sitting in the cutter) — rebroadcast dedup.
   std::unordered_set<TxId> pending_ingress_;
-
-  // --- cutter state (mirrors Orderer) ---------------------------------
-  /// Bumped on crash/deposition so queued ingress tasks of the old
-  /// incarnation die instead of cutting into the wrong term.
-  uint64_t ingress_generation_ = 0;
-  uint64_t timeout_generation_ = 0;
-  bool timeout_armed_ = false;
-  bool paused_ = false;
-  std::vector<Transaction> paused_backlog_;
-
-  // --- counters -------------------------------------------------------
-  uint64_t txs_received_ = 0;
-  uint64_t txs_early_aborted_ = 0;
-  uint64_t txs_deferred_while_paused_ = 0;
-  uint64_t blocks_cut_ = 0;
 };
 
-/// The replicated ordering service: owns N OrdererReplica actors, the
-/// shared delivery edge to the peers, and the group-wide delivered
-/// floor that guarantees each committed block is handed to the fabric
-/// exactly once (and in order) no matter how leadership moves.
+/// The replicated ordering service: owns N OrdererReplica actors and
+/// the group-wide delivered floor that guarantees each committed block
+/// is handed to the fabric exactly once (and in order) no matter how
+/// leadership moves.
 class RaftGroup {
  public:
-  struct Params {
-    Environment* env = nullptr;
-    Network* net = nullptr;
-    /// Channel this group orders (one Raft group per channel; all
-    /// groups share the same orderer node ids).
-    ChannelId channel = 0;
+  /// Every replica gets the shared OrderingNode fields.
+  struct Params : OrderingNode::Params {
     int num_replicas = 3;
     NodeId node_base = 0;  ///< replica i gets node id node_base + i
-    BlockCutter::Config cutter;
-    SimTime block_timeout = 2 * kSecond;
-    TimingConfig timing;
     OrderingConfig ordering;
-    BlockProcessor* processor = nullptr;
     /// One pre-forked RNG per replica (harness forks streams 3000+i).
     std::vector<Rng> replica_rngs;
-    /// Delivery targets, identical to the legacy Orderer's endpoints.
-    std::vector<Orderer::Params::PeerEndpoint> peers;
-    std::function<void(std::shared_ptr<Block>)> on_block_cut;
-    std::function<void(const Transaction&, TxValidationCode)> on_early_abort;
     /// Optional counters inside the harness RunStats.
     uint64_t* elections_sink = nullptr;
     uint64_t* leader_changes_sink = nullptr;
@@ -295,17 +240,11 @@ class RaftGroup {
   /// Leadership handovers after bootstrap.
   uint64_t leader_changes() const { return leader_changes_; }
 
-  /// Sum of txs received across replicas (leader ingress only counts
-  /// once; rebroadcast duplicates are deduplicated at the replica).
-  uint64_t txs_received() const;
-  uint64_t txs_early_aborted() const;
-  uint64_t blocks_cut() const { return delivered_blocks_; }
-
  private:
   friend class OrdererReplica;
 
-  /// Delivers every committed-but-undelivered entry of `leader`'s log
-  /// to the peers, advancing the group floor. Log-matching + the
+  /// Publishes and delivers every committed-but-undelivered entry of
+  /// `leader`'s log, advancing the group floor. Log-matching + the
   /// election restriction guarantee any leader's committed prefix is
   /// identical, so the floor makes delivery exactly-once and in-order
   /// across failovers.
@@ -315,10 +254,7 @@ class RaftGroup {
   void NoteCrash(int replica);
 
   Environment* env_;
-  Network* net_;
-  std::vector<Orderer::Params::PeerEndpoint> peers_;
-  std::function<void(std::shared_ptr<Block>)> on_block_cut_;
-  std::function<void(const Transaction&, TxValidationCode)> on_early_abort_;
+  OrderingConfig ordering_;
   uint64_t* elections_sink_;
   uint64_t* leader_changes_sink_;
 

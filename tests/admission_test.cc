@@ -526,6 +526,24 @@ TEST(AdmissionCompositionTest, DeadlinesAndShedingComposeWithRaftOrdering) {
   EXPECT_GT(protected_drops, 0u) << AdmissionFingerprint(r.value());
 }
 
+// A replicated leader drops an envelope whose deadline passed while it
+// queued at ingress, as the compat orderer does, and acks it as
+// rejected so the client stops rebroadcasting it: expired envelopes no
+// longer take block slots and reach the peers only to expire there.
+TEST(AdmissionCompositionTest, RaftOrderingDropsExpiredEnvelopesAtIngress) {
+  ExperimentConfig config = OverloadConfig(/*rate_tps=*/600.0);
+  config.fabric.ordering.replicated = true;
+  config.fabric.admission.tx_deadline = 3 * kSecond;
+  config.fabric.timing.orderer_per_tx_cost = 10 * kMillisecond;
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().deadline_expired_order, 0u)
+      << AdmissionFingerprint(r.value());
+  EXPECT_LT(r.value().deadline_expired_commit,
+            r.value().deadline_expired_order)
+      << AdmissionFingerprint(r.value());
+}
+
 // Replicated clients broadcast straight to the replicas, which bound
 // nothing: an orderer ingress bound would be silently ignored (and the
 // report would still print an admission line with zero throttles), so
