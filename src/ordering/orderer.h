@@ -85,8 +85,8 @@ class OrderingNode {
     std::function<void(std::shared_ptr<Block>)> on_block_cut;
     /// Invoked when a transaction is early-aborted at the orderer.
     std::function<void(const Transaction&, TxValidationCode)> on_early_abort;
-    /// Counts envelopes whose deadline passed at ingress. Null = the
-    /// drops happen uncounted (no admission config).
+    /// Admission counters for ingress deadline drops and compat
+    /// throttles. Null = no admission config; drops go uncounted.
     AdmissionStats* admission_stats = nullptr;
   };
 
@@ -136,9 +136,9 @@ class OrderingNode {
   /// Buffers an accepted envelope while paused, else queues it for
   /// ingress.
   void Accept(Transaction tx);
-  /// Forgets everything a process loses on a crash: queued ingress
-  /// tasks, the armed timeout, the cutter's batch and the pause
-  /// backlog.
+  /// Forgets the volatile ingress state a crashed or deposed node
+  /// loses: queued ingress tasks, the armed timeout, the cutter's batch
+  /// and the pause backlog.
   void ResetIngress();
   /// Block assembly, signing and egress to every peer plus
   /// `extra_receivers` occupy the serial queue; `done` runs after.
