@@ -138,6 +138,8 @@ def main():
     parser.add_argument("--out", default=os.path.join(REPO,
                                                       "BENCH_figures.json"))
     args = parser.parse_args()
+    # Each bench runs in its own temporary directory.
+    args.build = os.path.abspath(args.build)
 
     benches = {}
     failed = []

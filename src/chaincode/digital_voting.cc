@@ -68,14 +68,14 @@ Status DigitalVotingChaincode::Invoke(ChaincodeStub& stub,
     }
     // Scan the full voter roll and the party list; the footprint of
     // both range reads is what drives DV's phantom conflicts.
-    std::vector<StateEntry> voters =
+    std::vector<StateEntryRef> voters =
         stub.GetStateByRange(VoterKey(0), "VOTER~");
-    std::vector<StateEntry> parties =
+    std::vector<StateEntryRef> parties =
         stub.GetStateByRange(PartyKey(0), "PARTY~");
     const std::string& voter_key = inv.args[0];
     const std::string& party_key = inv.args[1];
     std::string voter_doc;
-    for (const StateEntry& e : voters) {
+    for (const StateEntryRef& e : voters) {
       if (e.key == voter_key) {
         voter_doc = e.vv.value;
         break;
@@ -83,7 +83,7 @@ Status DigitalVotingChaincode::Invoke(ChaincodeStub& stub,
     }
     if (voter_doc.empty()) return Status::NotFound("unknown " + voter_key);
     std::string party_doc;
-    for (const StateEntry& e : parties) {
+    for (const StateEntryRef& e : parties) {
       if (e.key == party_key) {
         party_doc = e.vv.value;
         break;

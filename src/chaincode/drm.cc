@@ -123,7 +123,7 @@ Status DrmChaincode::Invoke(ChaincodeStub& stub,
   if (inv.function == "calcRevenue") {
     // args: holder key. Rich query over the holder's artworks.
     FABRICSIM_RETURN_NOT_OK(need(1));
-    Result<std::vector<StateEntry>> result =
+    Result<std::vector<StateEntryRef>> result =
         stub.GetQueryResult("docType==art&artist==" + args[0]);
     if (!result.ok()) return result.status();
     return Status::OK();

@@ -115,7 +115,7 @@ Status GenChaincode::Invoke(ChaincodeStub& stub,
     const std::string& start = inv.args[arg++];
     const std::string& end = inv.args[arg++];
     if (fn->use_rich_query) {
-      Result<std::vector<StateEntry>> result =
+      Result<std::vector<StateEntryRef>> result =
           stub.GetQueryResult("docType==gk");
       if (!result.ok()) return result.status();
     } else {

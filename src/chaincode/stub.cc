@@ -7,17 +7,12 @@ ChaincodeStub::ChaincodeStub(const StateDatabase& db,
     : db_(db), rich_queries_supported_(rich_queries_supported) {}
 
 std::optional<std::string> ChaincodeStub::GetState(const std::string& key) {
-  std::optional<VersionedValue> vv = db_.Get(key);
-  ReadItem item;
-  item.key = key;
-  if (vv.has_value()) {
-    item.version = vv->version;
-    item.found = true;
-  } else {
-    item.found = false;
+  const VersionedValue* vv = db_.Find(key);
+  if (vv == nullptr) {
+    rwset_.reads.push_back(ReadItem{key, Version{}, false});
+    return std::nullopt;
   }
-  rwset_.reads.push_back(std::move(item));
-  if (!vv.has_value()) return std::nullopt;
+  rwset_.reads.push_back(ReadItem{key, vv->version, true});
   return vv->value;
 }
 
@@ -29,29 +24,39 @@ void ChaincodeStub::DelState(const std::string& key) {
   rwset_.writes.push_back(WriteItem{key, "", true});
 }
 
-std::vector<StateEntry> ChaincodeStub::GetStateByRange(
+void ChaincodeStub::RecordRangeRead(RangeQueryInfo info,
+                                    const std::vector<StateEntryRef>& entries) {
+  info.reads.reserve(entries.size());
+  for (const StateEntryRef& e : entries) {
+    info.reads.push_back(ReadItem{e.key, e.vv.version, true});
+  }
+  rwset_.range_queries.push_back(std::move(info));
+}
+
+std::vector<StateEntryRef> ChaincodeStub::GetStateByRange(
     const std::string& start_key, const std::string& end_key) {
-  std::vector<StateEntry> entries = db_.GetRange(start_key, end_key);
+  std::vector<StateEntryRef> entries;
+  db_.ForEachInRange(start_key, end_key,
+                     [&entries](const std::string& key,
+                                const VersionedValue& vv) {
+                       entries.push_back(StateEntryRef{key, vv});
+                     });
   RangeQueryInfo info;
   info.start_key = start_key;
   info.end_key = end_key;
   info.phantom_check = true;
-  info.reads.reserve(entries.size());
-  for (const StateEntry& e : entries) {
-    info.reads.push_back(ReadItem{e.key, e.vv.version, true});
-  }
-  rwset_.range_queries.push_back(std::move(info));
+  RecordRangeRead(std::move(info), entries);
   return entries;
 }
 
-std::vector<StateEntry> ChaincodeStub::GetStateByPartialCompositeKey(
+std::vector<StateEntryRef> ChaincodeStub::GetStateByPartialCompositeKey(
     const std::string& object_type,
     const std::vector<std::string>& partial_attributes) {
   auto [start, end] = CompositeKeyRange(object_type, partial_attributes);
   return GetStateByRange(start, end);
 }
 
-Result<std::vector<StateEntry>> ChaincodeStub::GetQueryResult(
+Result<std::vector<StateEntryRef>> ChaincodeStub::GetQueryResult(
     const std::string& selector) {
   if (!rich_queries_supported_) {
     return Status::Unimplemented(
@@ -59,15 +64,11 @@ Result<std::vector<StateEntry>> ChaincodeStub::GetQueryResult(
   }
   Result<RichQuerySelector> parsed = RichQuerySelector::Parse(selector);
   if (!parsed.ok()) return parsed.status();
-  std::vector<StateEntry> entries = ExecuteRichQuery(db_, parsed.value());
+  std::vector<StateEntryRef> entries = ExecuteRichQuery(db_, parsed.value());
   RangeQueryInfo info;
   info.phantom_check = false;  // Fabric does not re-execute rich queries
   info.rich_selector = selector;
-  info.reads.reserve(entries.size());
-  for (const StateEntry& e : entries) {
-    info.reads.push_back(ReadItem{e.key, e.vv.version, true});
-  }
-  rwset_.range_queries.push_back(std::move(info));
+  RecordRangeRead(std::move(info), entries);
   return entries;
 }
 

@@ -24,6 +24,13 @@ namespace fabricsim {
 ///    read validation.
 ///  * GetQueryResult (rich query) requires CouchDB and is NOT
 ///    re-validated — no phantom detection, like the real shim.
+///
+/// Reads lend, not copy: range reads and rich queries return
+/// StateEntryRefs that point into the world state, and the rw-set
+/// records only each key and version. By StateEntryRef's lending rule
+/// they stay valid for the rest of the invocation, since the stub only
+/// buffers writes and no block commits while a chaincode runs. GetState
+/// copies the one value it returns.
 class ChaincodeStub {
  public:
   /// `db` is the endorsing peer's view of the world state;
@@ -40,21 +47,22 @@ class ChaincodeStub {
   /// Buffers a delete into the write set.
   void DelState(const std::string& key);
 
-  /// Range scan over [start_key, end_key); records the full footprint
-  /// for phantom validation.
-  std::vector<StateEntry> GetStateByRange(const std::string& start_key,
-                                          const std::string& end_key);
+  /// Range scan over [start_key, end_key), lent; records the full
+  /// footprint for phantom validation.
+  std::vector<StateEntryRef> GetStateByRange(const std::string& start_key,
+                                             const std::string& end_key);
 
-  /// Rich selector query (CouchDB only). The result footprint is
+  /// Rich selector query (CouchDB only), lent. The result footprint is
   /// recorded with phantom_check=false.
-  Result<std::vector<StateEntry>> GetQueryResult(const std::string& selector);
+  Result<std::vector<StateEntryRef>> GetQueryResult(
+      const std::string& selector);
 
   /// Prefix scan over the composite keys of `object_type` whose first
   /// attributes equal `partial_attributes` (Fabric's
   /// GetStateByPartialCompositeKey). A plain GetStateByRange over
   /// CompositeKeyRange(), so the footprint is phantom-checked like any
   /// range read.
-  std::vector<StateEntry> GetStateByPartialCompositeKey(
+  std::vector<StateEntryRef> GetStateByPartialCompositeKey(
       const std::string& object_type,
       const std::vector<std::string>& partial_attributes);
 
@@ -84,6 +92,11 @@ class ChaincodeStub {
   bool rich_queries_supported() const { return rich_queries_supported_; }
 
  private:
+  /// Appends the footprint of one range read or rich query: each lent
+  /// entry's key and version.
+  void RecordRangeRead(RangeQueryInfo info,
+                       const std::vector<StateEntryRef>& entries);
+
   const StateDatabase& db_;
   bool rich_queries_supported_;
   ReadWriteSet rwset_;

@@ -127,7 +127,7 @@ Status SupplyChainChaincode::Invoke(ChaincodeStub& stub,
   if (inv.function == "queryStock") {
     // Rich query (CouchDB only); not phantom-checked by Fabric.
     FABRICSIM_RETURN_NOT_OK(need(1));
-    Result<std::vector<StateEntry>> result =
+    Result<std::vector<StateEntryRef>> result =
         stub.GetQueryResult("docType==unit&lsp==LSP" + args[0]);
     if (!result.ok()) return result.status();
     return Status::OK();

@@ -236,12 +236,12 @@ Status TpccChaincode::Delivery(ChaincodeStub& stub,
   // Phantom-checked scan of the district's NEWORDER backlog: a
   // concurrent NewOrder committing into this range between endorsement
   // and validation fails this transaction with PHANTOM_READ_CONFLICT.
-  std::vector<StateEntry> backlog = stub.GetStateByPartialCompositeKey(
+  std::vector<StateEntryRef> backlog = stub.GetStateByPartialCompositeKey(
       tpcc::kNewOrderTable,
       {PadKey(static_cast<uint64_t>(w), 4),
        PadKey(static_cast<uint64_t>(d), 2)});
   int delivered = 0;
-  for (const StateEntry& entry : backlog) {
+  for (const StateEntryRef& entry : backlog) {
     if (delivered >= kDeliveryBatch) break;
     std::string type;
     std::vector<std::string> attrs;
@@ -312,7 +312,7 @@ Status TpccChaincode::StockLevel(ChaincodeStub& stub,
   long long lo = std::max(0LL, next_o - 10);
   // Order-line keys sort by (w, d, o, line), so the last-10-orders
   // window is one contiguous range: [prefix(w,d,lo), prefix(w,d,next)).
-  std::vector<StateEntry> lines = stub.GetStateByRange(
+  std::vector<StateEntryRef> lines = stub.GetStateByRange(
       MakeCompositeKey(tpcc::kOrderLineTable,
                        {PadKey(static_cast<uint64_t>(w), 4),
                         PadKey(static_cast<uint64_t>(d), 2),
@@ -322,7 +322,7 @@ Status TpccChaincode::StockLevel(ChaincodeStub& stub,
                         PadKey(static_cast<uint64_t>(d), 2),
                         PadKey(static_cast<uint64_t>(next_o), 8)}));
   std::set<int> items;
-  for (const StateEntry& line : lines) {
+  for (const StateEntryRef& line : lines) {
     if (items.size() >= 20) break;  // bounded footprint
     items.insert(
         static_cast<int>(FieldInt(line.vv.value, "i_id")));

@@ -70,12 +70,9 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
       r.version = it->second.version;
       return r;
     }
-    // Version-only lookup: MVCC compares versions, so copying the
-    // value payload out of the store would be pure waste here.
-    std::optional<Version> version = db.GetVersion(key);
-    if (version.has_value()) {
+    if (const VersionedValue* vv = db.Find(key)) {
       r.exists = true;
-      r.version = *version;
+      r.version = vv->version;
     }
     return r;
   };
@@ -174,10 +171,11 @@ TxValidationResult Validator::ValidateTx(const StateDatabase& db,
     std::sort(writes.begin(), writes.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
     RangeMerge merge{.reads = rq.reads, .writes = writes};
-    db.ForEachVersionInRange(rq.start_key, rq.end_key,
-                             [&merge](const std::string& key, Version version) {
-                               merge.VisitDb(key, version);
-                             });
+    db.ForEachInRange(rq.start_key, rq.end_key,
+                      [&merge](const std::string& key,
+                               const VersionedValue& vv) {
+                        merge.VisitDb(key, vv.version);
+                      });
     merge.VisitWritesBelow(nullptr);
     if (merge.changed == nullptr && merge.next_read < rq.reads.size()) {
       merge.changed = &rq.reads[merge.next_read];  // past the range's end

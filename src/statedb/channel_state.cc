@@ -17,51 +17,38 @@ Status StateView::ApplyWrite(const WriteItem&, Version) {
   return Status::FailedPrecondition("a StateView is read-only");
 }
 
-std::optional<VersionedValue> StateView::Get(const std::string& key) const {
-  if (const auto* before = state_->BeforeImage(height_, key)) return *before;
-  return head().Get(key);
-}
-
-std::optional<Version> StateView::GetVersion(const std::string& key) const {
+const VersionedValue* StateView::Find(const std::string& key) const {
   if (const auto* before = state_->BeforeImage(height_, key)) {
-    if (!before->has_value()) return std::nullopt;
-    return (*before)->version;
+    return before->has_value() ? &**before : nullptr;
   }
-  return head().GetVersion(key);
+  return head().Find(key);
 }
 
-std::vector<StateEntry> StateView::GetRange(const std::string& start_key,
-                                            const std::string& end_key) const {
-  if (AtHead()) return head().GetRange(start_key, end_key);
+void StateView::ForEachInRange(
+    const std::string& start_key, const std::string& end_key,
+    const std::function<void(const std::string& key, const VersionedValue& vv)>&
+        fn) const {
+  if (AtHead()) return head().ForEachInRange(start_key, end_key, fn);
+  if (RangeIsEmpty(start_key, end_key)) return;
   const ChannelState::Overlay overlay =
       state_->OverlayAt(height_, start_key, end_key);
-  std::vector<StateEntry> out;
   auto next = overlay.begin();
-  auto take_overlay = [&]() {
+  auto visit_overlay = [&]() {
     const auto& [key, before] = *next->second;
-    if (before.has_value()) out.push_back(StateEntry{key, *before});
+    if (before.has_value()) fn(key, *before);
     ++next;
   };
-  for (StateEntry& entry : head().GetRange(start_key, end_key)) {
-    while (next != overlay.end() && next->first < entry.key) take_overlay();
-    if (next != overlay.end() && next->first == entry.key) {
-      take_overlay();  // the value at this height replaces the head's
-    } else {
-      out.push_back(std::move(entry));
-    }
-  }
-  while (next != overlay.end()) take_overlay();
-  return out;
-}
-
-void StateView::ForEachVersionInRange(
-    const std::string& start_key, const std::string& end_key,
-    const std::function<void(const std::string& key, Version version)>& fn)
-    const {
-  if (AtHead()) return head().ForEachVersionInRange(start_key, end_key, fn);
-  for (const StateEntry& e : GetRange(start_key, end_key)) {
-    fn(e.key, e.vv.version);
-  }
+  head().ForEachInRange(
+      start_key, end_key,
+      [&](const std::string& key, const VersionedValue& vv) {
+        while (next != overlay.end() && next->first < key) visit_overlay();
+        if (next != overlay.end() && next->first == key) {
+          visit_overlay();  // the value at this height replaces the head's
+        } else {
+          fn(key, vv);
+        }
+      });
+  while (next != overlay.end()) visit_overlay();
 }
 
 size_t StateView::Size() const {
@@ -69,20 +56,9 @@ size_t StateView::Size() const {
   if (AtHead()) return size;
   for (const auto& [key, entry] : state_->OverlayAt(height_, "", "")) {
     if (entry->second.has_value()) ++size;
-    if (head().GetVersion(entry->first).has_value()) --size;
+    if (head().Find(entry->first) != nullptr) --size;
   }
   return size;
-}
-
-std::vector<StateEntry> StateView::Scan() const {
-  return AtHead() ? head().Scan() : GetRange("", "");
-}
-
-void StateView::ForEachEntry(
-    const std::function<void(const std::string& key, const VersionedValue& vv)>&
-        fn) const {
-  if (AtHead()) return head().ForEachEntry(fn);
-  for (const StateEntry& e : GetRange("", "")) fn(e.key, e.vv);
 }
 
 const std::set<std::string>& StateView::KeysWhere(
@@ -105,8 +81,12 @@ const std::set<std::string>& StateView::KeysWhere(
     corrected_.clear();
     corrected_at_ = heights;
   }
-  std::set<std::string>& keys =
-      corrected_[{std::string(field), std::string(value)}];
+  // A set already computed at these heights is returned as it is: the
+  // entries a rich query lent from it must outlive a repeat query.
+  auto [it, fresh] =
+      corrected_.try_emplace({std::string(field), std::string(value)});
+  std::set<std::string>& keys = it->second;
+  if (!fresh) return keys;
   keys = at_head;
   for (const std::string* key : flips) {
     if (keys.erase(*key) == 0) keys.insert(*key);

@@ -41,24 +41,20 @@ class StateView : public StateDatabase {
   /// The channel state this view reads.
   const ChannelState& source() const { return *state_; }
 
-  std::optional<VersionedValue> Get(const std::string& key) const override;
-  std::optional<Version> GetVersion(const std::string& key) const override;
-  std::vector<StateEntry> GetRange(const std::string& start_key,
-                                   const std::string& end_key) const override;
-  void ForEachVersionInRange(
+  const VersionedValue* Find(const std::string& key) const override;
+  /// Below the head, the head's range merged in key order with the
+  /// before-images of the keys the blocks above this view's height
+  /// wrote in it.
+  void ForEachInRange(
       const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key, Version version)>& fn)
-      const override;
+      const std::function<void(const std::string& key,
+                               const VersionedValue& vv)>& fn) const override;
   /// Views are read-only: always fails.
   Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override;
-  std::vector<StateEntry> Scan() const override;
-  void ForEachEntry(
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const override;
   /// The head's postings, corrected by the keys the blocks above this
-  /// view's height wrote. A corrected set stays valid until the head
-  /// commits or this view moves.
+  /// view's height wrote. A corrected set is computed once per (field,
+  /// value) and stays valid until the head commits or this view moves.
   const std::set<std::string>& KeysWhere(std::string_view field,
                                          std::string_view value) const override;
 

@@ -4,37 +4,19 @@
 
 namespace fabricsim {
 
-std::optional<VersionedValue> MemoryStateDb::Get(const std::string& key) const {
+const VersionedValue* MemoryStateDb::Find(const std::string& key) const {
   auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
-std::optional<Version> MemoryStateDb::GetVersion(
-    const std::string& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second.version;
-}
-
-std::vector<StateEntry> MemoryStateDb::GetRange(
-    const std::string& start_key, const std::string& end_key) const {
-  std::vector<StateEntry> out;
-  auto it = map_.lower_bound(start_key);
-  auto end = end_key.empty() ? map_.end() : map_.lower_bound(end_key);
-  for (; it != end; ++it) {
-    out.push_back(StateEntry{it->first, it->second});
-  }
-  return out;
-}
-
-void MemoryStateDb::ForEachVersionInRange(
+void MemoryStateDb::ForEachInRange(
     const std::string& start_key, const std::string& end_key,
-    const std::function<void(const std::string& key, Version version)>& fn)
-    const {
+    const std::function<void(const std::string& key, const VersionedValue& vv)>&
+        fn) const {
+  if (RangeIsEmpty(start_key, end_key)) return;
   auto it = map_.lower_bound(start_key);
   auto end = end_key.empty() ? map_.end() : map_.lower_bound(end_key);
-  for (; it != end; ++it) fn(it->first, it->second.version);
+  for (; it != end; ++it) fn(it->first, it->second);
 }
 
 Status MemoryStateDb::ApplyWrite(const WriteItem& write, Version version) {
@@ -64,19 +46,6 @@ Status MemoryStateDb::ApplyWrite(const WriteItem& write, Version version) {
   }
   map_[write.key] = VersionedValue{write.value, version};
   return Status::OK();
-}
-
-std::vector<StateEntry> MemoryStateDb::Scan() const {
-  std::vector<StateEntry> out;
-  out.reserve(map_.size());
-  for (const auto& [key, vv] : map_) out.push_back(StateEntry{key, vv});
-  return out;
-}
-
-void MemoryStateDb::ForEachEntry(
-    const std::function<void(const std::string& key, const VersionedValue& vv)>&
-        fn) const {
-  for (const auto& [key, vv] : map_) fn(key, vv);
 }
 
 const std::set<std::string>& MemoryStateDb::KeysWhere(

@@ -17,22 +17,15 @@ namespace fabricsim {
 /// DbLatencyProfile's to charge.
 class MemoryStateDb final : public StateDatabase {
  public:
-  std::optional<VersionedValue> Get(const std::string& key) const override;
-  std::optional<Version> GetVersion(const std::string& key) const override;
-  std::vector<StateEntry> GetRange(const std::string& start_key,
-                                   const std::string& end_key) const override;
-  void ForEachVersionInRange(
+  const VersionedValue* Find(const std::string& key) const override;
+  void ForEachInRange(
       const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key, Version version)>& fn)
-      const override;
+      const std::function<void(const std::string& key,
+                               const VersionedValue& vv)>& fn) const override;
   /// Writes the map and keeps every field KeysWhere has indexed in step
   /// with it; the old document is read only when some field is indexed.
   Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override { return map_.size(); }
-  std::vector<StateEntry> Scan() const override;
-  void ForEachEntry(
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const override;
   /// The rich-query field index. The first call naming `field` indexes
   /// it with one pass over the map; ApplyWrite keeps it current from
   /// then on. A store nobody rich-queries (every LevelDB one) never

@@ -82,8 +82,8 @@ std::string RichQuerySelector::ToString() const {
   return out;
 }
 
-std::vector<StateEntry> ExecuteRichQuery(const StateDatabase& db,
-                                         const RichQuerySelector& selector) {
+std::vector<StateEntryRef> ExecuteRichQuery(
+    const StateDatabase& db, const RichQuerySelector& selector) {
   const std::set<std::string>* candidates = nullptr;
   for (const auto& [field, value] : selector.terms()) {
     const std::set<std::string>& keys = db.KeysWhere(field, value);
@@ -91,12 +91,12 @@ std::vector<StateEntry> ExecuteRichQuery(const StateDatabase& db,
       candidates = &keys;
     }
   }
-  std::vector<StateEntry> out;
+  std::vector<StateEntryRef> out;
   out.reserve(candidates->size());
   for (const std::string& key : *candidates) {
-    std::optional<VersionedValue> vv = db.Get(key);
-    if (vv.has_value() && selector.Matches(vv->value)) {
-      out.push_back(StateEntry{key, std::move(*vv)});
+    const VersionedValue* vv = db.Find(key);
+    if (vv != nullptr && selector.Matches(vv->value)) {
+      out.push_back(StateEntryRef{key, *vv});
     }
   }
   return out;

@@ -59,13 +59,14 @@ class RichQuerySelector {
   std::vector<std::pair<std::string, std::string>> terms_;
 };
 
-/// Runs the selector against `db`, returning matching entries in key
-/// order. Candidates are the smallest of the terms' posting lists in
-/// the store's field index (StateDatabase::KeysWhere); each is
-/// fetched with Get and re-checked against every term. No document
-/// outside that list is read.
-std::vector<StateEntry> ExecuteRichQuery(const StateDatabase& db,
-                                         const RichQuerySelector& selector);
+/// Runs the selector against `db`, returning the matching entries in
+/// key order, lent by `db` (see StateEntryRef for how long they stay
+/// valid). Candidates are the smallest of the terms' posting lists in
+/// the store's field index (StateDatabase::KeysWhere); each is looked
+/// up with Find and re-checked against every term. No document outside
+/// that list is read, and none is copied.
+std::vector<StateEntryRef> ExecuteRichQuery(const StateDatabase& db,
+                                            const RichQuerySelector& selector);
 
 }  // namespace fabricsim
 

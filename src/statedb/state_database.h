@@ -28,6 +28,20 @@ struct StateEntry {
   VersionedValue vv;
 };
 
+/// One world-state entry lent by a store: StateEntry's members, as
+/// references into the store's own key and value.
+///
+/// The lending rule: a lent entry (and a VersionedValue* from Find) is
+/// valid until the store's next write. For a StateView, that is until
+/// its channel commits a block or the view moves. KeysWhere's sets
+/// follow the same rule. A ChaincodeStub only buffers writes and no
+/// commit runs inside Chaincode::Invoke, so the entries a stub lends
+/// stay valid for the rest of the invocation.
+struct StateEntryRef {
+  const std::string& key;
+  const VersionedValue& vv;
+};
+
 /// Abstract versioned key-value store backing a channel's world state.
 ///
 /// This interface is pure data-plane: it performs the operation
@@ -35,6 +49,9 @@ struct StateEntry {
 /// operation (the LevelDB-embedded vs CouchDB-over-REST gap the paper
 /// measures in Table 4) is modelled separately by DbLatencyProfile and
 /// charged by the simulation actors that call into the store.
+///
+/// Reads lend, not copy: Find and ForEachInRange are the two read
+/// primitives, and Get, GetRange and Scan copy out through them.
 ///
 /// ## Semantics contract
 ///
@@ -45,42 +62,34 @@ struct StateEntry {
 /// tests/channel_state_test.cc hold both to it:
 ///
 ///  * **Deletes are absolute.** After ApplyWrite of a delete, the key
-///    is absent from Get, GetVersion, GetRange, ForEachVersionInRange,
-///    Size, Scan, ForEachEntry and KeysWhere alike. Deleting a missing
-///    key is a no-op returning OK.
+///    is absent from Find, ForEachInRange, Size and KeysWhere (and so
+///    from Get, GetRange and Scan) alike. Deleting a missing key is a
+///    no-op returning OK.
 ///  * **Range queries are half-open [start_key, end_key)** over the
-///    lexicographic key order. An *empty* end_key means "to the end of
-///    the key space" (Fabric's GetStateByRange semantics) — it is NOT
-///    the empty interval. An empty start_key starts at the first key.
-///  * **Order is total and deterministic.** GetRange, Scan,
-///    ForEachVersionInRange and ForEachEntry enumerate strictly
-///    ascending by key, so a view and a replay that applied the same
-///    blocks produce byte-identical scans, digests and phantom
+///    lexicographic key order (KeyInRange). An *empty* end_key means
+///    "to the end of the key space" (Fabric's GetStateByRange
+///    semantics) — it is NOT the empty interval. An empty start_key
+///    starts at the first key. A non-empty end_key at or below
+///    start_key is the empty interval.
+///  * **Order is total and deterministic.** ForEachInRange visits
+///    strictly ascending by key, so a view and a replay that applied
+///    the same blocks produce byte-identical scans, digests and phantom
 ///    re-scan verdicts.
 class StateDatabase {
  public:
   virtual ~StateDatabase() = default;
 
-  /// Point lookup. nullopt when the key does not exist.
-  virtual std::optional<VersionedValue> Get(const std::string& key) const = 0;
+  /// Point lookup: the key's lent value, or nullptr when the key does
+  /// not exist.
+  virtual const VersionedValue* Find(const std::string& key) const = 0;
 
-  /// Version-only point lookup. The validator's MVCC check only
-  /// compares versions, so this avoids copying the value payload on
-  /// the hottest read path.
-  virtual std::optional<Version> GetVersion(const std::string& key) const = 0;
-
-  /// Range scan over [start_key, end_key), in key order. An empty
-  /// end_key means "to the end of the key space" (Fabric semantics).
-  virtual std::vector<StateEntry> GetRange(const std::string& start_key,
-                                           const std::string& end_key)
-      const = 0;
-
-  /// Version-only range iteration over [start_key, end_key), in key
-  /// order, used by the validator's phantom-read re-scan.
-  virtual void ForEachVersionInRange(
+  /// Visits every entry in [start_key, end_key) in key order, lending
+  /// each. An empty end_key means "to the end of the key space"
+  /// (Fabric semantics).
+  virtual void ForEachInRange(
       const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key, Version version)>& fn)
-      const = 0;
+      const std::function<void(const std::string& key,
+                               const VersionedValue& vv)>& fn) const = 0;
 
   /// Applies one write (upsert or delete) committed at `version`. Every
   /// write — bootstrap and commit — comes through here.
@@ -89,20 +98,33 @@ class StateDatabase {
   /// Number of live keys.
   virtual size_t Size() const = 0;
 
-  /// All entries, ascending by key (used by tests and tooling that
-  /// want a materialized snapshot). Prefer ForEachEntry on hot paths.
-  virtual std::vector<StateEntry> Scan() const = 0;
-
-  /// Streaming visitation of every entry, ascending by key.
-  virtual void ForEachEntry(
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const = 0;
-
   /// Keys whose document's `field` reads `value` (JsonFieldView),
   /// ascending: the candidates of a rich query (ExecuteRichQuery). The
-  /// returned set stays valid until the next write to the store.
+  /// returned set follows the lending rule (StateEntryRef).
   virtual const std::set<std::string>& KeysWhere(
       std::string_view field, std::string_view value) const = 0;
+
+  /// Find, copied out. nullopt when the key does not exist.
+  std::optional<VersionedValue> Get(const std::string& key) const {
+    const VersionedValue* vv = Find(key);
+    if (vv == nullptr) return std::nullopt;
+    return *vv;
+  }
+
+  /// ForEachInRange, copied out.
+  std::vector<StateEntry> GetRange(const std::string& start_key,
+                                   const std::string& end_key) const {
+    std::vector<StateEntry> out;
+    ForEachInRange(start_key, end_key,
+                   [&out](const std::string& key, const VersionedValue& vv) {
+                     out.push_back(StateEntry{key, vv});
+                   });
+    return out;
+  }
+
+  /// Every entry, ascending by key, copied out (for tests and tooling
+  /// that want a materialized snapshot).
+  std::vector<StateEntry> Scan() const { return GetRange("", ""); }
 };
 
 /// True when `key` falls inside the half-open range [start_key,
@@ -113,6 +135,14 @@ class StateDatabase {
 inline bool KeyInRange(const std::string& key, const std::string& start_key,
                        const std::string& end_key) {
   return key >= start_key && (end_key.empty() || key < end_key);
+}
+
+/// True when KeyInRange holds for no key: end_key is set and not above
+/// start_key. A store's walk from start_key's position to end_key's
+/// never meets the end of such a range, so it checks this first.
+inline bool RangeIsEmpty(const std::string& start_key,
+                         const std::string& end_key) {
+  return !end_key.empty() && end_key <= start_key;
 }
 
 /// Creates an in-memory ordered-map state database.

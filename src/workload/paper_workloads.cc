@@ -264,15 +264,27 @@ struct GenState {
   uint64_t delete_cursor;
 };
 
-std::unique_ptr<WorkloadGenerator> MakeGenWorkload(
+Result<std::unique_ptr<WorkloadGenerator>> MakeGenWorkload(
     const WorkloadConfig& config) {
   uint64_t n = config.genchain_initial_keys;
-  auto keys = std::make_shared<KeyDistribution>(n, config.zipf_skew);
-  auto state = std::make_shared<GenState>(GenState{n, n});
   auto range_sizes =
       std::make_shared<std::vector<int>>(config.range_sizes.empty()
                                              ? std::vector<int>{2, 4, 8}
                                              : config.range_sizes);
+  if (config.include_range_reads) {
+    for (int len : *range_sizes) {
+      // A longer range would start below key 0: its start wraps around
+      // and the read would be inverted.
+      if (len < 0 || static_cast<uint64_t>(len) > n) {
+        return Status::InvalidArgument(StrFormat(
+            "genChain range size %d is outside [0, genchain_initial_keys = "
+            "%llu]",
+            len, static_cast<unsigned long long>(n)));
+      }
+    }
+  }
+  auto keys = std::make_shared<KeyDistribution>(n, config.zipf_skew);
+  auto state = std::make_shared<GenState>(GenState{n, n});
 
   // Mix weights: 80% for the heavy type, 5% for each of the others
   // (paper §4.4). Uniform: 20% each.
@@ -326,7 +338,8 @@ std::unique_ptr<WorkloadGenerator> MakeGenWorkload(
                 GenChaincode::Key(start + static_cast<uint64_t>(len))}};
          }});
   }
-  return std::make_unique<FunctionMixWorkload>("genChain", std::move(entries));
+  return std::unique_ptr<WorkloadGenerator>(
+      std::make_unique<FunctionMixWorkload>("genChain", std::move(entries)));
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ struct WorkloadConfig {
   /// Zipfian skew of key accesses (0 = uniform).
   double zipf_skew = 1.0;
   /// genChain only: sizes of range reads, chosen uniformly (paper: 2,
-  /// 4 or 8 keys).
+  /// 4 or 8 keys). MakeWorkload refuses a size below 0 or above
+  /// genchain_initial_keys while range reads are included.
   std::vector<int> range_sizes = {2, 4, 8};
   /// genChain only: number of bootstrapped keys.
   uint64_t genchain_initial_keys = 100000;

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/chaincode/stub.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/peer/committer.h"
@@ -85,8 +86,10 @@ Result<PeerChainRecord> CommitBlock(ChannelState& state, StateView* reader,
   return state.Commit(reader, block);
 }
 
-void ExpectSameEntries(const std::vector<StateEntry>& got,
-                       const std::vector<StateEntry>& want) {
+// Copied (StateEntry) or lent (StateEntryRef) entries alike.
+template <typename Entry>
+void ExpectSameEntries(const std::vector<Entry>& got,
+                       const std::vector<Entry>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].key, want[i].key);
@@ -98,45 +101,84 @@ void ExpectSameEntries(const std::vector<StateEntry>& got,
 std::vector<std::pair<std::string, Version>> Versions(
     const StateDatabase& db, const std::string& start, const std::string& end) {
   std::vector<std::pair<std::string, Version>> out;
-  db.ForEachVersionInRange(start, end, [&](const std::string& key,
-                                           Version version) {
-    out.emplace_back(key, version);
+  db.ForEachInRange(start, end, [&](const std::string& key,
+                                    const VersionedValue& vv) {
+    out.emplace_back(key, vv.version);
   });
   return out;
 }
 
 std::vector<StateEntry> Entries(const StateDatabase& db) {
   std::vector<StateEntry> out;
-  db.ForEachEntry([&](const std::string& key, const VersionedValue& vv) {
+  db.ForEachInRange("", "", [&](const std::string& key,
+                                const VersionedValue& vv) {
     out.push_back(StateEntry{key, vv});
   });
   return out;
 }
 
-// Every read of `view` against `want`, the state after blocks 1..h.
+void ExpectSameReads(const std::vector<ReadItem>& got,
+                     const std::vector<ReadItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key);
+    ASSERT_EQ(got[i].version, want[i].version) << got[i].key;
+    ASSERT_EQ(got[i].found, want[i].found) << got[i].key;
+  }
+}
+
+// The footprint two stubs recorded: point reads, then each range read
+// and rich query with its reads.
+void ExpectSameFootprint(const ReadWriteSet& got, const ReadWriteSet& want) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSameReads(got.reads, want.reads));
+  ASSERT_EQ(got.range_queries.size(), want.range_queries.size());
+  for (size_t i = 0; i < got.range_queries.size(); ++i) {
+    const RangeQueryInfo& g = got.range_queries[i];
+    const RangeQueryInfo& w = want.range_queries[i];
+    SCOPED_TRACE("range read [" + w.start_key + ", " + w.end_key + ") " +
+                 w.rich_selector);
+    ASSERT_EQ(g.start_key, w.start_key);
+    ASSERT_EQ(g.end_key, w.end_key);
+    ASSERT_EQ(g.phantom_check, w.phantom_check);
+    ASSERT_EQ(g.rich_selector, w.rich_selector);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameReads(g.reads, w.reads));
+  }
+}
+
+// Every read of `view` against `want`, the state after blocks 1..h,
+// directly and through a chaincode stub on each. The stubs' lent
+// entries are compared only after their last read: a lent entry must
+// stay valid for the rest of an invocation, and below the head it
+// points into undo records and corrected postings.
 void ExpectSameState(const StateView& view, const StateDatabase& want,
                      Rng& rng) {
+  ChaincodeStub view_stub(view, /*rich_queries_supported=*/true);
+  ChaincodeStub want_stub(want, /*rich_queries_supported=*/true);
+  std::vector<std::vector<StateEntryRef>> view_lent;
+  std::vector<std::vector<StateEntryRef>> want_lent;
   for (uint64_t k = 0; k <= kKeySpace; ++k) {  // kKeySpace is never written
     std::string key = Key(k);
-    std::optional<VersionedValue> got = view.Get(key);
-    std::optional<VersionedValue> expected = want.Get(key);
-    ASSERT_EQ(got.has_value(), expected.has_value()) << key;
-    if (got.has_value()) {
+    const VersionedValue* got = view.Find(key);
+    const VersionedValue* expected = want.Find(key);
+    ASSERT_EQ(got != nullptr, expected != nullptr) << key;
+    if (got != nullptr) {
       ASSERT_EQ(got->value, expected->value) << key;
       ASSERT_EQ(got->version, expected->version) << key;
     }
-    ASSERT_EQ(view.GetVersion(key), want.GetVersion(key)) << key;
+    ASSERT_EQ(view_stub.GetState(key), want_stub.GetState(key)) << key;
   }
   std::string a = Key(rng.UniformU64(kKeySpace));
   std::string b = Key(rng.UniformU64(kKeySpace));
   if (b < a) std::swap(a, b);
   const std::vector<std::pair<std::string, std::string>> ranges = {
-      {"", ""}, {"", b}, {a, ""}, {a, b}, {a, a}};
+      {"", ""}, {"", b}, {a, ""}, {a, b}, {a, a}, {b, a}};
   for (const auto& [start, end] : ranges) {
     SCOPED_TRACE("range [" + start + ", " + end + ")");
     ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(view.GetRange(start, end),
                                               want.GetRange(start, end)));
     ASSERT_EQ(Versions(view, start, end), Versions(want, start, end));
+    view_lent.push_back(view_stub.GetStateByRange(start, end));
+    want_lent.push_back(want_stub.GetStateByRange(start, end));
   }
   ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(view.Scan(), want.Scan()));
   ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(Entries(view), Entries(want)));
@@ -149,7 +191,20 @@ void ExpectSameState(const StateView& view, const StateDatabase& want,
     for (const auto& [field, value] : selector.terms()) {
       ASSERT_EQ(view.KeysWhere(field, value), want.KeysWhere(field, value));
     }
+    Result<std::vector<StateEntryRef>> got = view_stub.GetQueryResult(text);
+    Result<std::vector<StateEntryRef>> expected =
+        want_stub.GetQueryResult(text);
+    ASSERT_TRUE(got.ok() && expected.ok());
+    view_lent.push_back(std::move(got).value());
+    want_lent.push_back(std::move(expected).value());
   }
+  ASSERT_EQ(view_lent.size(), want_lent.size());
+  for (size_t i = 0; i < view_lent.size(); ++i) {
+    SCOPED_TRACE(StrFormat("stub read %zu", i));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(view_lent[i], want_lent[i]));
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameFootprint(view_stub.rwset(), want_stub.rwset()));
 }
 
 void RunAsOfDifferential(uint64_t seed) {

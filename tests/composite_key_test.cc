@@ -101,18 +101,21 @@ TEST(CompositeKeyTest, PartialCompositeScanCoversExactlyOneSubtree) {
   db.ApplyWrite(WriteItem{MakeCompositeKey("DISTX", {"0000"}), "v", false}, v);
 
   ChaincodeStub stub(db, true);
-  std::vector<StateEntry> sub =
+  std::vector<StateEntryRef> sub =
       stub.GetStateByPartialCompositeKey("DIST", {PadKey(0, 4)});
   EXPECT_EQ(sub.size(), 3u);
-  for (const StateEntry& e : sub) {
+  for (const StateEntryRef& e : sub) {
     EXPECT_EQ(CompositeKeyObjectType(e.key), "DIST");
   }
-  std::vector<StateEntry> all = stub.GetStateByPartialCompositeKey("DIST", {});
+  std::vector<StateEntryRef> all =
+      stub.GetStateByPartialCompositeKey("DIST", {});
   EXPECT_EQ(all.size(), 6u);
   // Scan order is tuple order.
   EXPECT_TRUE(std::is_sorted(
       all.begin(), all.end(),
-      [](const StateEntry& a, const StateEntry& b) { return a.key < b.key; }));
+      [](const StateEntryRef& a, const StateEntryRef& b) {
+        return a.key < b.key;
+      }));
   // The footprint is recorded as a phantom-checked range query.
   ASSERT_EQ(stub.rwset().range_queries.size(), 2u);
   EXPECT_TRUE(stub.rwset().range_queries[0].phantom_check);

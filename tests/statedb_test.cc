@@ -42,15 +42,15 @@ TEST(MemoryStateDbTest, PutGetDelete) {
 TEST(MemoryStateDbTest, PointOps) {
   MemoryStateDb db;
   EXPECT_FALSE(db.Get("k").has_value());
-  EXPECT_FALSE(db.GetVersion("k").has_value());
+  EXPECT_EQ(db.Find("k"), nullptr);
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v1", false}, {1, 0}).ok());
   ASSERT_TRUE(db.Get("k").has_value());
   EXPECT_EQ(db.Get("k")->value, "v1");
-  EXPECT_EQ(*db.GetVersion("k"), (Version{1, 0}));
+  EXPECT_EQ(db.Find("k")->version, (Version{1, 0}));
   // In-place update: value and version replaced, size unchanged.
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k", "v2", false}, {2, 3}).ok());
   EXPECT_EQ(db.Get("k")->value, "v2");
-  EXPECT_EQ(*db.GetVersion("k"), (Version{2, 3}));
+  EXPECT_EQ(db.Find("k")->version, (Version{2, 3}));
   EXPECT_EQ(db.Size(), 1u);
 }
 
@@ -86,7 +86,7 @@ TEST(MemoryStateDbTest, DeletesAreAbsoluteEverywhere) {
   ASSERT_TRUE(db.ApplyWrite(WriteItem{"k3", "", true}, {2, 0}).ok());
   // The deleted key must be invisible to every read path alike.
   EXPECT_FALSE(db.Get("k3").has_value());
-  EXPECT_FALSE(db.GetVersion("k3").has_value());
+  EXPECT_EQ(db.Find("k3"), nullptr);
   EXPECT_EQ(db.Size(), 7u);
   for (const StateEntry& entry : db.GetRange("k0", "k9")) {
     EXPECT_NE(entry.key, "k3");
@@ -94,10 +94,11 @@ TEST(MemoryStateDbTest, DeletesAreAbsoluteEverywhere) {
   for (const StateEntry& entry : db.Scan()) {
     EXPECT_NE(entry.key, "k3");
   }
-  db.ForEachEntry([](const std::string& key, const VersionedValue&) {
+  db.ForEachInRange("", "", [](const std::string& key, const VersionedValue&) {
     EXPECT_NE(key, "k3");
   });
-  db.ForEachVersionInRange("", "", [](const std::string& key, Version) {
+  db.ForEachInRange("k0", "k9", [](const std::string& key,
+                                   const VersionedValue&) {
     EXPECT_NE(key, "k3");
   });
   // Deleting a missing key is a no-op returning OK.
@@ -123,6 +124,8 @@ TEST(MemoryStateDbTest, RangeSemantics) {
   EXPECT_EQ(db.GetRange("", "").size(), 10u);    // the whole key space
   EXPECT_TRUE(db.GetRange("k5", "k5").empty());  // degenerate interval
   EXPECT_TRUE(db.GetRange("x", "y").empty());    // past the last key
+  EXPECT_TRUE(db.GetRange("k5", "k2").empty());  // inverted: empty
+  EXPECT_TRUE(db.GetRange("z", "k8").empty());   // inverted from past the end
   // Strictly ascending enumeration everywhere.
   auto all = db.Scan();
   ASSERT_EQ(all.size(), 10u);
@@ -271,8 +274,8 @@ TEST(RichQueryTest, ExecuteReturnsMatchesInKeyOrderWithVersions) {
 
 // Drives seeded op sequences through the store and an ordered-map
 // reference, comparing the full observable state and Size at interval
-// checkpoints, and every range probe's GetRange and
-// ForEachVersionInRange with the reference's keys in range. Key space
+// checkpoints, and every range probe's GetRange and ForEachInRange
+// with the reference's keys in range. Key space
 // is kept small so deletes, re-inserts and ranges collide constantly.
 void RunDifferential(uint64_t seed, double delete_frac, double range_frac) {
   constexpr uint64_t kKeySpace = 160;
@@ -315,11 +318,11 @@ void RunDifferential(uint64_t seed, double delete_frac, double range_frac) {
         ASSERT_EQ(got[i].vv.version, expected[i].vv.version);
       }
       size_t visited = 0;
-      db.ForEachVersionInRange(lo, hi, [&](const std::string& key,
-                                           Version version) {
+      db.ForEachInRange(lo, hi, [&](const std::string& key,
+                                    const VersionedValue& vv) {
         ASSERT_LT(visited, expected.size());
         EXPECT_EQ(key, expected[visited].key);
-        EXPECT_EQ(version, expected[visited].vv.version);
+        EXPECT_EQ(vv.version, expected[visited].vv.version);
         ++visited;
       });
       ASSERT_EQ(visited, expected.size());
@@ -405,7 +408,7 @@ void RunRichQueryDifferential(uint64_t seed) {
     for (const auto& [key, vv] : reference) {
       if (sel.Matches(vv.value)) expected.push_back(StateEntry{key, vv});
     }
-    const std::vector<StateEntry> got = ExecuteRichQuery(db, sel);
+    const std::vector<StateEntryRef> got = ExecuteRichQuery(db, sel);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].key, expected[i].key);

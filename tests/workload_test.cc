@@ -155,6 +155,21 @@ TEST(PaperWorkloadsTest, GenChainRangeSizes) {
   EXPECT_EQ(lengths, (std::set<long long>{2, 4, 8}));
 }
 
+TEST(PaperWorkloadsTest, GenChainRefusesRangesLongerThanTheKeySpace) {
+  WorkloadConfig config;
+  config.chaincode = "genchain";
+  config.genchain_initial_keys = 4;
+  config.range_sizes = {8};  // would start below key 0 and wrap around
+  Result<std::unique_ptr<WorkloadGenerator>> gen = MakeWorkload(config, true);
+  ASSERT_FALSE(gen.ok());
+  EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
+  config.range_sizes = {2, -1};
+  EXPECT_EQ(MakeWorkload(config, true).status().code(),
+            StatusCode::kInvalidArgument);
+  config.range_sizes = {4};  // the whole key space is a valid range
+  EXPECT_TRUE(MakeWorkload(config, true).ok());
+}
+
 TEST(PaperWorkloadsTest, ExcludeRangeReadsForFabricSharp) {
   WorkloadConfig config;
   config.chaincode = "genchain";
