@@ -111,14 +111,18 @@ class StateDatabase {
     return *vv;
   }
 
-  /// ForEachInRange, copied out.
+  /// ForEachInRange, copied out. The entries are collected lent first,
+  /// so the copies are made into a vector sized once.
   std::vector<StateEntry> GetRange(const std::string& start_key,
                                    const std::string& end_key) const {
-    std::vector<StateEntry> out;
+    std::vector<StateEntryRef> lent;
     ForEachInRange(start_key, end_key,
-                   [&out](const std::string& key, const VersionedValue& vv) {
-                     out.push_back(StateEntry{key, vv});
+                   [&lent](const std::string& key, const VersionedValue& vv) {
+                     lent.push_back(StateEntryRef{key, vv});
                    });
+    std::vector<StateEntry> out;
+    out.reserve(lent.size());
+    for (const StateEntryRef& e : lent) out.push_back(StateEntry{e.key, e.vv});
     return out;
   }
 
