@@ -20,6 +20,9 @@ EndorsementPolicy EndorsementPolicy::NOutOf(
   p.kind_ = Kind::kNOutOf;
   p.n_ = n;
   p.subs_ = std::move(subs);
+  for (const EndorsementPolicy& sub : p.subs_) {
+    p.sub_policies_ += sub.sub_policies_ + (sub.kind_ == Kind::kNOutOf ? 1 : 0);
+  }
   return p;
 }
 
@@ -52,19 +55,6 @@ void EndorsementPolicy::CollectOrgs(std::set<OrgId>* out) const {
     return;
   }
   for (const EndorsementPolicy& sub : subs_) sub.CollectOrgs(out);
-}
-
-int EndorsementPolicy::SubPolicyCount() const {
-  return CountSubPolicies(/*is_root=*/true);
-}
-
-int EndorsementPolicy::CountSubPolicies(bool is_root) const {
-  int count = 0;
-  if (kind_ == Kind::kNOutOf && !is_root) count = 1;
-  for (const EndorsementPolicy& sub : subs_) {
-    count += sub.CountSubPolicies(/*is_root=*/false);
-  }
-  return count;
 }
 
 int EndorsementPolicy::MinSignatures() const {

@@ -36,7 +36,9 @@ class EndorsementPolicy {
 
   /// Number of n-out-of combinators strictly below the root. The paper
   /// finds each sub-policy adds a separate VSCC search space (§5.1.4).
-  int SubPolicyCount() const;
+  /// Counted once, by NOutOf: a policy never changes after its factory
+  /// returns.
+  int SubPolicyCount() const { return sub_policies_; }
 
   /// Minimum number of signatures that can satisfy the policy.
   int MinSignatures() const;
@@ -73,10 +75,10 @@ class EndorsementPolicy {
   OrgId org_ = 0;
   int n_ = 0;
   std::vector<EndorsementPolicy> subs_;
+  int sub_policies_ = 0;
 
   bool EvaluateNode(const std::set<OrgId>& signer_orgs) const;
   void CollectOrgs(std::set<OrgId>* out) const;
-  int CountSubPolicies(bool is_root) const;
 };
 
 }  // namespace fabricsim

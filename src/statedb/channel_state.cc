@@ -24,31 +24,59 @@ const VersionedValue* StateView::Find(const std::string& key) const {
   return head().Find(key);
 }
 
-void StateView::ForEachInRange(
-    const std::string& start_key, const std::string& end_key,
-    const std::function<void(const std::string& key, const VersionedValue& vv)>&
-        fn) const {
-  if (AtHead()) return head().ForEachInRange(start_key, end_key, fn);
-  if (RangeIsEmpty(start_key, end_key)) return;
-  const ChannelState::Overlay overlay =
-      state_->OverlayAt(height_, start_key, end_key);
+namespace {
+
+// The head's entries that `for_each_head` visits, merged in key order
+// with the before-images in `overlay` (a ChannelState::Overlay): an
+// overlaid key is visited from its before-image, when that exists and
+// `keep` accepts it, and never from the head.
+template <typename Overlay, typename ForEachHead, typename Keep>
+void MergeBeforeImages(const Overlay& overlay, const ForEachHead& for_each_head,
+                       const Keep& keep, const StateEntryVisitor& fn) {
   auto next = overlay.begin();
   auto visit_overlay = [&]() {
     const auto& [key, before] = *next->second;
-    if (before.has_value()) fn(key, *before);
+    if (before.has_value() && keep(*before)) fn(key, *before);
     ++next;
   };
-  head().ForEachInRange(
-      start_key, end_key,
-      [&](const std::string& key, const VersionedValue& vv) {
-        while (next != overlay.end() && next->first < key) visit_overlay();
-        if (next != overlay.end() && next->first == key) {
-          visit_overlay();  // the value at this height replaces the head's
-        } else {
-          fn(key, vv);
-        }
-      });
+  for_each_head([&](const std::string& key, const VersionedValue& vv) {
+    while (next != overlay.end() && next->first < key) visit_overlay();
+    if (next != overlay.end() && next->first == key) {
+      visit_overlay();  // the value at this height replaces the head's
+    } else {
+      fn(key, vv);
+    }
+  });
   while (next != overlay.end()) visit_overlay();
+}
+
+}  // namespace
+
+void StateView::ForEachInRange(const std::string& start_key,
+                               const std::string& end_key,
+                               const StateEntryVisitor& fn) const {
+  if (AtHead()) return head().ForEachInRange(start_key, end_key, fn);
+  if (RangeIsEmpty(start_key, end_key)) return;
+  MergeBeforeImages(
+      state_->OverlayAt(height_, start_key, end_key),
+      [&](const StateEntryVisitor& merge) {
+        head().ForEachInRange(start_key, end_key, merge);
+      },
+      [](const VersionedValue&) { return true; }, fn);
+}
+
+void StateView::ForEachMatch(const RichQuerySelector& selector,
+                             const StateEntryVisitor& fn) const {
+  if (AtHead()) return head().ForEachMatch(selector, fn);
+  MergeBeforeImages(
+      state_->OverlayAt(height_, "", ""),
+      [&](const StateEntryVisitor& merge) {
+        head().ForEachMatch(selector, merge);
+      },
+      [&](const VersionedValue& before) {
+        return selector.Matches(before.value);
+      },
+      fn);
 }
 
 size_t StateView::Size() const {
@@ -59,39 +87,6 @@ size_t StateView::Size() const {
     if (head().Find(entry->first) != nullptr) --size;
   }
   return size;
-}
-
-const std::set<std::string>& StateView::KeysWhere(
-    std::string_view field, std::string_view value) const {
-  const std::set<std::string>& at_head = head().KeysWhere(field, value);
-  if (AtHead()) return at_head;
-  // Keys a block above this height wrote whose membership differs here.
-  std::vector<const std::string*> flips;
-  for (const auto& [key, entry] : state_->OverlayAt(height_, "", "")) {
-    const std::optional<VersionedValue>& before = entry->second;
-    bool member =
-        before.has_value() && JsonFieldView(before->value, field) == value;
-    if (member != (at_head.count(entry->first) > 0)) {
-      flips.push_back(&entry->first);
-    }
-  }
-  if (flips.empty()) return at_head;
-  const std::pair<uint64_t, uint64_t> heights{state_->height_, height_};
-  if (corrected_at_ != heights) {
-    corrected_.clear();
-    corrected_at_ = heights;
-  }
-  // A set already computed at these heights is returned as it is: the
-  // entries a rich query lent from it must outlive a repeat query.
-  auto [it, fresh] =
-      corrected_.try_emplace({std::string(field), std::string(value)});
-  std::set<std::string>& keys = it->second;
-  if (!fresh) return keys;
-  keys = at_head;
-  for (const std::string* key : flips) {
-    if (keys.erase(*key) == 0) keys.insert(*key);
-  }
-  return keys;
 }
 
 // ------------------------------------------------------- ChannelState

@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -29,7 +28,8 @@ class ChannelState;
 /// head overlays the before-images of the blocks above its height on
 /// the head's answer — every read does, rich queries included. A view
 /// never builds a field index of its own (nothing ever writes to it):
-/// KeysWhere corrects the head's postings instead.
+/// ForEachMatch merges the head's matches with the before-images
+/// instead.
 class StateView : public StateDatabase {
  public:
   /// Only registered readers pin undo records, so views are not copied.
@@ -45,18 +45,17 @@ class StateView : public StateDatabase {
   /// Below the head, the head's range merged in key order with the
   /// before-images of the keys the blocks above this view's height
   /// wrote in it.
-  void ForEachInRange(
-      const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const override;
+  void ForEachInRange(const std::string& start_key, const std::string& end_key,
+                      const StateEntryVisitor& fn) const override;
+  /// Below the head, the head's matches merged in key order with the
+  /// before-images of every key the blocks above this view's height
+  /// wrote: such a key is visited from its before-image, and only when
+  /// that matches, never from the head.
+  void ForEachMatch(const RichQuerySelector& selector,
+                    const StateEntryVisitor& fn) const override;
   /// Views are read-only: always fails.
   Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override;
-  /// The head's postings, corrected by the keys the blocks above this
-  /// view's height wrote. A corrected set is computed once per (field,
-  /// value) and stays valid until the head commits or this view moves.
-  const std::set<std::string>& KeysWhere(std::string_view field,
-                                         std::string_view value) const override;
 
  private:
   friend class ChannelState;
@@ -68,11 +67,6 @@ class StateView : public StateDatabase {
 
   const ChannelState* state_;
   uint64_t height_;
-  /// Corrected postings by (field, value), computed for the
-  /// (head height, view height) pair in corrected_at_.
-  mutable std::map<std::pair<std::string, std::string>, std::set<std::string>>
-      corrected_;
-  mutable std::pair<uint64_t, uint64_t> corrected_at_{0, 0};
 };
 
 /// One channel's world state and commit record, shared by every peer

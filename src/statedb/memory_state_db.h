@@ -2,7 +2,6 @@
 #define FABRICSIM_STATEDB_MEMORY_STATE_DB_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -17,28 +16,47 @@ namespace fabricsim {
 /// DbLatencyProfile's to charge.
 class MemoryStateDb final : public StateDatabase {
  public:
+  MemoryStateDb() = default;
+  /// The field index points at this store's own map entries, so a copy
+  /// would read the original's.
+  MemoryStateDb(const MemoryStateDb&) = delete;
+  MemoryStateDb& operator=(const MemoryStateDb&) = delete;
+
   const VersionedValue* Find(const std::string& key) const override;
-  void ForEachInRange(
-      const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const override;
-  /// Writes the map and keeps every field KeysWhere has indexed in step
-  /// with it; the old document is read only when some field is indexed.
+  void ForEachInRange(const std::string& start_key, const std::string& end_key,
+                      const StateEntryVisitor& fn) const override;
+  /// Walks the smallest posting list among the selector's terms and
+  /// re-checks only the other terms; each entry is lent from its map
+  /// node. The first query naming a field indexes it with one pass
+  /// over the map, and ApplyWrite keeps it current from then on. A
+  /// store nobody rich-queries (every LevelDB one) never builds an
+  /// index.
+  void ForEachMatch(const RichQuerySelector& selector,
+                    const StateEntryVisitor& fn) const override;
+  /// Writes the map and keeps every indexed field in step with it: a
+  /// key leaves its old postings while its old document is still there
+  /// to read, and joins its new ones through its map node. With no
+  /// field indexed, a write is one map assignment.
   Status ApplyWrite(const WriteItem& write, Version version) override;
   size_t Size() const override { return map_.size(); }
-  /// The rich-query field index. The first call naming `field` indexes
-  /// it with one pass over the map; ApplyWrite keeps it current from
-  /// then on. A store nobody rich-queries (every LevelDB one) never
-  /// builds an index and pays one empty-map test per write.
-  const std::set<std::string>& KeysWhere(std::string_view field,
-                                         std::string_view value) const override;
 
  private:
-  std::map<std::string, VersionedValue> map_;
-  /// value -> keys whose document has that value, for one field.
-  using Postings = std::map<std::string, std::set<std::string>, std::less<>>;
-  /// field -> postings, for every field KeysWhere has been asked
-  /// about; mutable because queries build it lazily.
+  using Map = std::map<std::string, VersionedValue>;
+  /// The entries of map_ whose document has one value in one field, by
+  /// key. std::map nodes never move, so the views and pointers stay
+  /// valid until ApplyWrite drops the entry.
+  using Posting = std::map<std::string_view, const Map::value_type*>;
+  /// value -> its posting, for one field.
+  using Postings = std::map<std::string, Posting, std::less<>>;
+
+  /// The posting of `field` == `value`, indexing `field` first if no
+  /// query has named it yet.
+  const Posting& PostingOf(std::string_view field,
+                           std::string_view value) const;
+
+  Map map_;
+  /// field -> postings, for every field a query has named; mutable
+  /// because queries build it lazily.
   mutable std::map<std::string, Postings, std::less<>> field_index_;
 };
 

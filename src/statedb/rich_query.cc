@@ -1,7 +1,5 @@
 #include "src/statedb/rich_query.h"
 
-#include <set>
-
 #include "src/common/strings.h"
 
 namespace fabricsim {
@@ -84,21 +82,11 @@ std::string RichQuerySelector::ToString() const {
 
 std::vector<StateEntryRef> ExecuteRichQuery(
     const StateDatabase& db, const RichQuerySelector& selector) {
-  const std::set<std::string>* candidates = nullptr;
-  for (const auto& [field, value] : selector.terms()) {
-    const std::set<std::string>& keys = db.KeysWhere(field, value);
-    if (candidates == nullptr || keys.size() < candidates->size()) {
-      candidates = &keys;
-    }
-  }
   std::vector<StateEntryRef> out;
-  out.reserve(candidates->size());
-  for (const std::string& key : *candidates) {
-    const VersionedValue* vv = db.Find(key);
-    if (vv != nullptr && selector.Matches(vv->value)) {
-      out.push_back(StateEntryRef{key, *vv});
-    }
-  }
+  db.ForEachMatch(selector,
+                  [&out](const std::string& key, const VersionedValue& vv) {
+                    out.push_back(StateEntryRef{key, vv});
+                  });
   return out;
 }
 

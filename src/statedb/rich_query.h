@@ -23,9 +23,9 @@ std::string JsonObject(
 /// the text after the first `"field":"`, up to the next quote. nullopt
 /// when the field is absent. Allocation-free; the view points into
 /// `doc`. ExtractJsonField, RichQuerySelector::Matches and the
-/// rich-query field index (MemoryStateDb::KeysWhere) all read fields
-/// through it, so the index agrees with a document scan by
-/// construction.
+/// rich-query field index (MemoryStateDb::ForEachMatch and its
+/// ApplyWrite) all read fields through it, so the index agrees with a
+/// document scan by construction.
 std::optional<std::string_view> JsonFieldView(std::string_view doc,
                                               std::string_view field);
 
@@ -61,10 +61,9 @@ class RichQuerySelector {
 
 /// Runs the selector against `db`, returning the matching entries in
 /// key order, lent by `db` (see StateEntryRef for how long they stay
-/// valid). Candidates are the smallest of the terms' posting lists in
-/// the store's field index (StateDatabase::KeysWhere); each is looked
-/// up with Find and re-checked against every term. No document outside
-/// that list is read, and none is copied.
+/// valid): what StateDatabase::ForEachMatch visits, collected. The
+/// store answers from its field index, so no document outside the
+/// smallest of the terms' posting lists is read, and none is copied.
 std::vector<StateEntryRef> ExecuteRichQuery(const StateDatabase& db,
                                             const RichQuerySelector& selector);
 

@@ -4,9 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -14,6 +12,8 @@
 #include "src/ledger/version.h"
 
 namespace fabricsim {
+
+class RichQuerySelector;
 
 /// A value in the world state together with the version of the
 /// transaction that last wrote it (paper Definition 3).
@@ -33,14 +33,17 @@ struct StateEntry {
 ///
 /// The lending rule: a lent entry (and a VersionedValue* from Find) is
 /// valid until the store's next write. For a StateView, that is until
-/// its channel commits a block or the view moves. KeysWhere's sets
-/// follow the same rule. A ChaincodeStub only buffers writes and no
-/// commit runs inside Chaincode::Invoke, so the entries a stub lends
-/// stay valid for the rest of the invocation.
+/// its channel commits a block or the view moves. A ChaincodeStub only
+/// buffers writes and no commit runs inside Chaincode::Invoke, so the
+/// entries a stub lends stay valid for the rest of the invocation.
 struct StateEntryRef {
   const std::string& key;
   const VersionedValue& vv;
 };
+
+/// What a lending read calls once per entry, in key order.
+using StateEntryVisitor =
+    std::function<void(const std::string& key, const VersionedValue& vv)>;
 
 /// Abstract versioned key-value store backing a channel's world state.
 ///
@@ -50,8 +53,9 @@ struct StateEntryRef {
 /// measures in Table 4) is modelled separately by DbLatencyProfile and
 /// charged by the simulation actors that call into the store.
 ///
-/// Reads lend, not copy: Find and ForEachInRange are the two read
-/// primitives, and Get, GetRange and Scan copy out through them.
+/// Reads lend, not copy: Find, ForEachInRange and ForEachMatch are the
+/// three read primitives, and Get, GetRange and Scan copy out through
+/// the first two.
 ///
 /// ## Semantics contract
 ///
@@ -62,8 +66,8 @@ struct StateEntryRef {
 /// tests/channel_state_test.cc hold both to it:
 ///
 ///  * **Deletes are absolute.** After ApplyWrite of a delete, the key
-///    is absent from Find, ForEachInRange, Size and KeysWhere (and so
-///    from Get, GetRange and Scan) alike. Deleting a missing key is a
+///    is absent from Find, ForEachInRange, ForEachMatch and Size (and
+///    so from Get, GetRange and Scan) alike. Deleting a missing key is a
 ///    no-op returning OK.
 ///  * **Range queries are half-open [start_key, end_key)** over the
 ///    lexicographic key order (KeyInRange). An *empty* end_key means
@@ -71,10 +75,10 @@ struct StateEntryRef {
 ///    semantics) — it is NOT the empty interval. An empty start_key
 ///    starts at the first key. A non-empty end_key at or below
 ///    start_key is the empty interval.
-///  * **Order is total and deterministic.** ForEachInRange visits
-///    strictly ascending by key, so a view and a replay that applied
-///    the same blocks produce byte-identical scans, digests and phantom
-///    re-scan verdicts.
+///  * **Order is total and deterministic.** ForEachInRange and
+///    ForEachMatch visit strictly ascending by key, so a view and a
+///    replay that applied the same blocks produce byte-identical scans,
+///    rich-query answers, digests and phantom re-scan verdicts.
 class StateDatabase {
  public:
   virtual ~StateDatabase() = default;
@@ -86,10 +90,15 @@ class StateDatabase {
   /// Visits every entry in [start_key, end_key) in key order, lending
   /// each. An empty end_key means "to the end of the key space"
   /// (Fabric semantics).
-  virtual void ForEachInRange(
-      const std::string& start_key, const std::string& end_key,
-      const std::function<void(const std::string& key,
-                               const VersionedValue& vv)>& fn) const = 0;
+  virtual void ForEachInRange(const std::string& start_key,
+                              const std::string& end_key,
+                              const StateEntryVisitor& fn) const = 0;
+
+  /// Visits every entry whose document matches every term of
+  /// `selector` (RichQuerySelector::Matches) in key order, lending
+  /// each: the answer to a rich query (ExecuteRichQuery).
+  virtual void ForEachMatch(const RichQuerySelector& selector,
+                            const StateEntryVisitor& fn) const = 0;
 
   /// Applies one write (upsert or delete) committed at `version`. Every
   /// write — bootstrap and commit — comes through here.
@@ -97,12 +106,6 @@ class StateDatabase {
 
   /// Number of live keys.
   virtual size_t Size() const = 0;
-
-  /// Keys whose document's `field` reads `value` (JsonFieldView),
-  /// ascending: the candidates of a rich query (ExecuteRichQuery). The
-  /// returned set follows the lending rule (StateEntryRef).
-  virtual const std::set<std::string>& KeysWhere(
-      std::string_view field, std::string_view value) const = 0;
 
   /// Find, copied out. nullopt when the key does not exist.
   std::optional<VersionedValue> Get(const std::string& key) const {

@@ -42,6 +42,24 @@ TEST(PolicyTest, NestedPolicies) {
   EXPECT_EQ(p.MentionedOrgs(), Orgs({0, 1, 2}));
 }
 
+TEST(PolicyTest, SubPolicyCountCountsEveryNestedCombinator) {
+  // 2-of[1-of[2-of[1-of[Org0],Org1]],1-of[Org2,Org3]]: four
+  // combinators below the root, three levels deep.
+  EndorsementPolicy p = EndorsementPolicy::NOutOf(
+      2, {EndorsementPolicy::NOutOf(
+              1, {EndorsementPolicy::NOutOf(
+                     2, {EndorsementPolicy::NOutOf(
+                             1, {EndorsementPolicy::SignedBy(0)}),
+                         EndorsementPolicy::SignedBy(1)})}),
+          EndorsementPolicy::NOutOf(1, {EndorsementPolicy::SignedBy(2),
+                                        EndorsementPolicy::SignedBy(3)})});
+  EXPECT_EQ(p.ToString(), "2-of[1-of[2-of[1-of[Org0],Org1]],1-of[Org2,Org3]]");
+  EXPECT_EQ(p.SubPolicyCount(), 4);
+  EndorsementPolicy copy = p;
+  EXPECT_EQ(copy.SubPolicyCount(), 4);
+  EXPECT_EQ(copy.VsccSerialCost(), p.VsccSerialCost());
+}
+
 TEST(PolicyTest, VsccCostGrowsWithSignaturesAndSubPolicies) {
   EndorsementPolicy flat = EndorsementPolicy::NOutOf(
       2, {EndorsementPolicy::SignedBy(0), EndorsementPolicy::SignedBy(1)});
