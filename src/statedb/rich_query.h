@@ -63,7 +63,8 @@ class RichQuerySelector {
 /// key order, lent by `db` (see StateEntryRef for how long they stay
 /// valid): what StateDatabase::ForEachMatch visits, collected. The
 /// store answers from its field index, so no document outside the
-/// smallest of the terms' posting lists is read, and none is copied.
+/// smallest of the terms' posting lists (and, below the head, the
+/// before-images) is read, and none is copied.
 std::vector<StateEntryRef> ExecuteRichQuery(const StateDatabase& db,
                                             const RichQuerySelector& selector);
 
