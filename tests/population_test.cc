@@ -186,6 +186,39 @@ TEST(PopulationTest, MmppModulationPreservesTheLongRunMean) {
   EXPECT_DOUBLE_EQ(onoff.MeanMultiplier(), 0.5);
 }
 
+TEST(PopulationTest, ArrivalGapsArePinned) {
+  // Exact gap sequences: 1,000 gaps at 200 tps from Rng(11), unmodulated
+  // and under two MMPPs (one with a silent state). A NextGap that
+  // reorders its floating-point operations or its RNG draws moves the
+  // sum or the last gap (both in microseconds).
+  MmppConfig three_states;
+  three_states.states = {
+      {1.0, 1 * kSecond}, {0.0, kSecond / 2}, {3.0, kSecond / 4}};
+  struct Case {
+    const char* name;
+    MmppConfig mmpp;
+    SimTime sum_us;
+    SimTime last_gap_us;
+  };
+  const Case cases[] = {
+      {"unmodulated", MmppConfig{}, 5224319, 12262},
+      {"on/off", MmppConfig::OnOff(2.0, 1 * kSecond, 1 * kSecond), 4888873,
+       1378},
+      {"three states", three_states, 5094612, 12943},
+  };
+  for (const Case& c : cases) {
+    ArrivalProcess arrivals(200.0, c.mmpp, Rng(11));
+    SimTime now = 0;
+    SimTime gap = 0;
+    for (int i = 0; i < 1000; ++i) {
+      gap = arrivals.NextGap(now);
+      now += gap;
+    }
+    EXPECT_EQ(now, c.sum_us) << c.name;
+    EXPECT_EQ(gap, c.last_gap_us) << c.name;
+  }
+}
+
 // ---------------------------------------------------- aggregated path
 
 TEST(PopulationTest, AggregatedClassSubmitsAtTheAggregateRate) {
