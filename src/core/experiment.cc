@@ -1,6 +1,5 @@
 #include "src/core/experiment.h"
 
-#include "src/chaincode/registry.h"
 #include "src/common/strings.h"
 
 namespace fabricsim {
@@ -74,19 +73,6 @@ std::string ExperimentConfig::Describe() const {
     if (fabric.admission.retry_budget.enabled) append("budget");
   }
   return description;
-}
-
-Result<std::shared_ptr<Chaincode>> MakeChaincodeFor(
-    const WorkloadConfig& workload) {
-  // Fully catalog-driven: built-ins and RegisterChaincodeFactory()
-  // additions resolve identically, and the error enumerates what
-  // exists instead of leaving the caller to guess.
-  std::optional<ChaincodeFactory> factory =
-      FindChaincodeFactory(workload.chaincode);
-  if (!factory.has_value()) {
-    return Status::InvalidArgument(UnknownChaincodeError(workload.chaincode));
-  }
-  return factory->make_chaincode(workload);
 }
 
 }  // namespace fabricsim

@@ -7,10 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "src/chaincode/chaincode.h"
-#include "src/common/status.h"
 #include "src/fabric/network_config.h"
 #include "src/policy/policy_presets.h"
+#include "src/workload/paper_workloads.h"
 #include "src/workload/population/population.h"
 #include "src/workload/workload_spec.h"
 
@@ -225,12 +224,6 @@ class ExperimentConfig::Builder {
   ExperimentConfig config_;
   std::optional<PolicyPreset> policy_preset_;
 };
-
-/// Instantiates the chaincode the workload refers to, with key-space
-/// parameters taken from the workload config (genChain) or the paper's
-/// defaults (use-case chaincodes).
-Result<std::shared_ptr<Chaincode>> MakeChaincodeFor(
-    const WorkloadConfig& workload);
 
 }  // namespace fabricsim
 

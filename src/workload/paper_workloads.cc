@@ -1,28 +1,38 @@
 #include "src/workload/paper_workloads.h"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/chaincode/asset_transfer.h"
 #include "src/chaincode/digital_voting.h"
 #include "src/chaincode/drm.h"
 #include "src/chaincode/ehr.h"
 #include "src/chaincode/genchain.h"
-#include "src/chaincode/registry.h"
 #include "src/chaincode/supply_chain.h"
+#include "src/chaincode/tpcc/tpcc_chaincode.h"
 #include "src/common/strings.h"
 #include "src/workload/key_distribution.h"
+#include "src/workload/tpcc_workload.h"
 
 namespace fabricsim {
 namespace {
 
 using Entry = FunctionMixWorkload::Entry;
+using WorkloadResult = Result<std::unique_ptr<WorkloadGenerator>>;
+
+WorkloadResult MixOf(const char* chaincode, std::vector<Entry> entries) {
+  return std::unique_ptr<WorkloadGenerator>(
+      std::make_unique<FunctionMixWorkload>(chaincode, std::move(entries)));
+}
 
 // ---------------------------------------------------------------- EHR
 
-std::unique_ptr<WorkloadGenerator> MakeEhrWorkload(double skew,
-                                                   WorkloadMix mix) {
-  auto keys = std::make_shared<KeyDistribution>(100, skew);
+WorkloadResult MakeEhrWorkload(const WorkloadConfig& config, bool) {
+  auto keys = std::make_shared<KeyDistribution>(100, config.zipf_skew);
   auto prof = [keys](Rng& rng) {
     return EhrChaincode::ProfileKey(static_cast<int>(keys->Sample(rng)));
   };
@@ -37,11 +47,11 @@ std::unique_ptr<WorkloadGenerator> MakeEhrWorkload(double skew,
   // invokes every function equally (paper default).
   double w_read = 1.0;
   double w_write = 1.0;
-  if (mix == WorkloadMix::kReadHeavy) {
+  if (config.mix == WorkloadMix::kReadHeavy) {
     w_read = 5.0;
     w_write = 0.625;  // 4 read fns * 5 : 5 write fns * 0.625 => 80:20 ratio
-  } else if (mix == WorkloadMix::kReadWriteHeavy ||
-             mix == WorkloadMix::kUpdateHeavy) {
+  } else if (config.mix == WorkloadMix::kReadWriteHeavy ||
+             config.mix == WorkloadMix::kUpdateHeavy) {
     w_read = 0.4;
     w_write = 1.48;
   }
@@ -80,18 +90,17 @@ std::unique_ptr<WorkloadGenerator> MakeEhrWorkload(double skew,
   entries.push_back({w_read, [record](Rng& rng) {
                        return Invocation{"queryEHR", {record(rng)}};
                      }});
-  return std::make_unique<FunctionMixWorkload>("ehr", std::move(entries));
+  return MixOf("ehr", std::move(entries));
 }
 
 // ----------------------------------------------------------------- DV
 
-std::unique_ptr<WorkloadGenerator> MakeDvWorkload(double skew,
-                                                  WorkloadMix mix) {
-  auto voters = std::make_shared<KeyDistribution>(1000, skew);
-  auto parties = std::make_shared<KeyDistribution>(12, skew);
+WorkloadResult MakeDvWorkload(const WorkloadConfig& config, bool) {
+  auto voters = std::make_shared<KeyDistribution>(1000, config.zipf_skew);
+  auto parties = std::make_shared<KeyDistribution>(12, config.zipf_skew);
   double w_vote = 1.0;
   double w_query = 1.0;
-  if (mix == WorkloadMix::kReadHeavy) {
+  if (config.mix == WorkloadMix::kReadHeavy) {
     w_vote = 0.5;
     w_query = 2.0;
   }
@@ -110,7 +119,7 @@ std::unique_ptr<WorkloadGenerator> MakeDvWorkload(double skew,
   entries.push_back({w_query, [](Rng&) {
                        return Invocation{"seeResults", {}};
                      }});
-  return std::make_unique<FunctionMixWorkload>("dv", std::move(entries));
+  return MixOf("dv", std::move(entries));
 }
 
 // ---------------------------------------------------------------- SCM
@@ -131,17 +140,17 @@ struct ScmState {
   int asn_seq = 0;
 };
 
-std::unique_ptr<WorkloadGenerator> MakeScmWorkload(double skew,
-                                                   WorkloadMix mix,
-                                                   bool rich_supported) {
+WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
+                               bool rich_queries_supported) {
   const std::vector<int> counts = {400, 400, 400, 400, 800};
   auto state = std::make_shared<ScmState>(counts);
-  auto gtins = std::make_shared<KeyDistribution>(state->location.size(), skew);
+  auto gtins = std::make_shared<KeyDistribution>(state->location.size(),
+                                                 config.zipf_skew);
   int num_lsps = static_cast<int>(counts.size());
 
   double w_write = 1.0;
   double w_query = 1.0;
-  if (mix == WorkloadMix::kReadHeavy) {
+  if (config.mix == WorkloadMix::kReadHeavy) {
     w_write = 0.4;
     w_query = 2.0;
   }
@@ -191,7 +200,7 @@ std::unique_ptr<WorkloadGenerator> MakeScmWorkload(double skew,
                            {std::to_string(rng.UniformU64(
                                static_cast<uint64_t>(num_lsps)))}};
                      }});
-  if (rich_supported) {
+  if (rich_queries_supported) {
     entries.push_back({w_query, [num_lsps](Rng& rng) {
                          return Invocation{
                              "queryStock",
@@ -199,21 +208,20 @@ std::unique_ptr<WorkloadGenerator> MakeScmWorkload(double skew,
                                  static_cast<uint64_t>(num_lsps)))}};
                        }});
   }
-  return std::make_unique<FunctionMixWorkload>("scm", std::move(entries));
+  return MixOf("scm", std::move(entries));
 }
 
 // ---------------------------------------------------------------- DRM
 
-std::unique_ptr<WorkloadGenerator> MakeDrmWorkload(double skew,
-                                                   WorkloadMix mix,
-                                                   bool rich_supported) {
-  auto arts = std::make_shared<KeyDistribution>(200, skew);
-  auto holders = std::make_shared<KeyDistribution>(200, skew);
+WorkloadResult MakeDrmWorkload(const WorkloadConfig& config,
+                               bool rich_queries_supported) {
+  auto arts = std::make_shared<KeyDistribution>(200, config.zipf_skew);
+  auto holders = std::make_shared<KeyDistribution>(200, config.zipf_skew);
   auto create_seq = std::make_shared<int>(200);
 
   double w_write = 1.0;
   double w_read = 1.0;
-  if (mix == WorkloadMix::kReadHeavy) {
+  if (config.mix == WorkloadMix::kReadHeavy) {
     w_write = 0.4;
     w_read = 2.0;
   }
@@ -246,7 +254,7 @@ std::unique_ptr<WorkloadGenerator> MakeDrmWorkload(double skew,
                            {DrmChaincode::ArtworkKey(
                                static_cast<int>(arts->Sample(rng)))}};
                      }});
-  if (rich_supported) {
+  if (rich_queries_supported) {
     entries.push_back({w_read, [holders](Rng& rng) {
                          return Invocation{
                              "calcRevenue",
@@ -254,7 +262,7 @@ std::unique_ptr<WorkloadGenerator> MakeDrmWorkload(double skew,
                                  static_cast<int>(holders->Sample(rng)))}};
                        }});
   }
-  return std::make_unique<FunctionMixWorkload>("drm", std::move(entries));
+  return MixOf("drm", std::move(entries));
 }
 
 // ----------------------------------------------------------- genChain
@@ -264,8 +272,7 @@ struct GenState {
   uint64_t delete_cursor;
 };
 
-Result<std::unique_ptr<WorkloadGenerator>> MakeGenWorkload(
-    const WorkloadConfig& config) {
+WorkloadResult MakeGenWorkload(const WorkloadConfig& config, bool) {
   uint64_t n = config.genchain_initial_keys;
   auto range_sizes =
       std::make_shared<std::vector<int>>(config.range_sizes.empty()
@@ -338,33 +345,91 @@ Result<std::unique_ptr<WorkloadGenerator>> MakeGenWorkload(
                 GenChaincode::Key(start + static_cast<uint64_t>(len))}};
          }});
   }
-  return std::unique_ptr<WorkloadGenerator>(
-      std::make_unique<FunctionMixWorkload>("genChain", std::move(entries)));
+  return MixOf("genChain", std::move(entries));
+}
+
+// ------------------------------------------------------------- table
+
+// The four use-case contracts take no parameters.
+template <typename T>
+std::shared_ptr<Chaincode> MakeUseCase(const WorkloadConfig&) {
+  return std::make_shared<T>();
+}
+
+// Every chaincode a WorkloadConfig can name, in name order: how its
+// contract and its workload are built. MakeChaincodeFor and MakeWorkload
+// read this table and nothing else, and the unknown-name error lists its
+// names in this order. It is constant, so runner threads read it without
+// a lock.
+struct ChaincodeRow {
+  std::string_view name;
+  std::shared_ptr<Chaincode> (*make_chaincode)(const WorkloadConfig&);
+  WorkloadResult (*make_workload)(const WorkloadConfig&,
+                                  bool rich_queries_supported);
+};
+
+constexpr ChaincodeRow kChaincodes[] = {
+    {"asset",
+     [](const WorkloadConfig& config) -> std::shared_ptr<Chaincode> {
+       return std::make_shared<AssetTransferChaincode>(config.asset);
+     },
+     [](const WorkloadConfig& config, bool) -> WorkloadResult {
+       return MakeAssetTransferWorkload(config);
+     }},
+    {"drm", MakeUseCase<DrmChaincode>, MakeDrmWorkload},
+    {"dv", MakeUseCase<DigitalVotingChaincode>, MakeDvWorkload},
+    {"ehr", MakeUseCase<EhrChaincode>, MakeEhrWorkload},
+    {"genchain",
+     [](const WorkloadConfig& config) -> std::shared_ptr<Chaincode> {
+       return std::make_shared<GenChaincode>(
+           GenChaincodeSpec::PaperDefault(config.genchain_initial_keys));
+     },
+     MakeGenWorkload},
+    {"scm", MakeUseCase<SupplyChainChaincode>, MakeScmWorkload},
+    {"tpcc",
+     [](const WorkloadConfig& config) -> std::shared_ptr<Chaincode> {
+       return std::make_shared<TpccChaincode>(config.tpcc);
+     },
+     [](const WorkloadConfig& config, bool) -> WorkloadResult {
+       return MakeTpccWorkload(config);
+     }},
+};
+static_assert(std::is_sorted(std::begin(kChaincodes), std::end(kChaincodes),
+                             [](const ChaincodeRow& a, const ChaincodeRow& b) {
+                               return a.name < b.name;
+                             }));
+
+const ChaincodeRow* FindChaincode(std::string_view name) {
+  if (name == "genChain") name = "genchain";  // the paper's spelling
+  for (const ChaincodeRow& row : kChaincodes) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+Status UnknownChaincode(const std::string& name) {
+  std::string message = "unknown chaincode: " + name + " (available: ";
+  for (const ChaincodeRow& row : kChaincodes) {
+    if (&row != kChaincodes) message += ", ";
+    message += row.name;
+  }
+  return Status::InvalidArgument(message + ")");
 }
 
 }  // namespace
 
+Result<std::shared_ptr<Chaincode>> MakeChaincodeFor(
+    const WorkloadConfig& workload) {
+  const ChaincodeRow* row = FindChaincode(workload.chaincode);
+  if (row == nullptr) return UnknownChaincode(workload.chaincode);
+  return row->make_chaincode(workload);
+}
+
 Result<std::unique_ptr<WorkloadGenerator>> MakeWorkload(
     const WorkloadConfig& config, bool rich_queries_supported) {
-  const std::string& cc = config.chaincode;
-  if (cc == "ehr") return MakeEhrWorkload(config.zipf_skew, config.mix);
-  if (cc == "dv") return MakeDvWorkload(config.zipf_skew, config.mix);
-  if (cc == "scm") {
-    return MakeScmWorkload(config.zipf_skew, config.mix,
-                           rich_queries_supported);
-  }
-  if (cc == "drm") {
-    return MakeDrmWorkload(config.zipf_skew, config.mix,
-                           rich_queries_supported);
-  }
-  if (cc == "genchain" || cc == "genChain") return MakeGenWorkload(config);
-  // Catalogued chaincodes (tpcc, asset, anything registered through
-  // RegisterChaincodeFactory) bring their own generator factory.
-  std::optional<ChaincodeFactory> factory = FindChaincodeFactory(cc);
-  if (factory.has_value() && factory->make_workload) {
-    return factory->make_workload(config, rich_queries_supported);
-  }
-  return Status::InvalidArgument(UnknownChaincodeError(cc));
+  const ChaincodeRow* row = FindChaincode(config.chaincode);
+  if (row == nullptr) return UnknownChaincode(config.chaincode);
+  return row->make_workload(config, rich_queries_supported);
 }
 
 }  // namespace fabricsim

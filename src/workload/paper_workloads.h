@@ -3,11 +3,23 @@
 
 #include <memory>
 
+#include "src/chaincode/chaincode.h"
 #include "src/common/status.h"
 #include "src/workload/workload_generator.h"
 #include "src/workload/workload_spec.h"
 
 namespace fabricsim {
+
+// Both builders below read one constant table, with a row per chaincode
+// name: asset, drm, dv, ehr, genchain ("genChain" is an alias), scm and
+// tpcc. An unknown name is InvalidArgument, and its message lists those
+// names in that order.
+
+/// Instantiates the chaincode the workload refers to, with key-space
+/// parameters taken from the workload config (genChain, tpcc, asset) or
+/// the paper's defaults (the use-case chaincodes).
+Result<std::shared_ptr<Chaincode>> MakeChaincodeFor(
+    const WorkloadConfig& workload);
 
 /// Builds the workload generator for a WorkloadConfig, reproducing the
 /// paper's workloads:
@@ -16,6 +28,7 @@ namespace fabricsim {
 ///    over the intentionally small bootstrapped key spaces.
 ///  * genChain: the five synthetic transaction types with x-heavy
 ///    mixes (80% / 5%·4) and range sizes {2,4,8}.
+/// tpcc and asset get the mixes in tpcc_workload.h.
 ///
 /// `rich_queries_supported` must reflect the configured database type;
 /// on LevelDB the rich-query functions (queryStock, calcRevenue) are

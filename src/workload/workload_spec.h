@@ -52,9 +52,8 @@ struct AssetTransferConfig {
 
 /// Declarative workload description consumed by MakeWorkload().
 struct WorkloadConfig {
-  /// Target chaincode: "ehr", "dv", "scm", "drm", "genchain", "tpcc"
-  /// or "asset" (plus anything registered through
-  /// RegisterChaincodeFactory).
+  /// Target chaincode: "ehr", "dv", "scm", "drm", "genchain" (or
+  /// "genChain"), "tpcc" or "asset".
   std::string chaincode = "ehr";
   WorkloadMix mix = WorkloadMix::kUniform;
   /// Zipfian skew of key accesses (0 = uniform).

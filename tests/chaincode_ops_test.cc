@@ -9,11 +9,11 @@
 #include "src/chaincode/digital_voting.h"
 #include "src/chaincode/drm.h"
 #include "src/chaincode/ehr.h"
-#include "src/chaincode/registry.h"
 #include "src/chaincode/stub.h"
 #include "src/chaincode/supply_chain.h"
 #include "src/peer/committer.h"
 #include "src/statedb/memory_state_db.h"
+#include "src/workload/paper_workloads.h"
 
 namespace fabricsim {
 namespace {
@@ -34,18 +34,13 @@ std::ostream& operator<<(std::ostream& os, const OpsCase& c) {
 
 class ChaincodeOpsTest : public ::testing::TestWithParam<OpsCase> {};
 
-std::shared_ptr<Chaincode> MakeChaincode(const std::string& name) {
-  if (name == "ehr") return std::make_shared<EhrChaincode>();
-  if (name == "dv") return std::make_shared<DigitalVotingChaincode>();
-  if (name == "scm") return std::make_shared<SupplyChainChaincode>();
-  if (name == "drm") return std::make_shared<DrmChaincode>();
-  return nullptr;
-}
-
 TEST_P(ChaincodeOpsTest, MatchesTable2) {
   const OpsCase& c = GetParam();
-  std::shared_ptr<Chaincode> chaincode = MakeChaincode(c.chaincode);
-  ASSERT_NE(chaincode, nullptr);
+  WorkloadConfig config;
+  config.chaincode = c.chaincode;
+  Result<std::shared_ptr<Chaincode>> made = MakeChaincodeFor(config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const std::shared_ptr<Chaincode>& chaincode = made.value();
 
   MemoryStateDb db;
   ASSERT_TRUE(ApplyBootstrap(db, chaincode->BootstrapState()).ok());

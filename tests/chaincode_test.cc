@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "src/chaincode/ehr.h"
-#include "src/chaincode/registry.h"
 #include "src/chaincode/stub.h"
 #include "src/core/experiment.h"
 #include "src/peer/committer.h"
@@ -131,54 +127,41 @@ INSTANTIATE_TEST_SUITE_P(AllChaincodes, SealContractTest,
                          ::testing::Values("ehr", "dv", "scm", "drm",
                                            "genchain", "tpcc"));
 
-// --------------------------------------------------------- Registry
+// ---------------------------------------------------------- Catalog
 
-TEST(RegistryTest, DefaultHasAllCataloguedChaincodes) {
-  // Each catalogued factory builds its chaincode from a default config,
-  // under the chaincode's own name() ("genChain" is an alias of the
-  // "genchain" entry).
-  WorkloadConfig defaults;
+TEST(CatalogTest, EveryNameBuildsItsChaincodeAndWorkload) {
+  // Both builders resolve every name, and the contract and the workload
+  // both answer to it ("genChain" is an alias of the genchain row).
+  // Client::FinalizeTx writes the workload's name into every
+  // transaction.
   for (const char* name :
        {"ehr", "dv", "scm", "drm", "genChain", "tpcc", "asset"}) {
-    std::optional<ChaincodeFactory> factory = FindChaincodeFactory(name);
-    ASSERT_TRUE(factory.has_value()) << name;
-    EXPECT_EQ(factory->make_chaincode(defaults)->name(), name);
+    WorkloadConfig config;
+    config.chaincode = name;
+    Result<std::shared_ptr<Chaincode>> chaincode = MakeChaincodeFor(config);
+    Result<std::unique_ptr<WorkloadGenerator>> workload =
+        MakeWorkload(config, /*rich_queries_supported=*/true);
+    ASSERT_TRUE(chaincode.ok()) << name << ": "
+                                << chaincode.status().ToString();
+    ASSERT_TRUE(workload.ok()) << name << ": "
+                               << workload.status().ToString();
+    EXPECT_EQ(chaincode.value()->name(), name);
+    EXPECT_EQ(workload.value()->chaincode(), name);
   }
-  EXPECT_FALSE(FindChaincodeFactory("nope").has_value());
-  EXPECT_EQ(RegisteredChaincodeNames().size(), 7u);
 }
 
-TEST(RegistryTest, FactoryHookAddsChaincodeWithoutFactorySwitchEdits) {
-  // A chaincode registered through the catalog hook must be reachable
-  // through every name-based entry point, with zero factory-switch
-  // edits. EHR under an alias doubles as the custom implementation.
-  ChaincodeFactory factory;
-  factory.make_chaincode = [](const WorkloadConfig&) {
-    return std::make_shared<EhrChaincode>();
-  };
-  ASSERT_TRUE(RegisterChaincodeFactory("custom-ehr", factory).ok());
-  // Duplicate names are rejected.
-  EXPECT_EQ(RegisterChaincodeFactory("custom-ehr", factory).code(),
-            StatusCode::kAlreadyExists);
-
-  std::vector<std::string> names = RegisteredChaincodeNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "custom-ehr"), names.end());
-  EXPECT_TRUE(FindChaincodeFactory("custom-ehr").has_value());
-
-  // Restore the catalog before other tests count it.
-  ASSERT_TRUE(UnregisterChaincodeFactory("custom-ehr").ok());
-  EXPECT_FALSE(FindChaincodeFactory("custom-ehr").has_value());
-  EXPECT_EQ(UnregisterChaincodeFactory("custom-ehr").code(),
-            StatusCode::kNotFound);
-}
-
-TEST(RegistryTest, UnknownChaincodeErrorListsAvailableNames) {
-  std::string message = UnknownChaincodeError("bogus");
-  EXPECT_NE(message.find("unknown chaincode: bogus"), std::string::npos);
-  for (const char* name :
-       {"asset", "dv", "drm", "ehr", "genchain", "scm", "tpcc"}) {
-    EXPECT_NE(message.find(name), std::string::npos) << name;
-  }
+TEST(CatalogTest, UnknownNameListsEveryChaincode) {
+  WorkloadConfig config;
+  config.chaincode = "bogus";
+  const std::string expected =
+      "unknown chaincode: bogus (available: asset, drm, dv, ehr, genchain, "
+      "scm, tpcc)";
+  Status chaincode = MakeChaincodeFor(config).status();
+  EXPECT_EQ(chaincode.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(chaincode.message(), expected);
+  Status workload = MakeWorkload(config, true).status();
+  EXPECT_EQ(workload.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(workload.message(), expected);
 }
 
 }  // namespace
