@@ -135,41 +135,13 @@ void ArrivalProcess::AdvanceState() {
 }
 
 SimTime ArrivalProcess::NextGap(SimTime now) {
-  if (surges_.empty()) {
-    // Legacy (un-surged) path, floating-point-op for floating-point-op
-    // the original: reassociating the arithmetic below would perturb
-    // gaps by an ulp and break bitwise-identity goldens.
-    double offset_us = 0.0;
-    for (;;) {
-      double multiplier =
-          mmpp_.enabled() ? mmpp_.states[state_].rate_multiplier : 1.0;
-      double rate = rate_tps_ * multiplier;
-      if (rate > 0.0) {
-        double draw = rng_.Exponential(1e6 / rate);
-        if (!mmpp_.enabled() || draw < remaining_in_state_us_) {
-          if (mmpp_.enabled()) remaining_in_state_us_ -= draw;
-          SimTime gap = static_cast<SimTime>(std::llround(offset_us + draw));
-          return gap < 1 ? 1 : gap;
-        }
-      } else if (!mmpp_.enabled()) {
-        // Unmodulated zero rate cannot produce arrivals; report a huge
-        // gap instead of spinning (callers validate rate > 0 anyway).
-        return kSimTimeNever;
-      }
-      // No arrival before the state switch (or a silent state): consume
-      // the rest of the sojourn and redraw under the next state's rate —
-      // exact for piecewise-constant-rate Poisson thanks to
-      // memorylessness.
-      offset_us += remaining_in_state_us_;
-      AdvanceState();
-    }
-  }
-
-  // Surged path: the instantaneous rate is piecewise constant along
-  // two clocks — the MMPP sojourn (relative, random) and the surge
-  // schedule (absolute, deterministic). Each iteration integrates one
-  // constant-rate segment up to whichever boundary comes first;
-  // memorylessness makes the segment-by-segment redraw exact.
+  // The instantaneous rate is piecewise constant along two clocks: the
+  // MMPP sojourn (relative, random) and the surge schedule (absolute,
+  // deterministic). Each iteration integrates one constant-rate segment
+  // up to whichever boundary comes first; memorylessness makes the
+  // segment-by-segment redraw exact. With no surge window the surge
+  // factor is exactly 1.0 and the next boundary is infinite, so the
+  // MMPP sojourn (or nothing) ends each segment.
   double offset_us = 0.0;
   for (;;) {
     double pos_us = static_cast<double>(now) + offset_us;

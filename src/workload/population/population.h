@@ -133,8 +133,10 @@ class ArrivalProcess {
                  std::vector<SurgeWindow> surges = {});
 
   /// Gap from `now` to the next arrival, advancing the modulation
-  /// chain. `now` anchors the deterministic surge schedule (ignored —
-  /// and the draw sequence unchanged — when no surges are configured).
+  /// chain. `now` anchors the deterministic surge schedule; with no
+  /// surge window it changes neither the gap nor the draws, because
+  /// one loop serves both cases (PopulationTest.ArrivalGapsArePinned
+  /// pins its gaps).
   SimTime NextGap(SimTime now);
 
   /// Long-run mean arrival rate, MMPP modulation included. Surge
