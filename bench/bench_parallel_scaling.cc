@@ -10,20 +10,6 @@
 using namespace fabricsim;
 using namespace fabricsim::bench;
 
-namespace {
-
-bool ReportsEqual(const FailureReport& a, const FailureReport& b) {
-  return a.ledger_txs == b.ledger_txs && a.valid_txs == b.valid_txs &&
-         a.endorsement_failures == b.endorsement_failures &&
-         a.mvcc_intra == b.mvcc_intra && a.mvcc_inter == b.mvcc_inter &&
-         a.phantom == b.phantom && a.submitted_txs == b.submitted_txs &&
-         a.total_failure_pct == b.total_failure_pct &&
-         a.avg_latency_s == b.avg_latency_s &&
-         a.committed_throughput_tps == b.committed_throughput_tps;
-}
-
-}  // namespace
-
 int main() {
   Header("Parallel scaling - thread-pooled sweep over independent DES "
          "instances",
@@ -71,8 +57,7 @@ int main() {
       reference = points.value();
     } else {
       for (size_t i = 0; i < sizes.size(); ++i) {
-        identical &=
-            ReportsEqual(reference[i].report, points.value()[i].report);
+        identical &= reference[i].report == points.value()[i].report;
       }
     }
     if (!identical) {

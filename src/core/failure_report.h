@@ -27,6 +27,8 @@ struct ChannelFailureBreakdown {
   double total_failure_pct = 0;
   double mvcc_pct = 0;
   double committed_throughput_tps = 0;
+
+  bool operator==(const ChannelFailureBreakdown&) const = default;
 };
 
 /// Aggregated metrics of one run, read from the committed blockchain
@@ -122,6 +124,11 @@ struct FailureReport {
 
   /// Element-wise mean of several runs (the paper's >=3 repetitions).
   static FailureReport Average(const std::vector<FailureReport>& reports);
+
+  /// Field-by-field equality, per-channel slices included. A run is a
+  /// deterministic function of (config, seed), so two runs of one pair
+  /// compare equal.
+  bool operator==(const FailureReport&) const = default;
 
   /// Multi-line human-readable summary.
   std::string ToString() const;

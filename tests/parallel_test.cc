@@ -8,6 +8,7 @@
 
 #include "src/core/runner.h"
 #include "src/core/sweeps.h"
+#include "tests/test_fingerprint.h"
 
 namespace fabricsim {
 namespace {
@@ -88,32 +89,12 @@ ExperimentConfig SmallC2() {
   return config;
 }
 
-// Field-for-field exact equality: doubles must match bit-for-bit,
-// since every repetition is a deterministic function of (config, seed).
+// Every field, per-channel slices included: each repetition is a
+// deterministic function of (config, seed). On a mismatch the two
+// fingerprints show which fields differ.
 void ExpectReportsIdentical(const FailureReport& a, const FailureReport& b) {
-  EXPECT_EQ(a.ledger_txs, b.ledger_txs);
-  EXPECT_EQ(a.valid_txs, b.valid_txs);
-  EXPECT_EQ(a.endorsement_failures, b.endorsement_failures);
-  EXPECT_EQ(a.mvcc_intra, b.mvcc_intra);
-  EXPECT_EQ(a.mvcc_inter, b.mvcc_inter);
-  EXPECT_EQ(a.phantom, b.phantom);
-  EXPECT_EQ(a.reorder_aborts, b.reorder_aborts);
-  EXPECT_EQ(a.early_aborts, b.early_aborts);
-  EXPECT_EQ(a.submitted_txs, b.submitted_txs);
-  EXPECT_EQ(a.app_errors, b.app_errors);
-  EXPECT_EQ(a.total_failure_pct, b.total_failure_pct);
-  EXPECT_EQ(a.endorsement_pct, b.endorsement_pct);
-  EXPECT_EQ(a.mvcc_intra_pct, b.mvcc_intra_pct);
-  EXPECT_EQ(a.mvcc_inter_pct, b.mvcc_inter_pct);
-  EXPECT_EQ(a.mvcc_pct, b.mvcc_pct);
-  EXPECT_EQ(a.phantom_pct, b.phantom_pct);
-  EXPECT_EQ(a.reorder_abort_pct, b.reorder_abort_pct);
-  EXPECT_EQ(a.early_abort_pct, b.early_abort_pct);
-  EXPECT_EQ(a.avg_latency_s, b.avg_latency_s);
-  EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
-  EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
-  EXPECT_EQ(a.committed_throughput_tps, b.committed_throughput_tps);
-  EXPECT_EQ(a.valid_throughput_tps, b.valid_throughput_tps);
+  EXPECT_TRUE(a == b) << FingerprintWithChannels(a) << "vs\n"
+                      << FingerprintWithChannels(b);
 }
 
 void CheckParallelMatchesSerial(const ExperimentConfig& config) {
