@@ -44,9 +44,7 @@ Status FabricNetwork::Init() {
 
   // --- Lifecycle tracing ---------------------------------------------
   if (config_.tracing || config_.streaming_obs) {
-    TracerOptions trace_options;
-    trace_options.streaming = config_.streaming_obs;
-    tracer_ = std::make_unique<Tracer>(trace_options);
+    tracer_ = std::make_unique<Tracer>(config_.streaming_obs);
     tracer_->set_num_channels(num_channels);
     env_->set_tracer(tracer_.get());
   }

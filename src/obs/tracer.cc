@@ -8,10 +8,9 @@
 
 namespace fabricsim {
 
-Tracer::Tracer(const TracerOptions& options)
-    : streaming_(options.streaming),
-      exemplars_(options.streaming ? options.exemplar_capacity : 0,
-                 options.exemplar_seed) {
+Tracer::Tracer(bool streaming)
+    : streaming_(streaming),
+      exemplars_(streaming ? kExemplarCapacity : 0, kExemplarSeed) {
   if (!streaming_) traces_.reserve(4096);
 }
 

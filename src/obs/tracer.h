@@ -32,26 +32,6 @@ struct PhaseSketches {
   }
 };
 
-/// How the tracer stores what it observes. In both modes each terminal
-/// event folds the trace into bounded aggregates (phase sketches,
-/// failure counters, conflict-key counts, per-channel roll-ups); the
-/// mode only decides what is kept per transaction.
-struct TracerOptions {
-  /// Dense mode (default) keeps every span of every transaction — the
-  /// full-fidelity export the analysis tools consume, with memory
-  /// linear in transaction count. Streaming mode keeps only the
-  /// in-flight window and a reservoir of failure exemplars, releasing
-  /// each trace once folded — memory stays flat no matter how long the
-  /// run is.
-  bool streaming = false;
-  /// Failure exemplars retained in streaming mode (reservoir-sampled
-  /// uniformly over all failed transactions).
-  size_t exemplar_capacity = 32;
-  /// Seed of the reservoir's private RNG. Never touches simulation
-  /// streams, so toggling exemplars cannot perturb a run.
-  uint64_t exemplar_seed = 0x0b5e;
-};
-
 /// Records per-transaction lifecycle traces from the DES actors. The
 /// simulation layers hold a `Tracer*` that is nullptr when tracing is
 /// disabled — every hook call sits behind a null check, so the
@@ -61,8 +41,23 @@ struct TracerOptions {
 /// randomness (the exemplar reservoir has its own RNG).
 class Tracer {
  public:
-  Tracer() : Tracer(TracerOptions()) {}
-  explicit Tracer(const TracerOptions& options);
+  /// Failure exemplars retained in streaming mode (reservoir-sampled
+  /// uniformly over all failed transactions).
+  static constexpr size_t kExemplarCapacity = 32;
+  /// Seed of the reservoir's private RNG. Never touches simulation
+  /// streams, so toggling exemplars cannot perturb a run.
+  static constexpr uint64_t kExemplarSeed = 0x0b5e;
+
+  /// In both modes each terminal event folds the trace into bounded
+  /// aggregates (phase sketches, failure counters, conflict-key counts,
+  /// per-channel roll-ups); the mode only decides what is kept per
+  /// transaction. Dense mode keeps every span of every transaction —
+  /// the full-fidelity export the analysis tools consume, with memory
+  /// linear in transaction count. Streaming mode keeps only the
+  /// in-flight window and a reservoir of failure exemplars, releasing
+  /// each trace once folded — memory stays flat no matter how long the
+  /// run is.
+  explicit Tracer(bool streaming);
 
   bool streaming() const { return streaming_; }
 
