@@ -2,7 +2,7 @@
 // print the failure report (plus optional CSV for scripting).
 //
 //   fabricsim_cli [--variant=fabric14|fabricpp|streamchain|fabricsharp]
-//                 [--chaincode=ehr|dv|scm|drm|genchain]
+//                 [--chaincode=ehr|dv|scm|drm|genchain|tpcc|asset]
 //                 [--mix=uniform|read|insert|update|delete|range]
 //                 [--db=couchdb|leveldb] [--cluster=c1|c2]
 //                 [--block-size=N] [--rate=TPS] [--duration-s=S]
@@ -11,7 +11,8 @@
 //
 // A numeric flag must parse in full and fit its field, and --rate and
 // --duration-s must be positive; otherwise the usage line is printed
-// and the exit code is 2.
+// and the exit code is 2. An unknown chaincode prints an error that
+// lists the known ones, and the exit code is 1.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
