@@ -134,9 +134,8 @@ class ArrivalProcess {
 
   /// Gap from `now` to the next arrival, advancing the modulation
   /// chain. `now` anchors the deterministic surge schedule; with no
-  /// surge window it changes neither the gap nor the draws, because
-  /// one loop serves both cases (PopulationTest.ArrivalGapsArePinned
-  /// pins its gaps).
+  /// surge window it changes neither the gap nor the draws
+  /// (PopulationTest.ArrivalGapsArePinned pins the gaps).
   SimTime NextGap(SimTime now);
 
   /// Long-run mean arrival rate, MMPP modulation included. Surge
