@@ -359,5 +359,90 @@ TEST(ChannelStateRichQueryTest, LaggingViewMergesBeforeImagesWithTheHead) {
   EXPECT_EQ(head[1].vv.version, (Version{1, 3}));
 }
 
+// Two channels started from one bootstrap: a block on channel 0 that
+// updates, deletes and re-inserts bootstrap keys and moves an indexed
+// field reaches neither channel 1's head nor a reader left at height 0
+// on channel 0.
+TEST(ChannelStateTest, ChannelsFromOneBootstrapStayIsolated) {
+  auto unit = [](const std::string& lsp) {
+    return JsonObject({{"docType", "unit"}, {"lsp", lsp}});
+  };
+  const std::vector<WriteItem> bootstrap = {
+      WriteItem{"a", unit("L1"), false}, WriteItem{"b", unit("L1"), false},
+      WriteItem{"c", unit("L2"), false}, WriteItem{"d", unit("L2"), false}};
+  ChannelState channel0;
+  ChannelState channel1;
+  ASSERT_TRUE(channel0.Bootstrap(bootstrap).ok());
+  ASSERT_TRUE(channel1.Bootstrap(bootstrap).ok());
+  StateView* lagging = channel0.AddReader();
+  StateView* writer = channel0.AddReader();
+  StateView* other = channel1.AddReader();
+
+  const RichQuerySelector l1 = RichQuerySelector::Parse("lsp==L1").value();
+  const RichQuerySelector l2 = RichQuerySelector::Parse("lsp==L2").value();
+  // Every bootstrap entry, by every read path.
+  auto expect_bootstrap = [&](const StateDatabase& view) {
+    ASSERT_EQ(view.Size(), bootstrap.size());
+    for (const WriteItem& write : bootstrap) {
+      const VersionedValue* vv = view.Find(write.key);
+      ASSERT_NE(vv, nullptr) << write.key;
+      EXPECT_EQ(vv->value, write.value) << write.key;
+      EXPECT_EQ(vv->version, kBootstrapVersion) << write.key;
+    }
+    const std::vector<StateEntry> all = Entries(view);
+    ASSERT_EQ(all.size(), bootstrap.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i].key, bootstrap[i].key);
+      EXPECT_EQ(all[i].vv.value, bootstrap[i].value);
+      EXPECT_EQ(all[i].vv.version, kBootstrapVersion);
+    }
+    const std::vector<StateEntry> in_l1 = Matches(view, l1);
+    ASSERT_EQ(in_l1.size(), 2u);
+    EXPECT_EQ(in_l1[0].key, "a");
+    EXPECT_EQ(in_l1[1].key, "b");
+    const std::vector<StateEntry> in_l2 = Matches(view, l2);
+    ASSERT_EQ(in_l2.size(), 2u);
+    EXPECT_EQ(in_l2[0].key, "c");
+    EXPECT_EQ(in_l2[1].key, "d");
+    for (const StateEntry& entry : in_l1) {
+      EXPECT_EQ(entry.vv.version, kBootstrapVersion) << entry.key;
+    }
+    for (const StateEntry& entry : in_l2) {
+      EXPECT_EQ(entry.vv.version, kBootstrapVersion) << entry.key;
+    }
+  };
+  // Both heads index lsp before the block, so the block's writes move
+  // postings.
+  ASSERT_NO_FATAL_FAILURE(expect_bootstrap(*writer));
+  ASSERT_NO_FATAL_FAILURE(expect_bootstrap(*other));
+
+  auto block = std::make_shared<Block>();
+  block->number = 1;
+  ASSERT_TRUE(CommitBlock(channel0, writer, block,
+                          {{WriteItem{"a", unit("L2"), false}, Version{1, 0}},
+                           {WriteItem{"b", "", true}, Version{1, 1}},
+                           {WriteItem{"c", "", true}, Version{1, 2}},
+                           {WriteItem{"c", unit("L2"), false}, Version{1, 3}}})
+                  .ok());
+  ASSERT_EQ(lagging->height(), 0u);
+  ASSERT_EQ(writer->height(), 1u);
+
+  ASSERT_NO_FATAL_FAILURE(expect_bootstrap(*other));
+  ASSERT_NO_FATAL_FAILURE(expect_bootstrap(*lagging));
+  // The writer reads the block.
+  EXPECT_EQ(writer->Size(), 3u);
+  EXPECT_EQ(writer->Find("b"), nullptr);
+  EXPECT_EQ(writer->Find("c")->version, (Version{1, 3}));
+  EXPECT_TRUE(Matches(*writer, l1).empty());
+  const std::vector<StateEntry> moved = Matches(*writer, l2);
+  ASSERT_EQ(moved.size(), 3u);
+  EXPECT_EQ(moved[0].key, "a");
+  EXPECT_EQ(moved[0].vv.version, (Version{1, 0}));
+  EXPECT_EQ(moved[1].key, "c");
+  EXPECT_EQ(moved[1].vv.version, (Version{1, 3}));
+  EXPECT_EQ(moved[2].key, "d");
+  EXPECT_EQ(moved[2].vv.version, kBootstrapVersion);
+}
+
 }  // namespace
 }  // namespace fabricsim
