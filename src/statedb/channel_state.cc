@@ -91,16 +91,6 @@ size_t StateView::Size() const {
 
 // ------------------------------------------------------- ChannelState
 
-Status ChannelState::Bootstrap(const std::vector<WriteItem>& writes) {
-  if (height_ != 0) {
-    return Status::FailedPrecondition("bootstrap after the first commit");
-  }
-  for (const WriteItem& write : writes) {
-    FABRICSIM_RETURN_NOT_OK(head_.ApplyWrite(write, kBootstrapVersion));
-  }
-  return Status::OK();
-}
-
 StateView* ChannelState::AddReader() {
   readers_.push_back(std::unique_ptr<StateView>(new StateView(this, height_)));
   return readers_.back().get();

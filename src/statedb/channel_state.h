@@ -73,7 +73,9 @@ class StateView : public StateDatabase {
 /// of the channel.
 ///
 /// It holds one head store (a MemoryStateDb) at the newest committed
-/// block, plus one record for every block some reader has not yet
+/// block, which reads the bootstrap it was built with (a FrozenState
+/// that every channel of a network shares) beneath the channel's own
+/// writes, plus one record for every block some reader has not yet
 /// committed: the delivered block (shared, not copied), its
 /// validation outcome, its content and chain hashes, and its undo
 /// record — each key the block wrote, mapped to its value before the
@@ -104,14 +106,13 @@ class StateView : public StateDatabase {
 /// alive, and the record's going drops what is left.
 class ChannelState {
  public:
-  ChannelState() = default;
+  /// A channel at height 0 whose head reads `bootstrap` (nothing when
+  /// null), shared read-only with every other channel built from it.
+  explicit ChannelState(std::shared_ptr<const FrozenState> bootstrap = nullptr)
+      : head_(std::move(bootstrap)) {}
 
   ChannelState(const ChannelState&) = delete;
   ChannelState& operator=(const ChannelState&) = delete;
-
-  /// Loads the pre-run world state into the head at version (0,0).
-  /// Only before the first commit.
-  Status Bootstrap(const std::vector<WriteItem>& writes);
 
   /// Registers a new reader at the head's height. The view lives as
   /// long as this state.
@@ -157,6 +158,8 @@ class ChannelState {
 
   /// Height of the newest committed block (0 after bootstrap).
   uint64_t height() const { return height_; }
+  /// The bootstrap the head reads beneath its writes.
+  const FrozenState* base() const { return head_.base(); }
   /// Blocks whose records (before-images included) are still kept.
   size_t undo_records() const { return records_.size(); }
   /// The delivered block `number` while its record is kept, else

@@ -101,7 +101,8 @@ class StateDatabase {
                             const StateEntryVisitor& fn) const = 0;
 
   /// Applies one write (upsert or delete) committed at `version`. Every
-  /// write — bootstrap and commit — comes through here.
+  /// commit comes through here, and so does a bootstrap applied to a
+  /// store built without one (ApplyBootstrap).
   virtual Status ApplyWrite(const WriteItem& write, Version version) = 0;
 
   /// Number of live keys.

@@ -220,10 +220,13 @@ void ExpectSameState(const StateView& view, const StateDatabase& want,
       ExpectSameFootprint(view_stub.rwset(), want_stub.rwset()));
 }
 
-void RunAsOfDifferential(uint64_t seed) {
+// `over_base` starts the channel over a bootstrap of half the key
+// space, and every replay with the same entries; otherwise both start
+// empty.
+void RunAsOfDifferential(uint64_t seed, bool over_base) {
   Rng rng(seed, /*stream=*/91);
   std::vector<WriteItem> bootstrap;
-  for (uint64_t k = 0; k < kKeySpace; k += 2) {
+  for (uint64_t k = 0; over_base && k < kKeySpace; k += 2) {
     bootstrap.push_back(WriteItem{Key(k), RandomDoc(rng), false});
   }
   const std::vector<Updates> blocks = RandomBlocks(rng);
@@ -245,8 +248,7 @@ void RunAsOfDifferential(uint64_t seed) {
     chain.push_back(std::move(block));
   }
 
-  ChannelState state;
-  ASSERT_TRUE(state.Bootstrap(bootstrap).ok());
+  ChannelState state(over_base ? FrozenState::Build(bootstrap) : nullptr);
   std::vector<StateView*> peers;
   for (int p = 0; p < kPeers; ++p) peers.push_back(state.AddReader());
   // Commits like a peer, then crashes and never moves again.
@@ -306,8 +308,12 @@ void RunAsOfDifferential(uint64_t seed) {
 
 TEST(ChannelStateAsOfDifferentialTest, ViewsReadWhatSerialReplayHeld) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
-    ASSERT_NO_FATAL_FAILURE(RunAsOfDifferential(seed));
+    for (bool over_base : {false, true}) {
+      SCOPED_TRACE(StrFormat("seed %llu %s",
+                             static_cast<unsigned long long>(seed),
+                             over_base ? "over a base" : "from empty"));
+      ASSERT_NO_FATAL_FAILURE(RunAsOfDifferential(seed, over_base));
+    }
   }
 }
 
@@ -318,12 +324,9 @@ TEST(ChannelStateRichQueryTest, LaggingViewMergesBeforeImagesWithTheHead) {
   auto unit = [](const std::string& lsp) {
     return JsonObject({{"docType", "unit"}, {"lsp", lsp}});
   };
-  ChannelState state;
-  ASSERT_TRUE(state
-                  .Bootstrap({WriteItem{"a", unit("L1"), false},
-                              WriteItem{"b", unit("L2"), false},
-                              WriteItem{"c", unit("L1"), false}})
-                  .ok());
+  ChannelState state(FrozenState::Build({WriteItem{"a", unit("L1"), false},
+                                         WriteItem{"b", unit("L2"), false},
+                                         WriteItem{"c", unit("L1"), false}}));
   StateView* lagging = state.AddReader();
   StateView* peer = state.AddReader();
   auto block = std::make_shared<Block>();
@@ -370,10 +373,9 @@ TEST(ChannelStateTest, ChannelsFromOneBootstrapStayIsolated) {
   const std::vector<WriteItem> bootstrap = {
       WriteItem{"a", unit("L1"), false}, WriteItem{"b", unit("L1"), false},
       WriteItem{"c", unit("L2"), false}, WriteItem{"d", unit("L2"), false}};
-  ChannelState channel0;
-  ChannelState channel1;
-  ASSERT_TRUE(channel0.Bootstrap(bootstrap).ok());
-  ASSERT_TRUE(channel1.Bootstrap(bootstrap).ok());
+  const std::shared_ptr<const FrozenState> base = FrozenState::Build(bootstrap);
+  ChannelState channel0(base);
+  ChannelState channel1(base);
   StateView* lagging = channel0.AddReader();
   StateView* writer = channel0.AddReader();
   StateView* other = channel1.AddReader();

@@ -486,6 +486,28 @@ TEST(ChannelStateNetworkTest, PeersOfAChannelShareOneStateAndKeepNoUndo) {
   }
 }
 
+// The network builds the bootstrap once and every channel's head reads
+// that one object, so a network holds one copy however many channels
+// it has.
+TEST(FabricNetworkTest, ChannelsShareOneFrozenBootstrap) {
+  ExperimentConfig config = ShardedConfig(4, /*skew=*/0);
+  std::shared_ptr<Chaincode> chaincode =
+      MakeChaincodeFor(config.workload).value();
+  std::shared_ptr<WorkloadGenerator> workload =
+      MakeWorkload(config.workload, /*rich_queries_supported=*/false).value();
+  Environment env(42);
+  FabricNetwork network(config.fabric, &env, chaincode, workload);
+  ASSERT_TRUE(network.Init().ok());
+  ASSERT_EQ(network.num_channels(), 4);
+  const FrozenState* base = network.channel_state(0).base();
+  ASSERT_NE(base, nullptr);
+  // The chaincode's bootstrap writes distinct keys.
+  EXPECT_EQ(base->entries().size(), chaincode->BootstrapState().size());
+  for (int c = 1; c < 4; ++c) {
+    EXPECT_EQ(network.channel_state(c).base(), base) << "channel " << c;
+  }
+}
+
 TEST(ChannelFaultTest, OrdererPauseStallsEveryChannelsService) {
   // The ordering service is one shared process: pausing it freezes
   // block cutting on every channel, and both channels resume after.

@@ -77,8 +77,7 @@ void RunEndorseDifferential(const std::string& chaincode, uint64_t seed) {
   std::shared_ptr<Chaincode> cc = MakeChaincodeFor(config).value();
   std::unique_ptr<WorkloadGenerator> gen =
       MakeWorkload(config, /*rich=*/true).value();
-  ChannelState state;
-  ASSERT_TRUE(state.Bootstrap(cc->BootstrapState()).ok());
+  ChannelState state(FrozenState::Build(cc->BootstrapState()));
   std::vector<StateView*> readers;
   for (int p = 0; p < kPeers; ++p) readers.push_back(state.AddReader());
   StateView* snapshot = state.AddReader();

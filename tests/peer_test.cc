@@ -25,9 +25,8 @@ class PeerTest : public ::testing::Test {
 
   // A channel world state holding the chaincode's bootstrap writes.
   std::unique_ptr<ChannelState> BootstrappedState() {
-    auto state = std::make_unique<ChannelState>();
-    EXPECT_TRUE(state->Bootstrap(chaincode_->BootstrapState()).ok());
-    return state;
+    return std::make_unique<ChannelState>(
+        FrozenState::Build(chaincode_->BootstrapState()));
   }
 
   // Reads `state_` unless a test gives the peer a world state of its own.

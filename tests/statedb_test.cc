@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,9 +11,11 @@
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
+#include "src/peer/committer.h"
 #include "src/statedb/latency_profile.h"
 #include "src/statedb/memory_state_db.h"
 #include "src/statedb/rich_query.h"
+#include "src/workload/paper_workloads.h"
 
 namespace fabricsim {
 namespace {
@@ -175,6 +178,144 @@ TEST(MemoryStateDbTest, SurvivesGrowthAndDeleteChurn) {
   }
 }
 
+// A base key rewritten with its indexed field unchanged keeps its place
+// in the posting, which must now lend the delta's entry, not the base's
+// stale one.
+TEST(MemoryStateDbTest, RewrittenBaseKeyLendsItsNewEntry) {
+  auto unit = [](const std::string& lsp, const std::string& tag) {
+    return JsonObject({{"docType", "unit"}, {"lsp", lsp}, {"tag", tag}});
+  };
+  MemoryStateDb db(
+      FrozenState::Build({WriteItem{"a", unit("L1", "t0"), false},
+                          WriteItem{"b", unit("L1", "t0"), false}}));
+  const RichQuerySelector l1 = RichQuerySelector::Parse("lsp==L1").value();
+  ASSERT_EQ(ExecuteRichQuery(db, l1).size(), 2u);  // indexes lsp on the base
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"a", unit("L1", "t1"), false}, {1, 0})
+                  .ok());
+  std::vector<StateEntryRef> hits = ExecuteRichQuery(db, l1);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].key, "a");
+  EXPECT_EQ(hits[0].vv.value, unit("L1", "t1"));
+  EXPECT_EQ(hits[0].vv.version, (Version{1, 0}));
+  EXPECT_EQ(hits[1].key, "b");
+  EXPECT_EQ(hits[1].vv.version, kBootstrapVersion);
+  // A second write of the key reads through the same delta entry.
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"a", unit("L1", "t2"), false}, {2, 0})
+                  .ok());
+  hits = ExecuteRichQuery(db, l1);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].vv.value, unit("L1", "t2"));
+  EXPECT_EQ(hits[0].vv.version, (Version{2, 0}));
+  // A field first indexed after the write skips the hidden base entry.
+  hits = ExecuteRichQuery(db, RichQuerySelector::Parse("tag==t0").value());
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].key, "b");
+  // The base itself is never written.
+  EXPECT_EQ(db.base()->entries()[0].vv.value, unit("L1", "t0"));
+  EXPECT_EQ(db.base()->entries()[0].vv.version, kBootstrapVersion);
+}
+
+// A deleted base key leaves a tombstone in the delta: it is absent from
+// every read path until a write inserts it again, and a delete after
+// that hides it again.
+TEST(MemoryStateDbTest, DeletedBaseKeyIsAbsentUntilReinserted) {
+  auto doc = [](const std::string& n) { return JsonObject({{"n", n}}); };
+  MemoryStateDb db(FrozenState::Build({WriteItem{"k1", doc("1"), false},
+                                       WriteItem{"k2", doc("2"), false},
+                                       WriteItem{"k3", doc("3"), false}}));
+  auto keys = [&]() {
+    std::vector<std::string> out;
+    for (const StateEntry& entry : db.Scan()) out.push_back(entry.key);
+    return out;
+  };
+  auto matches = [&](const std::string& n) {
+    return ExecuteRichQuery(db, RichQuerySelector::Parse("n==" + n).value())
+        .size();
+  };
+  ASSERT_EQ(matches("2"), 1u);  // indexes n on the base
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k2", "", true}, {1, 0}).ok());
+  EXPECT_EQ(db.Find("k2"), nullptr);
+  EXPECT_EQ(db.Size(), 2u);
+  EXPECT_EQ(keys(), (std::vector<std::string>{"k1", "k3"}));
+  EXPECT_TRUE(db.GetRange("k2", "k3").empty());
+  EXPECT_EQ(matches("2"), 0u);
+  // Deleting it again is a no-op.
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k2", "", true}, {1, 1}).ok());
+  EXPECT_EQ(db.Size(), 2u);
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k2", doc("4"), false}, {2, 0}).ok());
+  ASSERT_NE(db.Find("k2"), nullptr);
+  EXPECT_EQ(db.Find("k2")->version, (Version{2, 0}));
+  EXPECT_EQ(db.Size(), 3u);
+  EXPECT_EQ(keys(), (std::vector<std::string>{"k1", "k2", "k3"}));
+  EXPECT_EQ(matches("4"), 1u);
+  EXPECT_EQ(matches("2"), 0u);
+  // Deleting the re-inserted key hides the base entry again.
+  ASSERT_TRUE(db.ApplyWrite(WriteItem{"k2", "", true}, {3, 0}).ok());
+  EXPECT_EQ(db.Find("k2"), nullptr);
+  EXPECT_EQ(db.Size(), 2u);
+  EXPECT_EQ(keys(), (std::vector<std::string>{"k1", "k3"}));
+  EXPECT_EQ(matches("2"), 0u);
+  EXPECT_EQ(matches("4"), 0u);
+}
+
+// ------------------------------------------------------- FrozenState
+
+void ExpectSameScan(const StateDatabase& got, const StateDatabase& want) {
+  ASSERT_EQ(got.Size(), want.Size());
+  const std::vector<StateEntry> g = got.Scan();
+  const std::vector<StateEntry> w = want.Scan();
+  ASSERT_EQ(g.size(), w.size());
+  for (size_t i = 0; i < g.size(); ++i) {
+    ASSERT_EQ(g[i].key, w[i].key);
+    ASSERT_EQ(g[i].vv.value, w[i].vv.value) << g[i].key;
+    ASSERT_EQ(g[i].vv.version, w[i].vv.version) << g[i].key;
+  }
+}
+
+// Build reads like an empty store after ApplyWrite of the same writes in
+// order: for every chaincode's bootstrap (only genchain's comes sorted),
+// and for a hand-made set that is unsorted, writes one key twice,
+// deletes a key, deletes a missing one and re-inserts a deleted one.
+TEST(FrozenStateTest, EveryChaincodeBootstrapMatchesApplyingItsWrites) {
+  std::vector<std::pair<std::string, std::vector<WriteItem>>> cases;
+  for (const char* name :
+       {"asset", "drm", "dv", "ehr", "genchain", "scm", "tpcc"}) {
+    WorkloadConfig config;
+    config.chaincode = name;
+    cases.emplace_back(name,
+                       MakeChaincodeFor(config).value()->BootstrapState());
+  }
+  cases.emplace_back("hand-made", std::vector<WriteItem>{
+                                      {"m", "m1", false},
+                                      {"c", "c1", false},
+                                      {"x", "x1", false},
+                                      {"c", "c2", false},
+                                      {"x", "", true},
+                                      {"a", "a1", false},
+                                      {"d", "", true},
+                                      {"m", "", true},
+                                      {"m", "m3", false},
+                                  });
+  for (const auto& [name, writes] : cases) {
+    SCOPED_TRACE(name);
+    MemoryStateDb applied;
+    ASSERT_TRUE(ApplyBootstrap(applied, writes).ok());
+    ASSERT_GT(applied.Size(), 0u);
+    const std::shared_ptr<const FrozenState> frozen =
+        FrozenState::Build(writes);
+    ASSERT_EQ(frozen->entries().size(), applied.Size());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameScan(MemoryStateDb(frozen), applied));
+  }
+  const std::vector<StateEntry> hand_made =
+      MemoryStateDb(FrozenState::Build(cases.back().second)).Scan();
+  ASSERT_EQ(hand_made.size(), 3u);
+  EXPECT_EQ(hand_made[0].key, "a");
+  EXPECT_EQ(hand_made[1].key, "c");
+  EXPECT_EQ(hand_made[1].vv.value, "c2");
+  EXPECT_EQ(hand_made[2].key, "m");
+  EXPECT_EQ(hand_made[2].vv.value, "m3");
+}
+
 TEST(StateDbTest, KeyInRangeIsTheRangeDefinition) {
   EXPECT_TRUE(KeyInRange("b", "a", "c"));
   EXPECT_TRUE(KeyInRange("a", "a", "c"));   // start inclusive
@@ -274,16 +415,40 @@ TEST(RichQueryTest, ExecuteReturnsMatchesInKeyOrderWithVersions) {
 
 // ------------------------------------------- randomized differential
 
+// Every other key of a key space, as bootstrap writes with `value`'s
+// documents, and `reference` holding the same entries.
+std::shared_ptr<const FrozenState> HalfKeySpaceBase(
+    uint64_t key_space, const std::function<std::string()>& value,
+    std::map<std::string, VersionedValue>* reference) {
+  std::vector<WriteItem> writes;
+  for (uint64_t k = 0; k < key_space; k += 2) {
+    writes.push_back(WriteItem{Key(k), value(), false});
+    (*reference)[Key(k)] = VersionedValue{writes.back().value,
+                                          kBootstrapVersion};
+  }
+  return FrozenState::Build(std::move(writes));
+}
+
 // Drives seeded op sequences through the store and an ordered-map
 // reference, comparing the full observable state and Size at interval
 // checkpoints, and every range probe's GetRange and ForEachInRange
 // with the reference's keys in range. Key space
 // is kept small so deletes, re-inserts and ranges collide constantly.
-void RunDifferential(uint64_t seed, double delete_frac, double range_frac) {
+// `over_base` starts the store over a base holding half the key space,
+// and the reference with the same entries.
+void RunDifferential(uint64_t seed, double delete_frac, double range_frac,
+                     bool over_base) {
   constexpr uint64_t kKeySpace = 160;
   constexpr int kOps = 4000;
-  MemoryStateDb db;
   std::map<std::string, VersionedValue> reference;
+  int base_values = 0;
+  MemoryStateDb db(over_base ? HalfKeySpaceBase(
+                                   kKeySpace,
+                                   [&]() {
+                                     return "b" + std::to_string(base_values++);
+                                   },
+                                   &reference)
+                             : nullptr);
   Rng rng(seed, /*stream=*/55);
 
   auto check = [&](int op) {
@@ -354,11 +519,19 @@ INSTANTIATE_TEST_SUITE_P(StateDbSeeds, DifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 TEST_P(DifferentialTest, DeleteHeavyMix) {
-  RunDifferential(GetParam(), /*delete_frac=*/0.45, /*range_frac=*/0.05);
+  for (bool over_base : {false, true}) {
+    SCOPED_TRACE(over_base ? "over a base" : "from an empty store");
+    ASSERT_NO_FATAL_FAILURE(RunDifferential(
+        GetParam(), /*delete_frac=*/0.45, /*range_frac=*/0.05, over_base));
+  }
 }
 
 TEST_P(DifferentialTest, RangeHeavyMix) {
-  RunDifferential(GetParam(), /*delete_frac=*/0.15, /*range_frac=*/0.40);
+  for (bool over_base : {false, true}) {
+    SCOPED_TRACE(over_base ? "over a base" : "from an empty store");
+    ASSERT_NO_FATAL_FAILURE(RunDifferential(
+        GetParam(), /*delete_frac=*/0.15, /*range_frac=*/0.40, over_base));
+  }
 }
 
 // ------------------------------------ rich-query index differential
@@ -371,14 +544,15 @@ TEST_P(DifferentialTest, RangeHeavyMix) {
 // the keys whose document has that value. A single term is answered
 // from its posting list with nothing left to re-check, so a stale
 // index entry fails here even where a conjunction would hide it.
-void RunRichQueryDifferential(uint64_t seed) {
+// `over_base` starts the store over a base of random documents for
+// half the key space, and the reference with the same entries.
+void RunRichQueryDifferential(uint64_t seed, bool over_base) {
   constexpr uint64_t kKeySpace = 48;
   constexpr int kOps = 3000;
   // "owner" is a docType value as well as a field name.
   const std::vector<std::string> kDocTypes = {"unit", "art", "owner"};
   const std::vector<std::string> kOwners = {"o0", "o1", "o2"};
   const std::vector<std::string> kRegions = {"r0", "r1"};
-  MemoryStateDb db;
   std::map<std::string, VersionedValue> reference;
   Rng rng(seed, /*stream=*/56);
 
@@ -392,6 +566,9 @@ void RunRichQueryDifferential(uint64_t seed) {
     if (rng.Bernoulli(0.3)) std::swap(fields[0], fields[1]);
     return JsonObject(fields);
   };
+  MemoryStateDb db(over_base ? HalfKeySpaceBase(kKeySpace, random_doc,
+                                                &reference)
+                             : nullptr);
   auto random_term = [&]() -> std::string {
     switch (rng.UniformU64(4)) {
       case 0:
@@ -433,9 +610,9 @@ void RunRichQueryDifferential(uint64_t seed) {
     }
   };
 
-  // Before any write: the docType index starts out empty and is then
-  // maintained write by write; the other fields are first indexed
-  // from a populated store.
+  // Before any write: the docType index starts out empty (or from the
+  // base) and is then maintained write by write; the other fields are
+  // first indexed from a store written since.
   ASSERT_NO_FATAL_FAILURE(probe("docType==unit", -1));
   for (int op = 0; op < kOps; ++op) {
     double p = rng.UniformDouble();
@@ -464,7 +641,10 @@ INSTANTIATE_TEST_SUITE_P(StateDbSeeds, RichQueryDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 TEST_P(RichQueryDifferentialTest, IndexedQueriesMatchBruteForce) {
-  RunRichQueryDifferential(GetParam());
+  for (bool over_base : {false, true}) {
+    SCOPED_TRACE(over_base ? "over a base" : "from an empty store");
+    ASSERT_NO_FATAL_FAILURE(RunRichQueryDifferential(GetParam(), over_base));
+  }
 }
 
 // ----------------------------------------------------- LatencyProfile
