@@ -263,6 +263,41 @@ TEST(PopulationTest, MixedClassesRunSideBySide) {
   EXPECT_LT(r.value().submitted_txs, 2600u);
 }
 
+TEST(PopulationTest, AggregatedClassesArePinned) {
+  // Exact fingerprint of two aggregated classes (one MMPP-modulated,
+  // one surged) beside an expanded one. Each aggregated class forks
+  // its client stream (4700 + class) before its arrival stream
+  // (4800 + class); forking them in the other order, or drawing a
+  // class's gaps from its client stream, moves every count.
+  ExperimentConfig config = ExperimentConfig::Defaults();
+  config.duration = 10 * kSecond;
+  BehaviourClass bursty;
+  bursty.name = "bursty";
+  bursty.num_users = 10000;
+  bursty.per_user_tps = 0.02;
+  bursty.mmpp = MmppConfig::OnOff(2.0, 1 * kSecond, 1 * kSecond);
+  BehaviourClass surged;
+  surged.name = "surged";
+  surged.num_users = 20000;
+  surged.per_user_tps = 0.005;
+  surged.surges.push_back(SurgeWindow{3 * kSecond, 5 * kSecond, 3.0});
+  BehaviourClass analysts;
+  analysts.name = "analysts";
+  analysts.num_users = 3;  // expands: below the threshold
+  analysts.per_user_tps = 10.0;
+  analysts.mix = WorkloadMix::kReadHeavy;
+  config.population.classes = {bursty, surged, analysts};
+  Result<FailureReport> r = RunOnce(config, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(FingerprintWithChannels(r.value()),
+            "ledger=3339 valid=1427 endorse=178 mvcc_intra=976 "
+            "mvcc_inter=758 phantom=0 submitted=3339 app=0\n"
+            "pct=57.262653489068583/5.3309374064091042/51.931716082659477/"
+            "0/0\n"
+            "lat=5.8097350281521294/6.2179226528306444/12.980841 "
+            "tput=150/142.69999999999999\n");
+}
+
 // -------------------------------- streaming paths vs retained paths
 
 TEST(PopulationTest, StreamingPathsMatchTheDenseReport) {
