@@ -25,8 +25,9 @@ struct ExperimentConfig {
   /// run uses the legacy flat client pool driven by arrival_rate_tps;
   /// when set it replaces arrival_rate_tps/cluster.num_clients as the
   /// load model (per-class rates, retry policies, channel affinities,
-  /// chaincode mixes, optional MMPP modulation — aggregated above the
-  /// population's threshold).
+  /// chaincode mixes, optional MMPP modulation and surges). A class
+  /// runs aggregated at or above the population's threshold, or when
+  /// it has an MMPP or a surge window.
   PopulationConfig population;
   double arrival_rate_tps = 100.0;
   /// Load phase duration in simulated time. The paper drives load for

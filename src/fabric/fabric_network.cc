@@ -411,10 +411,11 @@ Status FabricNetwork::StartLoad(
     const ChannelAffinityConfig& affinity_config =
         bc.affinity.has_value() ? *bc.affinity : channel_affinity_;
     ClientRetryPolicy retry = bc.retry.has_value() ? *bc.retry : config_.retry;
-    // Surged classes always aggregate: the surge schedule lives in the
-    // class's ArrivalProcess, which per-user actors do not have.
+    // Modulated and surged classes always aggregate: the MMPP and the
+    // surge schedule live in the class's ArrivalProcess, which
+    // per-user actors do not have.
     if (bc.num_users < population.aggregation_threshold &&
-        bc.surges.empty()) {
+        !bc.mmpp.enabled() && bc.surges.empty()) {
       for (uint64_t u = 0; u < bc.num_users; ++u) {
         Client::Params params =
             make_params(actor_index, env_->rng().Fork(4000 + expanded_index),

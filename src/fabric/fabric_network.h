@@ -80,8 +80,10 @@ class FabricNetwork {
   /// Population-based load: one behaviour class at a time, expanded to
   /// per-user Client actors below population.aggregation_threshold and
   /// represented by one aggregated arrival-process actor (superposed
-  /// Poisson, optional MMPP modulation) at or above it. Small
-  /// populations are bitwise identical to the legacy per-client path.
+  /// Poisson, optional MMPP modulation and surges) at or above it, or
+  /// whenever the class has an MMPP or a surge window. Small
+  /// unmodulated populations are bitwise identical to the legacy
+  /// per-client path.
   /// `class_workloads[i]` overrides the network's workload for class i
   /// (nullptr entries — or an empty vector — fall back to the shared
   /// workload).

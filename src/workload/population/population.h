@@ -64,13 +64,14 @@ struct SurgeWindow {
 
 /// One behaviour class of the client population: `num_users` open-loop
 /// users, each submitting at `per_user_tps`, sharing a retry policy,
-/// channel affinity, and chaincode function mix. Small classes expand
-/// into per-client `Client` actors (bitwise identical to the legacy
-/// path); classes at or above PopulationConfig::aggregation_threshold
-/// run as ONE aggregated arrival process — the superposition of N
-/// independent Poisson processes is Poisson at N x per_user_tps, so
-/// the aggregate schedules arrivals, not clients, and a million users
-/// cost one pending event instead of a million.
+/// channel affinity, and chaincode function mix. Small unmodulated
+/// classes expand into per-client `Client` actors (bitwise identical
+/// to the legacy path); classes at or above
+/// PopulationConfig::aggregation_threshold, and every class with an
+/// MMPP or a surge window, run as ONE aggregated arrival process — the
+/// superposition of N independent Poisson processes is Poisson at
+/// N x per_user_tps, so the aggregate schedules arrivals, not clients,
+/// and a million users cost one pending event instead of a million.
 struct BehaviourClass {
   std::string name = "default";
   uint64_t num_users = 0;
@@ -84,7 +85,9 @@ struct BehaviourClass {
   /// Per-class chaincode function mix on the same chaincode/key space;
   /// unset shares the run's workload generator.
   std::optional<WorkloadMix> mix;
-  /// Optional MMPP modulation of the class's aggregate rate.
+  /// Optional MMPP modulation of the class's aggregate rate. A
+  /// modulated class always runs aggregated: the modulation is one
+  /// chain shared by all its users, not one chain per user.
   MmppConfig mmpp;
   /// Deterministic surge schedule (piecewise rate multiplier in
   /// absolute simulated time). Windows must be well-formed
@@ -105,9 +108,9 @@ struct BehaviourClass {
 struct PopulationConfig {
   std::vector<BehaviourClass> classes;
   /// Classes with at least this many users run aggregated; below it
-  /// they expand into per-client actors. The default keeps every
-  /// paper-scale config (5-25 clients) on the bitwise-identical
-  /// per-actor path.
+  /// unmodulated classes without surges expand into per-client actors.
+  /// The default keeps every paper-scale config (5-25 clients) on the
+  /// bitwise-identical per-actor path.
   uint64_t aggregation_threshold = 64;
 
   bool empty() const { return classes.empty(); }

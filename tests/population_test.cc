@@ -298,6 +298,26 @@ TEST(PopulationTest, AggregatedClassesArePinned) {
             "tput=150/142.69999999999999\n");
 }
 
+TEST(PopulationTest, ModulatedSmallClassRunsAggregated) {
+  // 5 users x 20 tps under a sparse on/off MMPP: far below the
+  // threshold, yet the class must still run as one aggregated,
+  // modulated process. Expanded into per-user clients it would drop
+  // its MMPP and submit ~1000 transactions instead of a burst's worth.
+  ExperimentConfig config = ExperimentConfig::Defaults();
+  config.duration = 10 * kSecond;
+  config.population = PopulationConfig::SingleClass(5, 100.0);
+  config.population.classes[0].mmpp =
+      MmppConfig::OnOff(1.0, 1 * kSecond, 9 * kSecond);
+  Result<FailureReport> at_default = RunOnce(config, 42);
+  ASSERT_TRUE(at_default.ok()) << at_default.status().ToString();
+  config.population.aggregation_threshold = 1;
+  Result<FailureReport> aggregated = RunOnce(config, 42);
+  ASSERT_TRUE(aggregated.ok()) << aggregated.status().ToString();
+  EXPECT_TRUE(at_default.value() == aggregated.value());
+  EXPECT_EQ(at_default.value().submitted_txs,
+            aggregated.value().submitted_txs);
+}
+
 // -------------------------------- streaming paths vs retained paths
 
 TEST(PopulationTest, StreamingPathsMatchTheDenseReport) {
