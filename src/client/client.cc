@@ -1,7 +1,6 @@
 #include "src/client/client.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -38,15 +37,9 @@ void Client::RecordOutcomeFailure() {
 }
 
 void Client::ScheduleNextArrival() {
-  double mean_us = 1e6 / p_.arrival_rate_tps;
-  // Round the exponential draw to the nearest tick. Truncating it
-  // (the old static_cast) floored every gap, which at high per-client
-  // rates (mean gap of a few ticks) inflated the effective arrival
-  // rate by ~10% and piled same-timestamp submissions; rounding is
-  // unbiased to within half a tick. The >= 1 clamp keeps arrivals
-  // strictly ordered.
-  SimTime gap = static_cast<SimTime>(std::llround(p_.rng.Exponential(mean_us)));
-  if (gap < 1) gap = 1;
+  Rng& rng = p_.arrival_rng.has_value() ? *p_.arrival_rng : p_.rng;
+  SimTime gap = p_.arrivals.NextGap(p_.env->now(), rng);
+  if (gap == kSimTimeNever) return;  // silent: no arrival ever again
   p_.env->Schedule(gap, [this]() {
     if (p_.env->now() > p_.load_end_time) return;  // load phase over
     SubmitOne();

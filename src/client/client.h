@@ -12,6 +12,7 @@
 #include "src/ordering/orderer.h"
 #include "src/peer/peer.h"
 #include "src/policy/endorsement_policy.h"
+#include "src/workload/population/population.h"
 #include "src/workload/workload_generator.h"
 
 namespace fabricsim {
@@ -56,10 +57,14 @@ struct RunStats {
   uint64_t orderer_leader_changes = 0;
 };
 
-/// An open-loop client process (Caliper worker analogue): draws
-/// invocations from the shared workload, collects endorsements from
-/// one peer per organization mentioned in the policy, assembles the
-/// envelope and submits it for ordering.
+/// An open-loop client process (Caliper worker analogue): at each
+/// arrival of its ArrivalProcess it draws an invocation from the
+/// workload, collects endorsements from one peer per organization
+/// mentioned in the policy, assembles the envelope and submits it for
+/// ordering. The same actor serves one user (a plain Poisson clock at
+/// the user's rate) or a whole aggregated behaviour class (one clock
+/// at the class's rate, with its MMPP and surges), so every
+/// endorsement, ordering, retry and resubmission path is shared.
 ///
 /// Two opt-in robustness behaviours (ClientRetryPolicy, both off by
 /// default): a per-attempt endorsement timeout that re-proposes to the
@@ -109,9 +114,14 @@ class Client {
     /// consuming randomness.
     ChannelAffinity affinity;
     TimingConfig timing;
+    /// Channel picks and invocations, and the arrival gaps too unless
+    /// `arrival_rng` is set.
     Rng rng{1, 1};
-    /// This client's share of the total arrival rate.
-    double arrival_rate_tps = 20.0;
+    /// When this client submits. The default is silent: no arrival.
+    ArrivalProcess arrivals;
+    /// A separate stream for the arrival gaps (aggregated classes), so
+    /// arrival modulation never perturbs the payload draws.
+    std::optional<Rng> arrival_rng;
     /// Submissions stop at this simulated time; in-flight work drains.
     SimTime load_end_time = 0;
     bool submit_read_only = true;
@@ -137,14 +147,6 @@ class Client {
 
   /// Schedules the first arrival.
   void Start();
-
-  /// Draws and submits one transaction immediately, without arming the
-  /// client's own Poisson clock. The aggregated population actor
-  /// (src/workload/population) owns the arrival process for large
-  /// behaviour classes and drives its embedded Client through this —
-  /// the entire endorsement/ordering/retry/resubmission machinery is
-  /// reused per arrival instead of per client object.
-  void SubmitNow() { SubmitOne(); }
 
   /// Commit feedback from the harness (resubmission mode only): the
   /// registered transaction was validated with `code` on the reference

@@ -352,12 +352,12 @@ Status FabricNetwork::StartLoad(
     }
   }
 
-  // Shared parameter assembly for both per-user clients and aggregated
-  // population actors. `actor_index` numbers every created actor in
-  // order (node ids stay dense); when every class expands it equals
-  // the legacy client index, so ids, node ids and affinity draws match
-  // the historical loop exactly.
-  auto make_params = [&](int actor_index, Rng rng, double rate_tps,
+  // Shared parameter assembly for per-user and aggregated clients.
+  // `actor_index` numbers every created client in order (node ids stay
+  // dense); when every class expands it equals the legacy client
+  // index, so ids, node ids and affinity draws match the historical
+  // loop exactly.
+  auto make_params = [&](int actor_index, Rng rng,
                          WorkloadGenerator* workload,
                          const ChannelAffinityConfig& affinity_config,
                          const ClientRetryPolicy& retry) {
@@ -373,7 +373,6 @@ Status FabricNetwork::StartLoad(
     params.orderer_node = 0;
     params.timing = config_.timing;
     params.rng = std::move(rng);
-    params.arrival_rate_tps = rate_tps;
     params.load_end_time = env_->now() + duration;
     params.submit_read_only = config_.submit_read_only;
     params.stats = &stats_;
@@ -417,29 +416,30 @@ Status FabricNetwork::StartLoad(
     if (bc.num_users < population.aggregation_threshold &&
         !bc.mmpp.enabled() && bc.surges.empty()) {
       for (uint64_t u = 0; u < bc.num_users; ++u) {
+        // One stream per user: its gaps, channel picks and invocations.
         Client::Params params =
             make_params(actor_index, env_->rng().Fork(4000 + expanded_index),
-                        bc.per_user_tps, workload, affinity_config, retry);
+                        workload, affinity_config, retry);
+        params.arrivals = ArrivalProcess(bc.per_user_tps);
         clients_.push_back(std::make_unique<Client>(std::move(params)));
         clients_.back()->Start();
         ++actor_index;
         ++expanded_index;
       }
     } else {
-      // One actor stands in for the whole class: a superposed-Poisson
-      // (optionally Markov-modulated) arrival process driving one
-      // embedded Client through the full endorse/order/retry
-      // machinery. The client RNG and the arrival RNG are separate
-      // streams so arrival modulation never perturbs payload draws.
-      Client::Params params =
-          make_params(actor_index, env_->rng().Fork(4700 + ci),
-                      bc.aggregate_rate_tps(), workload, affinity_config,
-                      retry);
-      ArrivalProcess arrivals(bc.aggregate_rate_tps(), bc.mmpp,
-                              env_->rng().Fork(4800 + ci), bc.surges);
-      populations_.push_back(std::make_unique<ClientPopulation>(
-          std::move(params), std::move(arrivals)));
-      populations_.back()->Start();
+      // One client stands in for the whole class: its arrival process
+      // is the superposed Poisson, with the class's MMPP and surges.
+      // The arrival stream is forked second, after the client stream,
+      // and kept apart from it so modulation never perturbs payload
+      // draws.
+      Client::Params params = make_params(
+          actor_index, env_->rng().Fork(4700 + ci), workload,
+          affinity_config, retry);
+      params.arrivals =
+          ArrivalProcess(bc.aggregate_rate_tps(), bc.mmpp, bc.surges);
+      params.arrival_rng = env_->rng().Fork(4800 + ci);
+      clients_.push_back(std::make_unique<Client>(std::move(params)));
+      clients_.back()->Start();
       ++actor_index;
     }
   }

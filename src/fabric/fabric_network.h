@@ -24,7 +24,7 @@
 #include "src/policy/endorsement_policy.h"
 #include "src/sim/environment.h"
 #include "src/sim/network.h"
-#include "src/workload/population/client_population.h"
+#include "src/workload/population/population.h"
 #include "src/workload/workload_generator.h"
 
 namespace fabricsim {
@@ -209,10 +209,10 @@ class FabricNetwork {
   /// mode only). Declared before clients_ so the clients that point at
   /// it are destroyed first.
   std::unordered_map<TxId, Client*> resubmit_registry_;
+  /// Every load actor: one per expanded user, one per aggregated
+  /// behaviour class.
   std::vector<std::unique_ptr<Client>> clients_;
-  /// Aggregated behaviour-class actors (population StartLoad only).
-  std::vector<std::unique_ptr<ClientPopulation>> populations_;
-  /// Keeps per-class workload generators alive for the actors above.
+  /// Keeps per-class workload generators alive for the clients above.
   std::vector<std::shared_ptr<WorkloadGenerator>> class_workloads_;
   std::unique_ptr<StreamingLedgerStats> ledger_stats_;
 

@@ -90,17 +90,9 @@ PopulationConfig PopulationConfig::SingleClass(uint64_t num_users,
   return config;
 }
 
-ArrivalProcess::ArrivalProcess(double rate_tps, MmppConfig mmpp, Rng rng,
+ArrivalProcess::ArrivalProcess(double rate_tps, MmppConfig mmpp,
                                std::vector<SurgeWindow> surges)
-    : rate_tps_(rate_tps),
-      mmpp_(std::move(mmpp)),
-      rng_(rng),
-      surges_(std::move(surges)) {
-  if (mmpp_.enabled()) {
-    remaining_in_state_us_ =
-        rng_.Exponential(static_cast<double>(mmpp_.states[0].mean_sojourn));
-  }
-}
+    : rate_tps_(rate_tps), mmpp_(std::move(mmpp)), surges_(std::move(surges)) {}
 
 double ArrivalProcess::SurgeMultiplierAt(double t_us) const {
   for (const SurgeWindow& surge : surges_) {
@@ -123,18 +115,23 @@ double ArrivalProcess::NextSurgeBoundaryAfter(double t_us) const {
   return next;
 }
 
-void ArrivalProcess::AdvanceState() {
+void ArrivalProcess::AdvanceState(Rng& rng) {
   // Uniform jump among the other states: on/off for two states, a
   // symmetric MMPP beyond. One draw even for two states keeps the
   // consumption pattern uniform across configs.
   size_t n = mmpp_.states.size();
-  uint64_t jump = rng_.UniformU64(n - 1);
+  uint64_t jump = rng.UniformU64(n - 1);
   state_ = (state_ + 1 + static_cast<size_t>(jump)) % n;
   remaining_in_state_us_ =
-      rng_.Exponential(static_cast<double>(mmpp_.states[state_].mean_sojourn));
+      rng.Exponential(static_cast<double>(mmpp_.states[state_].mean_sojourn));
 }
 
-SimTime ArrivalProcess::NextGap(SimTime now) {
+SimTime ArrivalProcess::NextGap(SimTime now, Rng& rng) {
+  if (mmpp_.enabled() && !sojourn_drawn_) {
+    remaining_in_state_us_ =
+        rng.Exponential(static_cast<double>(mmpp_.states[0].mean_sojourn));
+    sojourn_drawn_ = true;
+  }
   // The instantaneous rate is piecewise constant along two clocks: the
   // MMPP sojourn (relative, random) and the surge schedule (absolute,
   // deterministic). Each iteration integrates one constant-rate segment
@@ -153,7 +150,7 @@ SimTime ArrivalProcess::NextGap(SimTime now) {
     if (mmpp_first) segment_us = remaining_in_state_us_;
     double rate = rate_tps_ * mmpp_mult * SurgeMultiplierAt(pos_us);
     if (rate > 0.0) {
-      double draw = rng_.Exponential(1e6 / rate);
+      double draw = rng.Exponential(1e6 / rate);
       if (draw < segment_us) {
         if (mmpp_.enabled()) remaining_in_state_us_ -= draw;
         SimTime gap = static_cast<SimTime>(std::llround(offset_us + draw));
@@ -165,7 +162,7 @@ SimTime ArrivalProcess::NextGap(SimTime now) {
     }
     offset_us += segment_us;
     if (mmpp_first) {
-      AdvanceState();
+      AdvanceState(rng);
     } else if (mmpp_.enabled()) {
       remaining_in_state_us_ -= segment_us;
     }

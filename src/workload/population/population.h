@@ -124,40 +124,55 @@ struct PopulationConfig {
                                       std::string name = "default");
 };
 
-/// Samples interarrival gaps of one behaviour class's aggregate
-/// process: superposed Poisson at rate `rate_tps`, optionally
-/// modulated by an MMPP whose piecewise-constant rate is integrated
-/// exactly (memorylessness lets each segment redraw). Gaps are rounded
-/// to the nearest tick and clamped to >= 1, matching the per-client
-/// Client arrival clock.
+/// The arrival clock of one load actor: Poisson at `rate_tps`,
+/// optionally modulated by an MMPP whose piecewise-constant rate is
+/// integrated exactly (memorylessness lets each segment redraw) and
+/// scaled by deterministic surge windows. A per-user Client runs a
+/// plain Poisson process at its user's rate; an aggregated behaviour
+/// class runs one Client whose process carries the class's superposed
+/// rate, MMPP and surges.
+///
+/// The process keeps no Rng: each call draws from the stream it is
+/// given, so a per-user client's gaps interleave with its payload
+/// draws on one stream. Gaps are rounded to the nearest tick and
+/// clamped to >= 1. Truncating the draw instead floored every gap,
+/// which at high rates (a mean gap of a few ticks) inflated the
+/// effective arrival rate by ~10% and piled same-timestamp
+/// submissions; rounding is unbiased to within half a tick, and the
+/// clamp keeps arrivals strictly ordered.
 class ArrivalProcess {
  public:
-  ArrivalProcess(double rate_tps, MmppConfig mmpp, Rng rng,
-                 std::vector<SurgeWindow> surges = {});
+  /// A silent process: NextGap always returns kSimTimeNever.
+  ArrivalProcess() = default;
+  explicit ArrivalProcess(double rate_tps, MmppConfig mmpp = {},
+                          std::vector<SurgeWindow> surges = {});
 
-  /// Gap from `now` to the next arrival, advancing the modulation
-  /// chain. `now` anchors the deterministic surge schedule; with no
-  /// surge window it changes neither the gap nor the draws
-  /// (PopulationTest.ArrivalGapsArePinned pins the gaps).
-  SimTime NextGap(SimTime now);
+  /// Gap from `now` to the next arrival, drawn from `rng`, advancing
+  /// the modulation chain; kSimTimeNever once the rate is zero with no
+  /// boundary ahead. A modulated process's first call draws the first
+  /// MMPP sojourn before any gap. `now` anchors the deterministic
+  /// surge schedule; with no surge window it changes neither the gap
+  /// nor the draws (PopulationTest.ArrivalGapsArePinned pins the gaps).
+  SimTime NextGap(SimTime now, Rng& rng);
 
   /// Long-run mean arrival rate, MMPP modulation included. Surge
   /// windows are transient and deliberately excluded.
   double mean_rate_tps() const;
 
  private:
-  void AdvanceState();
+  void AdvanceState(Rng& rng);
   /// Surge multiplier in effect at absolute time `t_us` (1.0 outside
   /// every window) and the first window boundary strictly after it
   /// (infinity when none remains).
   double SurgeMultiplierAt(double t_us) const;
   double NextSurgeBoundaryAfter(double t_us) const;
 
-  double rate_tps_;
+  double rate_tps_ = 0.0;
   MmppConfig mmpp_;
-  Rng rng_;
   std::vector<SurgeWindow> surges_;
   size_t state_ = 0;
+  /// Set once the first MMPP sojourn is drawn (at the first NextGap).
+  bool sojourn_drawn_ = false;
   /// Simulated time left in the current MMPP state (modulated only).
   double remaining_in_state_us_ = 0.0;
 };

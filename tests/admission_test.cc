@@ -251,11 +251,12 @@ TEST(SurgeWindowTest, SurgeMultipliesArrivalRateInsideTheWindowOnly) {
   // 100 tps base, 10x surge during [10 s, 20 s): counting arrivals per
   // region over a 30 s horizon should show the surge clearly.
   std::vector<SurgeWindow> surges{SurgeWindow{10 * kSecond, 20 * kSecond, 10.0}};
-  ArrivalProcess arrivals(100.0, MmppConfig{}, Rng(7), surges);
+  ArrivalProcess arrivals(100.0, MmppConfig{}, surges);
+  Rng rng(7);
   SimTime now = 0;
   uint64_t before = 0, during = 0, after = 0;
   while (now < 30 * kSecond) {
-    now += arrivals.NextGap(now);
+    now += arrivals.NextGap(now, rng);
     if (now < 10 * kSecond) {
       ++before;
     } else if (now < 20 * kSecond) {
@@ -276,11 +277,12 @@ TEST(SurgeWindowTest, SurgeMultipliesArrivalRateInsideTheWindowOnly) {
 
 TEST(SurgeWindowTest, ZeroMultiplierSilencesTheWindow) {
   std::vector<SurgeWindow> surges{SurgeWindow{1 * kSecond, 2 * kSecond, 0.0}};
-  ArrivalProcess arrivals(1000.0, MmppConfig{}, Rng(11), surges);
+  ArrivalProcess arrivals(1000.0, MmppConfig{}, surges);
+  Rng rng(11);
   SimTime now = 0;
   uint64_t inside = 0;
   while (now < 3 * kSecond) {
-    now += arrivals.NextGap(now);
+    now += arrivals.NextGap(now, rng);
     if (now >= 1 * kSecond && now < 2 * kSecond) ++inside;
   }
   EXPECT_EQ(inside, 0u);

@@ -83,7 +83,7 @@ class ClientTest : public ::testing::Test {
     cparams.orderers = {orderer_.get()};
     cparams.orderer_node = 0;
     cparams.rng = Rng(77);
-    cparams.arrival_rate_tps = arrival_rate_tps_;
+    cparams.arrivals = ArrivalProcess(arrival_rate_tps_);
     cparams.load_end_time = load_end_;
     cparams.submit_read_only = submit_read_only;
     cparams.stats = &stats_;

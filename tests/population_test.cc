@@ -17,7 +17,6 @@
 #include "src/core/runner.h"
 #include "src/fabric/fabric_network.h"
 #include "src/workload/paper_workloads.h"
-#include "src/workload/population/client_population.h"
 #include "src/workload/population/population.h"
 #include "tests/test_fingerprint.h"
 
@@ -150,11 +149,12 @@ TEST(PopulationTest, ArrivalGapsReproduceTheNominalRate) {
   // mean gap is 5 ticks, where float->int truncation inflated the
   // measured rate by ~10% (gaps lost half a tick each). Rounding plus
   // the >=1-tick clamp keeps the measured rate within a few percent.
-  ArrivalProcess arrivals(200000.0, MmppConfig{}, Rng(3));
+  ArrivalProcess arrivals(200000.0);
+  Rng rng(3);
   const int n = 100000;
   double total_us = 0.0;
   for (int i = 0; i < n; ++i) {
-    SimTime gap = arrivals.NextGap(0);
+    SimTime gap = arrivals.NextGap(0, rng);
     ASSERT_GE(gap, 1);
     total_us += static_cast<double>(gap);
   }
@@ -169,12 +169,13 @@ TEST(PopulationTest, MmppModulationPreservesTheLongRunMean) {
   // the long-run mean equals the nominal rate.
   MmppConfig mmpp = MmppConfig::OnOff(2.0, 1 * kSecond, 1 * kSecond);
   EXPECT_DOUBLE_EQ(mmpp.MeanMultiplier(), 1.0);
-  ArrivalProcess arrivals(1000.0, mmpp, Rng(5));
+  ArrivalProcess arrivals(1000.0, mmpp);
+  Rng rng(5);
   EXPECT_DOUBLE_EQ(arrivals.mean_rate_tps(), 1000.0);
   const int n = 200000;
   double total_us = 0.0;
   for (int i = 0; i < n; ++i) {
-    total_us += static_cast<double>(arrivals.NextGap(0));
+    total_us += static_cast<double>(arrivals.NextGap(0, rng));
   }
   double measured_tps = 1e6 * n / total_us;
   EXPECT_GT(measured_tps, 900.0);
@@ -207,11 +208,12 @@ TEST(PopulationTest, ArrivalGapsArePinned) {
       {"three states", three_states, 5094612, 12943},
   };
   for (const Case& c : cases) {
-    ArrivalProcess arrivals(200.0, c.mmpp, Rng(11));
+    ArrivalProcess arrivals(200.0, c.mmpp);
+    Rng rng(11);
     SimTime now = 0;
     SimTime gap = 0;
     for (int i = 0; i < 1000; ++i) {
-      gap = arrivals.NextGap(now);
+      gap = arrivals.NextGap(now, rng);
       now += gap;
     }
     EXPECT_EQ(now, c.sum_us) << c.name;
