@@ -6,9 +6,9 @@
 
 #include "src/chaincode/genchain.h"
 #include "src/chaincode/genchain_emitter.h"
+#include "src/common/rng.h"
 #include "src/core/failure_report.h"
 #include "src/fabric/fabric_network.h"
-#include "src/workload/key_distribution.h"
 #include "src/workload/workload_generator.h"
 
 using namespace fabricsim;
@@ -48,24 +48,24 @@ int main() {
 
   // 3. Run a custom workload against the interpreter on a C1 network.
   auto chaincode = std::make_shared<GenChaincode>(spec);
-  auto keys = std::make_shared<KeyDistribution>(spec.initial_keys, 1.2);
+  auto keys = std::make_shared<ZipfianGenerator>(spec.initial_keys, 1.2);
   auto insert_seq = std::make_shared<uint64_t>(spec.initial_keys);
   std::vector<FunctionMixWorkload::Entry> entries;
   entries.push_back({3.0, [keys](Rng& rng) {
                        return Invocation{
                            "auditItem",
-                           {GenChaincode::Key(keys->Sample(rng)),
-                            GenChaincode::Key(keys->Sample(rng)),
-                            GenChaincode::Key(keys->Sample(rng))}};
+                           {GenChaincode::Key(keys->Next(rng)),
+                            GenChaincode::Key(keys->Next(rng)),
+                            GenChaincode::Key(keys->Next(rng))}};
                      }});
   entries.push_back({2.0, [keys, insert_seq](Rng& rng) {
                        return Invocation{
                            "restock",
                            {GenChaincode::Key((*insert_seq)++),
-                            GenChaincode::Key(keys->Sample(rng))}};
+                            GenChaincode::Key(keys->Next(rng))}};
                      }});
   entries.push_back({1.0, [keys](Rng& rng) {
-                       uint64_t start = keys->Sample(rng) % 1900;
+                       uint64_t start = keys->Next(rng) % 1900;
                        return Invocation{
                            "scanShelf",
                            {GenChaincode::Key(start),

@@ -14,8 +14,8 @@
 #include "src/chaincode/genchain.h"
 #include "src/chaincode/supply_chain.h"
 #include "src/chaincode/tpcc/tpcc_chaincode.h"
+#include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/workload/key_distribution.h"
 #include "src/workload/tpcc_workload.h"
 
 namespace fabricsim {
@@ -32,12 +32,12 @@ WorkloadResult MixOf(const char* chaincode, std::vector<Entry> entries) {
 // ---------------------------------------------------------------- EHR
 
 WorkloadResult MakeEhrWorkload(const WorkloadConfig& config, bool) {
-  auto keys = std::make_shared<KeyDistribution>(100, config.zipf_skew);
+  auto keys = std::make_shared<ZipfianGenerator>(100, config.zipf_skew);
   auto prof = [keys](Rng& rng) {
-    return EhrChaincode::ProfileKey(static_cast<int>(keys->Sample(rng)));
+    return EhrChaincode::ProfileKey(static_cast<int>(keys->Next(rng)));
   };
   auto record = [keys](Rng& rng) {
-    return EhrChaincode::RecordKey(static_cast<int>(keys->Sample(rng)));
+    return EhrChaincode::RecordKey(static_cast<int>(keys->Next(rng)));
   };
   auto actor = [](Rng& rng) {
     return "ACTOR" + PadKey(rng.UniformU64(50), 3);
@@ -96,8 +96,8 @@ WorkloadResult MakeEhrWorkload(const WorkloadConfig& config, bool) {
 // ----------------------------------------------------------------- DV
 
 WorkloadResult MakeDvWorkload(const WorkloadConfig& config, bool) {
-  auto voters = std::make_shared<KeyDistribution>(1000, config.zipf_skew);
-  auto parties = std::make_shared<KeyDistribution>(12, config.zipf_skew);
+  auto voters = std::make_shared<ZipfianGenerator>(1000, config.zipf_skew);
+  auto parties = std::make_shared<ZipfianGenerator>(12, config.zipf_skew);
   double w_vote = 1.0;
   double w_query = 1.0;
   if (config.mix == WorkloadMix::kReadHeavy) {
@@ -109,9 +109,9 @@ WorkloadResult MakeDvWorkload(const WorkloadConfig& config, bool) {
                        return Invocation{
                            "vote",
                            {DigitalVotingChaincode::VoterKey(
-                                static_cast<int>(voters->Sample(rng))),
+                                static_cast<int>(voters->Next(rng))),
                             DigitalVotingChaincode::PartyKey(
-                                static_cast<int>(parties->Sample(rng)))}};
+                                static_cast<int>(parties->Next(rng)))}};
                      }});
   entries.push_back({w_query, [](Rng&) {
                        return Invocation{"qryParties", {}};
@@ -144,7 +144,7 @@ WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
                                bool rich_queries_supported) {
   const std::vector<int> counts = {400, 400, 400, 400, 800};
   auto state = std::make_shared<ScmState>(counts);
-  auto gtins = std::make_shared<KeyDistribution>(state->location.size(),
+  auto gtins = std::make_shared<ZipfianGenerator>(state->location.size(),
                                                  config.zipf_skew);
   int num_lsps = static_cast<int>(counts.size());
 
@@ -171,7 +171,7 @@ WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
                      }});
   entries.push_back(
       {w_write, [state, gtins, num_lsps](Rng& rng) {
-         int gtin = static_cast<int>(gtins->Sample(rng));
+         int gtin = static_cast<int>(gtins->Next(rng));
          int from = state->location[static_cast<size_t>(gtin)];
          int to = (from + 1 + static_cast<int>(rng.UniformU64(
                                   static_cast<uint64_t>(num_lsps - 1)))) %
@@ -187,7 +187,7 @@ WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
                             SupplyChainChaincode::UnitKey(to, gtin)}};
        }});
   entries.push_back({w_write, [state, gtins](Rng& rng) {
-                       int gtin = static_cast<int>(gtins->Sample(rng));
+                       int gtin = static_cast<int>(gtins->Next(rng));
                        int lsp = state->location[static_cast<size_t>(gtin)];
                        return Invocation{
                            "Unload",
@@ -215,8 +215,8 @@ WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
 
 WorkloadResult MakeDrmWorkload(const WorkloadConfig& config,
                                bool rich_queries_supported) {
-  auto arts = std::make_shared<KeyDistribution>(200, config.zipf_skew);
-  auto holders = std::make_shared<KeyDistribution>(200, config.zipf_skew);
+  auto arts = std::make_shared<ZipfianGenerator>(200, config.zipf_skew);
+  auto holders = std::make_shared<ZipfianGenerator>(200, config.zipf_skew);
   auto create_seq = std::make_shared<int>(200);
 
   double w_write = 1.0;
@@ -229,7 +229,7 @@ WorkloadResult MakeDrmWorkload(const WorkloadConfig& config,
   std::vector<Entry> entries;
   entries.push_back({w_write, [holders, create_seq](Rng& rng) {
                        int art = (*create_seq)++;
-                       int holder = static_cast<int>(holders->Sample(rng));
+                       int holder = static_cast<int>(holders->Next(rng));
                        return Invocation{
                            "create",
                            {DrmChaincode::ArtworkKey(art),
@@ -237,13 +237,13 @@ WorkloadResult MakeDrmWorkload(const WorkloadConfig& config,
                             DrmChaincode::HolderKey(holder)}};
                      }});
   entries.push_back({w_write, [arts](Rng& rng) {
-                       int art = static_cast<int>(arts->Sample(rng));
+                       int art = static_cast<int>(arts->Next(rng));
                        return Invocation{"play",
                                          {DrmChaincode::ArtworkKey(art),
                                           DrmChaincode::RightsKey(art)}};
                      }});
   entries.push_back({w_read, [arts](Rng& rng) {
-                       int art = static_cast<int>(arts->Sample(rng));
+                       int art = static_cast<int>(arts->Next(rng));
                        return Invocation{"queryRghts",
                                          {DrmChaincode::ArtworkKey(art),
                                           DrmChaincode::RightsKey(art)}};
@@ -252,14 +252,14 @@ WorkloadResult MakeDrmWorkload(const WorkloadConfig& config,
                        return Invocation{
                            "viewMetaData",
                            {DrmChaincode::ArtworkKey(
-                               static_cast<int>(arts->Sample(rng)))}};
+                               static_cast<int>(arts->Next(rng)))}};
                      }});
   if (rich_queries_supported) {
     entries.push_back({w_read, [holders](Rng& rng) {
                          return Invocation{
                              "calcRevenue",
                              {DrmChaincode::HolderKey(
-                                 static_cast<int>(holders->Sample(rng)))}};
+                                 static_cast<int>(holders->Next(rng)))}};
                        }});
   }
   return MixOf("drm", std::move(entries));
@@ -290,7 +290,7 @@ WorkloadResult MakeGenWorkload(const WorkloadConfig& config, bool) {
       }
     }
   }
-  auto keys = std::make_shared<KeyDistribution>(n, config.zipf_skew);
+  auto keys = std::make_shared<ZipfianGenerator>(n, config.zipf_skew);
   auto state = std::make_shared<GenState>(GenState{n, n});
 
   // Mix weights: 80% for the heavy type, 5% for each of the others
@@ -306,7 +306,7 @@ WorkloadResult MakeGenWorkload(const WorkloadConfig& config, bool) {
   std::vector<Entry> entries;
   entries.push_back({weight(WorkloadMix::kReadHeavy), [keys](Rng& rng) {
                        return Invocation{
-                           "readKeys", {GenChaincode::Key(keys->Sample(rng))}};
+                           "readKeys", {GenChaincode::Key(keys->Next(rng))}};
                      }});
   if (config.genchain_mutations) {
     entries.push_back({weight(WorkloadMix::kInsertHeavy), [state](Rng&) {
@@ -318,7 +318,7 @@ WorkloadResult MakeGenWorkload(const WorkloadConfig& config, bool) {
   entries.push_back({weight(WorkloadMix::kUpdateHeavy), [keys](Rng& rng) {
                        return Invocation{
                            "updateKeys",
-                           {GenChaincode::Key(keys->Sample(rng))}};
+                           {GenChaincode::Key(keys->Next(rng))}};
                      }});
   if (config.genchain_mutations) {
     entries.push_back({weight(WorkloadMix::kDeleteHeavy), [state](Rng&) {
@@ -335,7 +335,7 @@ WorkloadResult MakeGenWorkload(const WorkloadConfig& config, bool) {
     entries.push_back(
         {weight(WorkloadMix::kRangeHeavy), [keys, range_sizes, n](Rng& rng) {
            int len = (*range_sizes)[rng.UniformU64(range_sizes->size())];
-           uint64_t start = keys->Sample(rng);
+           uint64_t start = keys->Next(rng);
            if (start + static_cast<uint64_t>(len) > n && n > 0) {
              start = n - static_cast<uint64_t>(len);
            }

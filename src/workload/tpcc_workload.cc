@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/workload/key_distribution.h"
+#include "src/common/rng.h"
 
 namespace fabricsim {
 namespace {
@@ -34,16 +34,16 @@ std::unique_ptr<WorkloadGenerator> MakeTpccWorkload(
   // One sampler over all W x D districts: the terminal chooses its
   // district, then everything in the transaction stays district-local
   // (the TPC-C home-warehouse rule, minus remote payments).
-  auto dists = std::make_shared<KeyDistribution>(
+  auto dists = std::make_shared<ZipfianGenerator>(
       static_cast<uint64_t>(warehouses * districts), config.zipf_skew);
-  auto custs = std::make_shared<KeyDistribution>(
+  auto custs = std::make_shared<ZipfianGenerator>(
       static_cast<uint64_t>(customers), config.zipf_skew);
-  auto item_dist = std::make_shared<KeyDistribution>(
+  auto item_dist = std::make_shared<ZipfianGenerator>(
       static_cast<uint64_t>(items), config.zipf_skew);
   double invalid_rate = t.invalid_item_rate;
 
   auto pick_district = [dists, districts](Rng& rng, int* w, int* d) {
-    int wd = static_cast<int>(dists->Sample(rng));
+    int wd = static_cast<int>(dists->Next(rng));
     *w = wd / districts;
     *d = wd % districts;
   };
@@ -54,7 +54,7 @@ std::unique_ptr<WorkloadGenerator> MakeTpccWorkload(
               districts](Rng& rng) {
          int w, d;
          pick_district(rng, &w, &d);
-         int c = static_cast<int>(custs->Sample(rng));
+         int c = static_cast<int>(custs->Next(rng));
          int n = 5 + static_cast<int>(rng.UniformU64(11));  // 5..15 lines
          bool invalid = rng.Bernoulli(invalid_rate);
          std::vector<std::string> args = {std::to_string(w), std::to_string(d),
@@ -65,7 +65,7 @@ std::unique_ptr<WorkloadGenerator> MakeTpccWorkload(
            // item for an unused id; `items` itself is never bootstrapped.
            int item = invalid && l == n - 1
                           ? items
-                          : static_cast<int>(item_dist->Sample(rng));
+                          : static_cast<int>(item_dist->Next(rng));
            args.push_back(std::to_string(item));
            args.push_back(std::to_string(1 + rng.UniformU64(10)));
          }
@@ -78,7 +78,7 @@ std::unique_ptr<WorkloadGenerator> MakeTpccWorkload(
                        return Invocation{
                            "Payment",
                            {std::to_string(w), std::to_string(d),
-                            std::to_string(custs->Sample(rng)),
+                            std::to_string(custs->Next(rng)),
                             std::to_string(100 + rng.UniformU64(4900))}};
                      }});
   entries.push_back({4.0, [pick_district](Rng& rng) {
@@ -101,7 +101,7 @@ std::unique_ptr<WorkloadGenerator> MakeTpccWorkload(
                 : 0;
         return Invocation{"OrderStatus",
                           {std::to_string(w), std::to_string(d),
-                           std::to_string(custs->Sample(rng)),
+                           std::to_string(custs->Next(rng)),
                            std::to_string(o)}};
       }});
   entries.push_back({4.0, [pick_district](Rng& rng) {
@@ -120,7 +120,7 @@ std::unique_ptr<WorkloadGenerator> MakeAssetTransferWorkload(
     const WorkloadConfig& config) {
   const AssetTransferConfig& a = config.asset;
   int owners = std::max(1, a.owners);
-  auto assets = std::make_shared<KeyDistribution>(
+  auto assets = std::make_shared<ZipfianGenerator>(
       static_cast<uint64_t>(std::max(1, a.assets)), config.zipf_skew);
   // Fresh ids for createAsset, above the bootstrapped range.
   auto create_seq = std::make_shared<int>(a.assets);
@@ -136,7 +136,7 @@ std::unique_ptr<WorkloadGenerator> MakeAssetTransferWorkload(
   entries.push_back({45.0 * w_write, [assets, owners](Rng& rng) {
                        return Invocation{
                            "transferAsset",
-                           {std::to_string(assets->Sample(rng)),
+                           {std::to_string(assets->Next(rng)),
                             std::to_string(rng.UniformU64(
                                 static_cast<uint64_t>(owners)))}};
                      }});
@@ -149,7 +149,7 @@ std::unique_ptr<WorkloadGenerator> MakeAssetTransferWorkload(
   entries.push_back({20.0 * w_read, [assets](Rng& rng) {
                        return Invocation{
                            "readAsset",
-                           {std::to_string(assets->Sample(rng))}};
+                           {std::to_string(assets->Next(rng))}};
                      }});
   entries.push_back(
       {10.0 * w_write, [create_seq, owners](Rng& rng) {

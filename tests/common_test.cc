@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -212,6 +213,18 @@ TEST(ZipfianTest, HigherSkewConcentratesMore) {
     if (heavy.NextRank(rng2) == 0) ++heavy_rank0;
   }
   EXPECT_GT(heavy_rank0, mild_rank0);
+}
+
+TEST(ZipfianTest, SkewConcentrates) {
+  // Through the scattered Next(), as the workloads draw: with skew 2
+  // the hottest key takes a large share.
+  ZipfianGenerator skewed(1000, 2.0);
+  Rng rng(3);
+  std::map<uint64_t, int> counts;
+  for (int i = 0; i < 20000; ++i) counts[skewed.Next(rng)]++;
+  int max_count = 0;
+  for (auto& [k, c] : counts) max_count = std::max(max_count, c);
+  EXPECT_GT(max_count, 20000 / 10);
 }
 
 TEST(ZipfianTest, ScatterStaysInRange) {

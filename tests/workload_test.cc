@@ -7,41 +7,10 @@
 #include "src/core/experiment.h"
 #include "src/peer/committer.h"
 #include "src/statedb/memory_state_db.h"
-#include "src/workload/key_distribution.h"
 #include "src/workload/paper_workloads.h"
 
 namespace fabricsim {
 namespace {
-
-// ---------------------------------------------------- KeyDistribution
-
-TEST(KeyDistributionTest, UniformCoversSpace) {
-  KeyDistribution dist(50, 0.0);
-  Rng rng(1);
-  std::set<uint64_t> seen;
-  for (int i = 0; i < 5000; ++i) seen.insert(dist.Sample(rng));
-  EXPECT_EQ(seen.size(), 50u);
-}
-
-TEST(KeyDistributionTest, SampleOtherDiffers) {
-  KeyDistribution dist(10, 1.0);
-  Rng rng(2);
-  for (int i = 0; i < 100; ++i) {
-    uint64_t a = dist.Sample(rng);
-    EXPECT_NE(dist.SampleOther(rng, a), a);
-  }
-}
-
-TEST(KeyDistributionTest, SkewConcentrates) {
-  KeyDistribution skewed(1000, 2.0);
-  Rng rng(3);
-  std::map<uint64_t, int> counts;
-  for (int i = 0; i < 20000; ++i) counts[skewed.Sample(rng)]++;
-  int max_count = 0;
-  for (auto& [k, c] : counts) max_count = std::max(max_count, c);
-  // With skew 2, the hottest key takes a large share.
-  EXPECT_GT(max_count, 20000 / 10);
-}
 
 // ---------------------------------------------------- Workload mixes
 
