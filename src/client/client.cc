@@ -427,12 +427,13 @@ void Client::FinalizeTx(TxId tx_id, PendingTx pending) {
   p_.env->Schedule(collect_cost, [this, shared_tx, bytes, orderer]() {
     TxId id = shared_tx->id;
     p_.net->Send(
-        *p_.env, p_.node, p_.orderer_node, bytes,
+        *p_.env, p_.node, orderer->node(), bytes,
         [this, orderer, shared_tx, id]() {
-          orderer->SubmitTransaction(std::move(*shared_tx), [this, id]() {
-            p_.net->Send(*p_.env, p_.orderer_node, p_.node, 48,
-                         [this, id]() { OnOrdererThrottle(id); });
-          });
+          orderer->SubmitTransaction(
+              std::move(*shared_tx), [this, orderer, id]() {
+                p_.net->Send(*p_.env, orderer->node(), p_.node, 48,
+                             [this, id]() { OnOrdererThrottle(id); });
+              });
         });
   });
 }

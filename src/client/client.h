@@ -85,7 +85,6 @@ class Client {
     /// Compat ordering: one Orderer per channel (index = channel), all
     /// on the orderer node. Unused under replicated ordering.
     std::vector<Orderer*> orderers;
-    NodeId orderer_node = 0;
     /// One orderer replica as the client reaches it.
     struct OrdererEndpoint {
       NodeId node = 0;

@@ -370,7 +370,6 @@ Status FabricNetwork::StartLoad(
     params.policy = policy_.get();
     params.peers_by_org = peers_by_org_;
     params.orderers = orderers;
-    params.orderer_node = 0;
     params.timing = config_.timing;
     params.rng = std::move(rng);
     params.load_end_time = env_->now() + duration;

@@ -32,9 +32,4 @@ uint64_t StreamingLedgerStats::committed_in_window() const {
   return n;
 }
 
-size_t StreamingLedgerStats::ApproxMemoryBytes() const {
-  return sizeof(*this) + channels_.capacity() * sizeof(ChannelAgg) +
-         latency_ms_.ApproxMemoryBytes();
-}
-
 }  // namespace fabricsim

@@ -58,8 +58,6 @@ class StreamingLedgerStats {
   /// seconds (the report's ordering-availability proxy).
   double max_interblock_gap_s() const { return max_interblock_gap_s_; }
 
-  size_t ApproxMemoryBytes() const;
-
  private:
   struct ChannelAgg {
     LedgerSummary summary;

@@ -81,7 +81,6 @@ class ClientTest : public ::testing::Test {
     cparams.policy = policy_.get();
     cparams.peers_by_org = peers_by_org_;
     cparams.orderers = {orderer_.get()};
-    cparams.orderer_node = 0;
     cparams.rng = Rng(77);
     cparams.arrivals = ArrivalProcess(arrival_rate_tps_);
     cparams.load_end_time = load_end_;
