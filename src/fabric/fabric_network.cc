@@ -409,9 +409,9 @@ Status FabricNetwork::StartLoad(
     const ChannelAffinityConfig& affinity_config =
         bc.affinity.has_value() ? *bc.affinity : channel_affinity_;
     ClientRetryPolicy retry = bc.retry.has_value() ? *bc.retry : config_.retry;
-    // Modulated and surged classes always aggregate: the MMPP and the
-    // surge schedule live in the class's ArrivalProcess, which
-    // per-user actors do not have.
+    // Modulated and surged classes always aggregate: one
+    // ArrivalProcess carries the class's MMPP chain and surge
+    // schedule, which per-user clients would not share.
     if (bc.num_users < population.aggregation_threshold &&
         !bc.mmpp.enabled() && bc.surges.empty()) {
       for (uint64_t u = 0; u < bc.num_users; ++u) {

@@ -78,12 +78,12 @@ class FabricNetwork {
   void StartLoad(double total_rate_tps, SimTime duration);
 
   /// Population-based load: one behaviour class at a time, expanded to
-  /// per-user Client actors below population.aggregation_threshold and
-  /// represented by one aggregated arrival-process actor (superposed
-  /// Poisson, optional MMPP modulation and surges) at or above it, or
-  /// whenever the class has an MMPP or a surge window. Small
-  /// unmodulated populations are bitwise identical to the legacy
-  /// per-client path.
+  /// one Client per user (each on a plain Poisson ArrivalProcess at
+  /// the per-user rate) below population.aggregation_threshold, and
+  /// run as one Client whose ArrivalProcess carries the class's
+  /// aggregate rate, MMPP and surges at or above it, or whenever the
+  /// class has an MMPP or a surge window. Small unmodulated
+  /// populations are bitwise identical to the legacy per-client path.
   /// `class_workloads[i]` overrides the network's workload for class i
   /// (nullptr entries — or an empty vector — fall back to the shared
   /// workload).

@@ -68,10 +68,11 @@ struct SurgeWindow {
 /// classes expand into per-client `Client` actors (bitwise identical
 /// to the legacy path); classes at or above
 /// PopulationConfig::aggregation_threshold, and every class with an
-/// MMPP or a surge window, run as ONE aggregated arrival process — the
-/// superposition of N independent Poisson processes is Poisson at
-/// N x per_user_tps, so the aggregate schedules arrivals, not clients,
-/// and a million users cost one pending event instead of a million.
+/// MMPP or a surge window, run as ONE Client on one aggregated
+/// ArrivalProcess — the superposition of N independent Poisson
+/// processes is Poisson at N x per_user_tps, so the aggregate
+/// schedules arrivals, not clients, and a million users cost one
+/// pending event instead of a million.
 struct BehaviourClass {
   std::string name = "default";
   uint64_t num_users = 0;
@@ -93,8 +94,8 @@ struct BehaviourClass {
   /// absolute simulated time). Windows must be well-formed
   /// (start < end, multiplier >= 0) and non-overlapping; outside every
   /// window the multiplier is 1. A class with surges always runs
-  /// aggregated — the surge clock lives in the class's arrival
-  /// process, not in per-user actors.
+  /// aggregated: one arrival process carries the schedule for the
+  /// whole class.
   std::vector<SurgeWindow> surges;
 
   double aggregate_rate_tps() const {
