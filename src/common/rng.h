@@ -68,9 +68,6 @@ class ZipfianGenerator {
   /// Next(), ranks are not scattered.
   uint64_t NextRank(Rng& rng);
 
-  uint64_t item_count() const { return n_; }
-  double theta() const { return theta_; }
-
  private:
   uint64_t n_;
   double theta_;

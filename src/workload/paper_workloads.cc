@@ -145,7 +145,7 @@ WorkloadResult MakeScmWorkload(const WorkloadConfig& config,
   const std::vector<int> counts = {400, 400, 400, 400, 800};
   auto state = std::make_shared<ScmState>(counts);
   auto gtins = std::make_shared<ZipfianGenerator>(state->location.size(),
-                                                 config.zipf_skew);
+                                                  config.zipf_skew);
   int num_lsps = static_cast<int>(counts.size());
 
   double w_write = 1.0;
